@@ -3,12 +3,14 @@
 
 Runs the `wc` streaming kernel on the bus-heavy EXISTING design point and
 the bus-light HEAVYWT point under the `reference` kernel (the seed-era
-min-timestamp loop) and the `event` kernel (wakeup heap + indexed bus
-calendar), then prints host time, simulated cycles/sec, and the speedup.
+min-timestamp loop) and the `event` kernel (wakeup heap), then prints host
+time, simulated cycles/sec, and the speedup.  Both kernels step the same
+machine — one indexed bus calendar — so they differ only in the stepping
+loop, a few percent of host time.
 
 The punchline is the assertion at the end: both kernels produce the same
-fingerprint — the event kernel is faster, never different.  For the full
-tracked perf record, use ``python -m repro bench``.
+fingerprint — a kernel may change host speed, never the result.  For the
+full tracked perf record, use ``python -m repro bench``.
 """
 
 import argparse

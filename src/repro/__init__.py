@@ -38,124 +38,74 @@ Quickstart::
     machine = Machine(baseline_config(), mechanism="syncopti_sc")
     stats = machine.run(program)
     print(stats.cycles, stats.consumer.components)
+
+The names below resolve on first access (PEP 562 module ``__getattr__``), so
+importing one subpackage — say ``repro.harness.campaign`` — loads only what
+it needs, not the serve stack, the store or the bench.
 """
 
-from repro.core.design_points import (
-    DESIGN_POINTS,
-    OVERRIDE_KNOBS,
-    DesignPoint,
-    apply_overrides,
-    get_design_point,
-    with_bus_latency,
-    with_bus_width,
-    with_n_cores,
-    with_queue_depth,
-    with_transit_delay,
-)
-from repro.core.mechanism import available_mechanisms, create_mechanism
-from repro.faults import (
-    FailureClass,
-    FaultKind,
-    FaultPlan,
-    FaultRule,
-    classify_outcome,
-)
-from repro.harness.campaign import (
-    CampaignCell,
-    CampaignLedger,
-    CampaignPolicy,
-    CampaignReport,
-    campaign_status,
-    execute_cell,
-    run_campaign,
-    run_cells,
-)
-from repro.harness.experiments import ALL_EXPERIMENTS, ExperimentResult, run_all, sweep
-from repro.harness.runner import (
-    FailedRun,
-    PreemptedRun,
-    RunOutcome,
-    RunResult,
-    TimedOutRun,
-    run_benchmark,
-    run_benchmark_resilient,
-    run_single_threaded,
-)
-from repro.pipeline import (
-    build_pipeline,
-    build_pipeline_partition,
-    lower_pipeline,
-    partition_loop_k,
-    pipeline_scaling,
-)
-from repro.sim.checkpoint import (
-    Checkpointer,
-    MachineSnapshot,
-    PreemptionRequested,
-    SnapshotCorruptError,
-    SnapshotError,
-    inspect_snapshot,
-    quarantine_snapshot,
-    read_snapshot,
-    recover_snapshot,
-    resume_run,
-    write_snapshot,
-)
-from repro.bench import run_bench
-from repro.store import (
-    ResultStore,
-    StoreCorruptError,
-    StoreError,
-    WorkQueue,
-    cell_digest,
-    dispatch_cells,
-    run_worker,
-)
-from repro.sim.config import MachineConfig, baseline_config
-from repro.sim.cosim import (
-    DeadlockError,
-    SimulationError,
-    SimulationLimitError,
-    WallClockExceededError,
-)
-from repro.sim.forensics import PostMortem
-from repro.sim.kernel import (
-    KERNEL_NAMES,
-    EventKernel,
-    ReferenceKernel,
-    SimKernel,
-    available_kernels,
-    create_kernel,
-)
-from repro.sim.machine import Machine, run_program
-from repro.sim.program import Program, ThreadProgram
-from repro.sim.stats import RunStats, ThreadStats, geomean
-from repro.trace import (
-    COMM_OP_POINTS,
-    CommOpProfiler,
-    CommOpReport,
-    TraceBuffer,
-    TraceConfig,
-    TraceEvent,
-    bus_utilization,
-    check_bus_utilization,
-    check_occupancy,
-    measure_comm_ops,
-    occupancy_plateaus,
-    queue_occupancy,
-    to_chrome_trace,
-    write_chrome_trace,
-    write_csv,
-)
-from repro.workloads.suite import (
-    BENCHMARK_ORDER,
-    BENCHMARKS,
-    build_partition,
-    build_pipelined,
-    build_single_threaded,
-)
+import importlib
 
 __version__ = "1.0.0"
+
+#: Public names by defining module; each module is imported on first access
+#: to one of its names.
+_EXPORTS = {
+    "repro.core.design_points": (
+        "DESIGN_POINTS", "OVERRIDE_KNOBS", "DesignPoint", "apply_overrides", "get_design_point",
+        "with_bus_latency", "with_bus_width", "with_n_cores", "with_queue_depth",
+        "with_transit_delay",
+    ),
+    "repro.core.mechanism": ("available_mechanisms", "create_mechanism"),
+    "repro.faults": ("FailureClass", "FaultKind", "FaultPlan", "FaultRule", "classify_outcome"),
+    "repro.harness.campaign": (
+        "CampaignCell", "CampaignLedger", "CampaignPolicy", "CampaignReport", "campaign_status",
+        "execute_cell", "run_campaign", "run_cells",
+    ),
+    "repro.harness.experiments": ("ALL_EXPERIMENTS", "ExperimentResult", "run_all", "sweep"),
+    "repro.harness.runner": (
+        "FailedRun", "PreemptedRun", "RunOutcome", "RunResult", "TimedOutRun", "run_benchmark",
+        "run_benchmark_resilient", "run_single_threaded",
+    ),
+    "repro.pipeline": (
+        "build_pipeline", "build_pipeline_partition", "lower_pipeline", "partition_loop_k",
+        "pipeline_scaling",
+    ),
+    "repro.sim.checkpoint": (
+        "Checkpointer", "MachineSnapshot", "PreemptionRequested", "SnapshotCorruptError",
+        "SnapshotError", "inspect_snapshot", "quarantine_snapshot", "read_snapshot",
+        "recover_snapshot", "resume_run", "write_snapshot",
+    ),
+    "repro.bench": ("run_bench",),
+    "repro.store": (
+        "ResultStore", "StoreCorruptError", "StoreError", "WorkQueue", "cell_digest",
+        "dispatch_cells", "run_worker",
+    ),
+    "repro.sim.config": ("MachineConfig", "baseline_config"),
+    "repro.sim.cosim": (
+        "DeadlockError", "SimulationError", "SimulationLimitError", "WallClockExceededError",
+    ),
+    "repro.sim.forensics": ("PostMortem",),
+    "repro.sim.kernel": (
+        "KERNEL_NAMES", "EventKernel", "ReferenceKernel", "SimKernel", "available_kernels",
+        "create_kernel",
+    ),
+    "repro.sim.machine": ("Machine", "run_program"),
+    "repro.sim.program": ("Program", "ThreadProgram"),
+    "repro.sim.stats": ("RunStats", "ThreadStats", "geomean"),
+    "repro.trace": (
+        "COMM_OP_POINTS", "CommOpProfiler", "CommOpReport", "TraceBuffer", "TraceConfig",
+        "TraceEvent", "bus_utilization", "check_bus_utilization", "check_occupancy",
+        "measure_comm_ops", "occupancy_plateaus", "queue_occupancy", "to_chrome_trace",
+        "write_chrome_trace", "write_csv",
+    ),
+    "repro.workloads.suite": (
+        "BENCHMARK_ORDER", "BENCHMARKS", "build_partition", "build_pipelined",
+        "build_single_threaded",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
 
 __all__ = [
     "ALL_EXPERIMENTS",
@@ -260,3 +210,16 @@ __all__ = [
     "write_snapshot",
     "write_csv",
 ]
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -100,11 +100,9 @@ class SoftwareQueueMechanism(CommMechanism):
         # store cannot issue before the produced value is ready (in-order
         # core), exposing any in-flight miss feeding it. ---
         if inst.srcs:
-            op_ready = core.scoreboard.ready(inst.srcs)
+            op_ready, reg = core.scoreboard.latest(inst.srcs)
             if op_ready > core.now:
-                core.stall_until(
-                    op_ready, core.scoreboard.dominant_mix(inst.srcs, op_ready)
-                )
+                core.stall_until(op_ready, core.scoreboard.mix_of(reg))
         data = core.overhead_store(layout.data_addr(item))
         core.overhead_fence()
         flag_set = core.overhead_store(flag)

@@ -28,7 +28,7 @@ same load hoisting) for the Figure 9 speedup baseline.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Set
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.dswp.ir import Loop, Op, OpKind
 from repro.dswp.partition import Partition
@@ -44,6 +44,19 @@ DEFAULT_HOIST_DEPTH = 3
 
 #: Register-id stride per op: leaves room for rotating registers.
 _REG_STRIDE = 16
+
+#: Simulator instruction kind of each IR op kind.
+_INSTR_KIND = {
+    OpKind.IALU: isa.InstrKind.IALU,
+    OpKind.FALU: isa.InstrKind.FALU,
+    OpKind.BRANCH: isa.InstrKind.BRANCH,
+    OpKind.LOAD: isa.InstrKind.LOAD,
+    OpKind.STORE: isa.InstrKind.STORE,
+}
+
+#: A lowered-template entry: an instruction, plus the address stream a
+#: load/store instance draws its address from (None: emit ``inst`` itself).
+_Entry = Tuple[DynInst, Optional[Iterator[int]]]
 
 
 def hoistable_ops(loop: Loop) -> Set[str]:
@@ -64,6 +77,17 @@ class _StageEmitter:
     overrides only the ``_consumes`` / ``_produces_after`` hooks.  Keeping
     one skeleton is what makes a two-stage pipeline lowered through either
     path instruction-for-instruction identical.
+
+    **Lowered once per rotation residue.**  An iteration's registers depend
+    on its index only through ``iteration % (hoist_depth + 1)`` (the
+    rotating registers of hoisted loads), so the loop body is lowered once
+    per residue into a *template* when the thread's stream starts, and each
+    iteration replays its residue's template.  A template entry is an
+    ``(inst, addresses)`` pair: a non-memory instruction is emitted as the
+    one shared :class:`~repro.sim.isa.DynInst` (consumers treat emitted
+    instructions as read-only), with its execution latency fixed at build
+    time; a load or store (``addresses`` is its op's address stream) is
+    emitted as a fresh instance taking the stream's next address.
     """
 
     def __init__(
@@ -99,41 +123,28 @@ class _StageEmitter:
     def _mine(self, op: Op) -> bool:
         return self.stage_of[op.op_id] == self.stage
 
-    def _lower_op(self, op: Op, iteration: int, addr_stream) -> Iterator[DynInst]:
-        dest = self.reg(op.op_id, iteration)
-        srcs = tuple(
-            self.reg(d, iteration) for d in op.deps + op.carried_deps
+    def _lower_op(self, op: Op, residue: int, addresses) -> List[_Entry]:
+        """Template entries of ``op``'s ``repeat`` instances in one iteration."""
+        kind = _INSTR_KIND[op.kind]
+        srcs = tuple(self.reg(d, residue) for d in op.deps + op.carried_deps)
+        if op.kind is OpKind.LOAD or op.kind is OpKind.STORE:
+            dest = self.reg(op.op_id, residue) if op.kind is OpKind.LOAD else None
+            proto = DynInst(kind, dest=dest, srcs=srcs, tag=op.op_id)
+            return [(proto, addresses)] * op.repeat
+        dest = None if op.kind is OpKind.BRANCH else self.reg(op.op_id, residue)
+        inst = DynInst(
+            kind, dest=dest, srcs=srcs, latency=isa.EXEC_LATENCY[kind], tag=op.op_id
         )
-        for _ in range(op.repeat):
-            if op.kind is OpKind.IALU:
-                yield DynInst(isa.InstrKind.IALU, dest=dest, srcs=srcs, tag=op.op_id)
-            elif op.kind is OpKind.FALU:
-                yield DynInst(isa.InstrKind.FALU, dest=dest, srcs=srcs, tag=op.op_id)
-            elif op.kind is OpKind.BRANCH:
-                yield DynInst(isa.InstrKind.BRANCH, srcs=srcs, tag=op.op_id)
-            elif op.kind is OpKind.LOAD:
-                yield DynInst(
-                    isa.InstrKind.LOAD,
-                    dest=dest,
-                    srcs=srcs,
-                    addr=next(addr_stream),
-                    tag=op.op_id,
-                )
-            elif op.kind is OpKind.STORE:
-                yield DynInst(
-                    isa.InstrKind.STORE, srcs=srcs, addr=next(addr_stream), tag=op.op_id
-                )
-            else:  # pragma: no cover - enum is closed
-                raise ValueError(f"unloweable op kind {op.kind}")
+        return [(inst, None)] * op.repeat
 
-    def _consumes(self, iteration: int) -> Iterator[DynInst]:
+    def _consumes(self, residue: int) -> Iterator[DynInst]:
         """CONSUMEs emitted at the top of one iteration (DSWP convention)."""
         for value in self.crossing_in:
             op = self.loop.op(value)
             for _ in range(op.repeat):
-                yield isa.consume(self.reg(value, iteration), self.queue_of[value])
+                yield isa.consume(self.reg(value, residue), self.queue_of[value])
 
-    def _produces_after(self, op: Op, iteration: int) -> Iterator[DynInst]:
+    def _produces_after(self, op: Op, residue: int) -> Iterator[DynInst]:
         """PRODUCEs emitted right after ``op``'s body position."""
         if (
             self.stage == 0
@@ -141,17 +152,52 @@ class _StageEmitter:
             and self.stage_of[op.op_id] == 0
         ):
             for _ in range(op.repeat):
-                yield isa.produce(self.queue_of[op.op_id], self.reg(op.op_id, iteration))
+                yield isa.produce(self.queue_of[op.op_id], self.reg(op.op_id, residue))
+
+    def _body_template(self, residue: int, streams) -> List[_Entry]:
+        """One iteration minus its hoisted loads: consumes, body, control."""
+        # DSWP convention: all consumes at the top of the iteration.
+        entries: List[_Entry] = [(inst, None) for inst in self._consumes(residue)]
+        for op in self.loop.body:
+            # Body in program order (hoisted loads are emitted ahead).
+            if self._mine(op) and op.op_id not in self.rotated:
+                entries += self._lower_op(op, residue, streams.get(op.op_id))
+            entries += [(inst, None) for inst in self._produces_after(op, residue)]
+        # Replicated loop control.
+        ialu, branch = isa.InstrKind.IALU, isa.InstrKind.BRANCH
+        induction = DynInst(
+            ialu,
+            dest=INDUCTION_REG,
+            srcs=(INDUCTION_REG,),
+            latency=isa.EXEC_LATENCY[ialu],
+            tag="ind",
+        )
+        backedge = DynInst(
+            branch, srcs=(INDUCTION_REG,), latency=isa.EXEC_LATENCY[branch], tag="loopbr"
+        )
+        entries += [(induction, None), (backedge, None)]
+        return entries
+
+    def _hoist_template(self, residue: int, streams) -> List[_Entry]:
+        """The hoisted loads of one target iteration, in body order."""
+        entries: List[_Entry] = []
+        for op in self.loop.body:
+            if op.op_id in self.rotated:
+                entries += self._lower_op(op, residue, streams[op.op_id])
+        return entries
 
     def instructions(self) -> Iterator[DynInst]:
         loop = self.loop
         trip = loop.trip_count
-        addr_streams = {
+        k = self.hoist_depth
+        period = k + 1
+        streams = {
             op.op_id: op.addr.stream()
             for op in loop.body
             if op.addr is not None and self._mine(op)
         }
-        k = self.hoist_depth
+        bodies = [self._body_template(r, streams) for r in range(period)]
+        hoists = [self._hoist_template(r, streams) for r in range(period)]
         for i in range(trip):
             # Modulo-scheduling: emit hoisted loads ahead of their iteration.
             if k > 0:
@@ -162,23 +208,18 @@ class _StageEmitter:
                 else:
                     hoist_targets = range(0, 0)
                 for target in hoist_targets:
-                    for op in loop.body:
-                        if op.op_id in self.rotated:
-                            yield from self._lower_op(
-                                op, target, addr_streams[op.op_id]
-                            )
-            # DSWP convention: all consumes at the top of the iteration.
-            yield from self._consumes(i)
-            # Body in program order (hoisted loads already emitted).
-            for op in loop.body:
-                if self._mine(op) and op.op_id not in self.rotated:
-                    yield from self._lower_op(op, i, addr_streams.get(op.op_id))
-                yield from self._produces_after(op, i)
-            # Replicated loop control.
-            yield DynInst(
-                isa.InstrKind.IALU, dest=INDUCTION_REG, srcs=(INDUCTION_REG,), tag="ind"
-            )
-            yield DynInst(isa.InstrKind.BRANCH, srcs=(INDUCTION_REG,), tag="loopbr")
+                    for proto, addresses in hoists[target % period]:
+                        yield DynInst(
+                            proto.kind, proto.dest, proto.srcs, next(addresses),
+                            tag=proto.tag,
+                        )
+            for inst, addresses in bodies[i % period]:
+                if addresses is None:
+                    yield inst
+                else:
+                    yield DynInst(
+                        inst.kind, inst.dest, inst.srcs, next(addresses), tag=inst.tag
+                    )
 
 
 def lower_partition(

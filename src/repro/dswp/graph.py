@@ -10,37 +10,45 @@ thread; the acyclic condensation is what gets pipelined across threads.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Set, Tuple
+from typing import Dict, Hashable, Iterable, KeysView, List, Set, Tuple
 
 Node = Hashable
 
 
 class DiGraph:
-    """A minimal directed graph over hashable node ids."""
+    """A minimal directed graph over hashable node ids.
+
+    Adjacency is kept in insertion-ordered dicts (used as ordered sets), so
+    every traversal — and with it :func:`tarjan_scc`'s component order and
+    the partitioner's first-found tie-breaks — follows edge insertion order,
+    never string-hash order: results do not depend on ``PYTHONHASHSEED``.
+    """
 
     def __init__(self) -> None:
-        self._succ: Dict[Node, Set[Node]] = {}
-        self._pred: Dict[Node, Set[Node]] = {}
+        self._succ: Dict[Node, Dict[Node, None]] = {}
+        self._pred: Dict[Node, Dict[Node, None]] = {}
 
     def add_node(self, node: Node) -> None:
-        self._succ.setdefault(node, set())
-        self._pred.setdefault(node, set())
+        self._succ.setdefault(node, {})
+        self._pred.setdefault(node, {})
 
     def add_edge(self, src: Node, dst: Node) -> None:
         self.add_node(src)
         self.add_node(dst)
-        self._succ[src].add(dst)
-        self._pred[dst].add(src)
+        self._succ[src][dst] = None
+        self._pred[dst][src] = None
 
     @property
     def nodes(self) -> List[Node]:
         return list(self._succ)
 
-    def successors(self, node: Node) -> Set[Node]:
-        return self._succ[node]
+    def successors(self, node: Node) -> KeysView[Node]:
+        """Set-like view of ``node``'s successors, in insertion order."""
+        return self._succ[node].keys()
 
-    def predecessors(self, node: Node) -> Set[Node]:
-        return self._pred[node]
+    def predecessors(self, node: Node) -> KeysView[Node]:
+        """Set-like view of ``node``'s predecessors, in insertion order."""
+        return self._pred[node].keys()
 
     def edges(self) -> Iterable[Tuple[Node, Node]]:
         for src, dsts in self._succ.items():

@@ -20,6 +20,10 @@ Arbitration is first-come-first-served on timestamps, which is the
 steady-state behaviour of a round-robin arbiter under the (time-ordered)
 request streams the co-simulator generates; per-requestor grant counters are
 kept so tests can check fairness.
+
+Grants are first-fit gaps in one busy-interval calendar per bus, an
+:class:`~repro.sim.kernel.timeline.IndexedTimeline`, whichever kernel steps
+the machine; each transfer makes exactly one reservation query.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import Dict, Optional
 
 from repro.faults.plan import FaultPlan
 from repro.sim.config import BusConfig
-from repro.sim.kernel.timeline import LinearTimeline
+from repro.sim.kernel.timeline import IndexedTimeline
 
 
 @dataclass
@@ -80,11 +84,10 @@ class SharedBus:
         # interleaves unrelated transactions between the address and data
         # phases of an outstanding miss, so a transfer scheduled far in the
         # future (waiting on DRAM) must not block earlier traffic: grants
-        # are gap-filled, not appended.  The calendar's *storage* is
-        # kernel-swappable (see repro.sim.kernel.timeline): every
-        # implementation returns identical grant times, so the swap is
-        # invisible to simulated timing.
-        self.timeline = LinearTimeline()
+        # are gap-filled, not appended.  Every kernel steps the machine
+        # over this one indexed calendar (repro.sim.kernel.timeline), so
+        # the kernels differ only in their stepping loop.
+        self.timeline = IndexedTimeline()
         self.transactions = 0
         self.busy_cycles = 0.0
         self.grants_by_requester: Dict[int, int] = {}
@@ -137,7 +140,9 @@ class SharedBus:
             hold = self.occupancy_cycles(payload_bytes)
         else:
             hold = end_to_end
-        grant = self._reserve(at, hold, reserve=not background)
+        # First-fit gap allocation; a background push finds its gap but
+        # does not claim it.
+        grant = self.timeline.reserve(at, hold, not background)
         done = grant + end_to_end
         self.transactions += 1
         self.busy_cycles += hold
@@ -152,14 +157,6 @@ class SharedBus:
                 wait=grant - requested,
             )
         return BusTransaction(request_time=requested, grant_time=grant, done_time=done)
-
-    def _reserve(self, at: float, hold: float, reserve: bool = True) -> float:
-        """First-fit gap allocation of ``hold`` cycles starting at ``at``.
-
-        With ``reserve=False`` the gap is found but not claimed (background
-        transfers use idle bandwidth without delaying demand traffic).
-        """
-        return self.timeline.reserve(at, hold, reserve)
 
     def control_message(self, at: float, requester: int = 0) -> BusTransaction:
         """Send an address-only message (snoop, upgrade, ACK, counter update)."""

@@ -15,10 +15,10 @@ exactly the traffic pattern it was built for, at any stage count.
 
 The emitter subclasses :class:`repro.dswp.codegen._StageEmitter`, overriding
 only its ``_consumes`` / ``_produces_after`` hooks; the shared skeleton
-(modulo-scheduled load hoisting, body walk, replicated loop control) plus
-the hop-id assignment below make a two-stage pipeline lowered here
-instruction-for-instruction identical to
-:func:`repro.dswp.codegen.lower_partition`'s output — the property that
+(modulo-scheduled load hoisting, body walk, replicated loop control, and the
+per-rotation-residue templates it replays) plus the hop-id assignment below
+make a two-stage pipeline lowered here instruction-for-instruction identical
+to :func:`repro.dswp.codegen.lower_partition`'s output — the property that
 keeps every existing dual-core exhibit numerically unchanged.
 """
 
@@ -92,23 +92,23 @@ class _PipelineStageEmitter(_StageEmitter):
             if onward is not None:
                 self.relay_to[op.op_id] = onward
 
-    def _consumes(self, iteration: int) -> Iterator[DynInst]:
+    def _consumes(self, residue: int) -> Iterator[DynInst]:
         for value, qid in self.consume_from.items():
             op = self.loop.op(value)
             for _ in range(op.repeat):
-                yield isa.consume(self.reg(value, iteration), qid)
+                yield isa.consume(self.reg(value, residue), qid)
             onward = self.relay_to.get(value)
             if onward is not None:
                 # Relay: forward the value to the next stage right away so
                 # downstream stages see minimal extra latency per hop.
                 for _ in range(op.repeat):
-                    yield isa.produce(onward, self.reg(value, iteration))
+                    yield isa.produce(onward, self.reg(value, residue))
 
-    def _produces_after(self, op: Op, iteration: int) -> Iterator[DynInst]:
+    def _produces_after(self, op: Op, residue: int) -> Iterator[DynInst]:
         qid = self.hops.get((op.op_id, self.stage))
         if qid is not None and self.stage_of[op.op_id] == self.stage:
             for _ in range(op.repeat):
-                yield isa.produce(qid, self.reg(op.op_id, iteration))
+                yield isa.produce(qid, self.reg(op.op_id, residue))
 
 
 def lower_pipeline(

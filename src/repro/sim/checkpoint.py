@@ -93,7 +93,9 @@ CHECKPOINT_MAGIC = b"RPROCKPT"
 
 #: Current snapshot format version.  Readers reject anything else — a
 #: version bump is how incompatible machine-state changes stay safe.
-CHECKPOINT_VERSION = 1
+#: v2: the pickled machine's shared bus always holds an ``IndexedTimeline``
+#: (v1 reference-kernel snapshots carried the retired list calendar).
+CHECKPOINT_VERSION = 2
 
 #: Suffix of the rotated previous snapshot (the fallback generation).
 PREV_SUFFIX = ".prev"
@@ -604,9 +606,9 @@ def resume_run(
 
     ``kernel`` names the stepping engine for the resumed segment; ``None``
     uses the restored machine's ``config.kernel``.  Kernels may differ
-    across a kill → restore boundary (the snapshot carries whichever bus
-    calendar the snapshotting kernel used; the resuming kernel converts it
-    on install) without perturbing the differential guarantee.
+    across a kill → restore boundary without perturbing the differential
+    guarantee: the machine state — bus calendar included — is the same
+    whichever kernel stepped it, so nothing is converted on resume.
 
     A snapshot is single-use (resuming mutates its machine graph); read the
     file again — or re-decode the bytes — to resume twice.
@@ -659,7 +661,6 @@ def resume_run(
     engine.total_steps = snapshot.total_steps
     for runner, rs in zip(engine.runners, snapshot.runners):
         _restore_runner(runner, rs)
-    engine.install(machine)
     engine.run()
     return RunStats(
         threads=[machine.cores[i].stats for i in range(program.n_threads)],

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Generator, Iterable, Optional, Tuple
 
-from repro.sim.isa import COMM_KINDS, DynInst, InstrKind
+from repro.sim.isa import DynInst, InstrKind
 from repro.sim.resources import UnitPool
 from repro.sim.stats import LatencyBreakdown, ThreadStats
 
@@ -40,23 +40,25 @@ class _Scoreboard:
         self._ready = {}
         self._mix = {}
 
-    def ready(self, regs) -> float:
-        t = 0.0
-        for r in regs:
-            rt = self._ready.get(r, 0.0)
-            if rt > t:
-                t = rt
-        return t
+    def latest(self, regs) -> Tuple[float, Optional[int]]:
+        """``(ready time, reg)`` of the operand that is last to arrive.
 
-    def dominant_mix(self, regs, at: float) -> Optional[LatencyBreakdown]:
-        """Breakdown of the operand that is last to arrive (None if ALU)."""
-        best_t, best_mix = -1.0, None
+        The ready time of ``regs`` is its latest operand's (0.0 for none);
+        ``reg`` is the first operand arriving then, whose access mix
+        (:meth:`mix_of`) a stall waiting on ``regs`` is charged with.
+        """
+        best_t, best_r = -1.0, None
+        ready = self._ready
         for r in regs:
-            rt = self._ready.get(r, 0.0)
+            rt = ready.get(r, 0.0)
             if rt > best_t:
                 best_t = rt
-                best_mix = self._mix.get(r)
-        return best_mix
+                best_r = r
+        return (best_t if best_t > 0.0 else 0.0), best_r
+
+    def mix_of(self, reg: Optional[int]) -> Optional[LatencyBreakdown]:
+        """Breakdown that produced ``reg`` (None if an ALU result)."""
+        return self._mix.get(reg)
 
     def define(self, reg: int, at: float, mix: Optional[LatencyBreakdown] = None) -> None:
         self._ready[reg] = at
@@ -127,16 +129,17 @@ class CoreModel:
         if mix is not None:
             self.stats.charge_breakdown(mix, gap)
         else:
-            self.charge(component, gap)
+            self.stats.components[component] += gap
         self.t_issue = t
 
     def retire(self, n: int = 1, overhead: bool = False) -> None:
         """Account for ``n`` committed instructions (PostL2 bandwidth)."""
+        stats = self.stats
         if overhead:
-            self.stats.comm_instructions += n
+            stats.comm_instructions += n
         else:
-            self.stats.app_instructions += n
-        self.charge("PostL2", n * self._commit_cost)
+            stats.app_instructions += n
+        stats.components["PostL2"] += n * self._commit_cost
         if self.trace is not None:
             self.trace.emit(
                 "core.retire", self.t_issue, core=self.core_id,
@@ -152,10 +155,14 @@ class CoreModel:
         if n <= 0:
             return self.t_issue
         start = self.t_issue
+        comps = self.stats.components
+        pace = self._pace
         for _ in range(n):
-            grant = self.ialu.acquire(self.t_issue + self._pace, busy=1.0)
-            self.charge("COMPUTE", self._pace)
-            self.charge("PreL2", max(0.0, grant - (self.t_issue + self._pace)))
+            floor = self.t_issue + pace
+            grant = self.ialu.acquire(floor, busy=1.0)
+            comps["COMPUTE"] += pace
+            if grant > floor:
+                comps["PreL2"] += grant - floor
             self.t_issue = grant
         self.retire(n, overhead=True)
         complete = max(self.t_issue, start + dep_height)
@@ -211,8 +218,10 @@ class CoreModel:
         """Advance the issue clock through a memory-port issue slot."""
         target = max(self.t_issue + self._pace, at if at is not None else 0.0, self.fence_ready)
         grant = self.mem_ports.acquire(target, busy=1.0)
-        self.charge("COMPUTE", self._pace)
-        self.charge("PreL2", max(0.0, grant - target))
+        comps = self.stats.components
+        comps["COMPUTE"] += self._pace
+        if grant > target:
+            comps["PreL2"] += grant - target
         self.t_issue = grant
         return grant
 
@@ -224,22 +233,7 @@ class CoreModel:
         still in flight from a cache miss stalls the pipe at issue, exposing
         that miss's latency in the producer thread.
         """
-        floor = self.t_issue + self._pace
-        self.charge("COMPUTE", self._pace)
-        op_ready = self.scoreboard.ready(inst.srcs) if inst.srcs else 0.0
-        start = max(floor, self.fence_ready)
-        if op_ready > start:
-            mix = self.scoreboard.dominant_mix(inst.srcs, op_ready)
-            wait = op_ready - start
-            if mix is not None:
-                self.stats.charge_breakdown(mix, wait)
-            else:
-                self.charge("PreL2", wait)
-            start = op_ready
-        grant = self.mem_ports.acquire(start, busy=1.0)
-        self.charge("PreL2", max(0.0, grant - start))
-        self.t_issue = grant
-        return grant
+        return self._issue(inst, self.mem_ports)
 
     # ------------------------------------------------------------------
     # Main execution loop
@@ -256,9 +250,11 @@ class CoreModel:
         between-instruction heartbeats.  Suspensions inside ``_comm`` (queue
         blocking, mechanism expansions) leave the flag False.
         """
+        produce, consume = InstrKind.PRODUCE, InstrKind.CONSUME
         self.at_safe_point = False
         for inst in program:
-            if inst.kind in COMM_KINDS:
+            kind = inst.kind
+            if kind is produce or kind is consume:
                 self.at_safe_point = True
                 yield ("time", self.t_issue)
                 self.at_safe_point = False
@@ -276,32 +272,32 @@ class CoreModel:
 
     # ------------------------------------------------------------------
 
-    def _pool_for(self, kind: InstrKind) -> Tuple[UnitPool, float]:
-        if kind is InstrKind.IALU or kind is InstrKind.NOP or kind is InstrKind.FENCE:
-            return self.ialu, 1.0
-        if kind is InstrKind.FALU:
-            return self.falu, 1.0
-        if kind is InstrKind.BRANCH:
-            return self.branch, 1.0
-        return self.mem_ports, 1.0
+    def _issue(self, inst: DynInst, pool: UnitPool) -> float:
+        """Compute and book the issue time of ``inst`` on ``pool``.
 
-    def _issue(self, inst: DynInst) -> float:
-        """Compute and book the issue time of a plain instruction."""
-        floor = self.t_issue + self._pace
-        self.charge("COMPUTE", self._pace)
-        op_ready = self.scoreboard.ready(inst.srcs) if inst.srcs else 0.0
-        start = max(floor, self.fence_ready)
-        if op_ready > start:
-            mix = self.scoreboard.dominant_mix(inst.srcs, op_ready)
-            wait = op_ready - start
-            if mix is not None:
-                self.stats.charge_breakdown(mix, wait)
-            else:
-                self.charge("PreL2", wait)
-            start = op_ready
-        pool, busy = self._pool_for(inst.kind)
-        grant = pool.acquire(start, busy=busy)
-        self.charge("PreL2", max(0.0, grant - start))
+        The per-instruction components (COMPUTE pace, PreL2 operand and
+        structural waits) accumulate straight into ``stats.components``, in
+        the same order and amounts :meth:`ThreadStats.charge` would add them.
+        """
+        stats = self.stats
+        comps = stats.components
+        pace = self._pace
+        floor = self.t_issue + pace
+        comps["COMPUTE"] += pace
+        fence_ready = self.fence_ready
+        start = fence_ready if fence_ready > floor else floor
+        if inst.srcs:
+            op_ready, reg = self.scoreboard.latest(inst.srcs)
+            if op_ready > start:
+                mix = self.scoreboard.mix_of(reg)
+                if mix is not None:
+                    stats.charge_breakdown(mix, op_ready - start)
+                else:
+                    comps["PreL2"] += op_ready - start
+                start = op_ready
+        grant = pool.acquire(start, busy=1.0)
+        if grant > start:
+            comps["PreL2"] += grant - start
         self.t_issue = grant
         return grant
 
@@ -310,33 +306,46 @@ class CoreModel:
         if kind is InstrKind.FENCE:
             self._do_fence(overhead=inst.is_overhead)
             return
-        issue = self._issue(inst)
         if kind is InstrKind.LOAD:
+            issue = self._issue(inst, self.mem_ports)
             result = self.machine.mem.load(
                 self.core_id, inst.addr, issue, streaming=False
             )
             if inst.dest is not None:
                 self.scoreboard.define(inst.dest, result.complete, result.breakdown)
-            self.horizon = max(self.horizon, result.complete)
+            if result.complete > self.horizon:
+                self.horizon = result.complete
         elif kind is InstrKind.STORE:
+            issue = self._issue(inst, self.mem_ports)
             result = self.machine.mem.store(
                 self.core_id, inst.addr, issue, streaming=False
             )
             self.pending_stores.append((result.ordered, result.breakdown))
-            self.horizon = max(self.horizon, result.complete)
+            if result.complete > self.horizon:
+                self.horizon = result.complete
         elif kind is InstrKind.PREFETCH:
+            issue = self._issue(inst, self.mem_ports)
             self.machine.mem.load(self.core_id, inst.addr, issue, streaming=False)
         else:
-            complete = issue + inst.exec_latency()
+            if kind is InstrKind.FALU:
+                pool = self.falu
+            elif kind is InstrKind.BRANCH:
+                pool = self.branch
+            else:  # IALU, NOP
+                pool = self.ialu
+            issue = self._issue(inst, pool)
+            latency = inst.latency
+            complete = issue + (latency if latency is not None else inst.exec_latency())
             if inst.dest is not None:
                 self.scoreboard.define(inst.dest, complete)
-            self.horizon = max(self.horizon, complete)
-        self.retire(1, overhead=inst.is_overhead)
+            if complete > self.horizon:
+                self.horizon = complete
+        self.retire(1, inst.is_overhead)
 
     def _do_fence(self, overhead: bool) -> None:
         """Stall issue until all prior stores are globally visible."""
         grant = self.ialu.acquire(self.t_issue + self._pace, busy=1.0)
-        self.charge("COMPUTE", self._pace)
+        self.stats.components["COMPUTE"] += self._pace
         self.t_issue = grant
         if self.pending_stores:
             worst_t, worst_mix = max(self.pending_stores, key=lambda p: p[0])
@@ -392,7 +401,7 @@ class CoreModel:
         feed = 0.0
         if inst.srcs:
             feed = max(
-                0.0, min(self.scoreboard.ready(inst.srcs), self.t_issue) - t0
+                0.0, min(self.scoreboard.latest(inst.srcs)[0], self.t_issue) - t0
             )
         self.trace.emit(
             kind,

@@ -11,7 +11,11 @@ Public surface:
 * :class:`~repro.sim.kernel.reference.ReferenceKernel` (``"reference"``) —
   the original min-timestamp loop, the differential baseline.
 * :class:`~repro.sim.kernel.event.EventKernel` (``"event"``) — the
-  event-driven fast path (wakeup heap + indexed bus calendar).
+  event-driven fast path (wakeup heap, conditional wake scans).
+* :class:`~repro.sim.kernel.timeline.IndexedTimeline` — the shared bus's
+  reservation calendar under every kernel;
+  :class:`~repro.sim.kernel.timeline.LinearTimeline` is the grant-identity
+  oracle the tests replay it against.
 
 Pick one with ``MachineConfig(kernel=...)``, ``Machine.run(kernel=...)``,
 or ``python -m repro ... --kernel event``; see DESIGN.md §11 for the

@@ -20,9 +20,12 @@ Two kernels are registered:
   baseline every other kernel is differentially tested against.
 * ``"event"`` (:mod:`repro.sim.kernel.event`) — an event-driven fast path:
   a heap of next-wakeup times plus incremental runnable/blocked
-  book-keeping at the stepping level, and an event-indexed reservation
-  calendar installed into the shared bus so idle spans are skipped instead
-  of walked (:mod:`repro.sim.kernel.timeline`).
+  book-keeping at the stepping level.
+
+Kernels own only the stepping loop.  The machine they step is the same
+whichever kernel runs it — notably the shared bus always books grants in
+one :class:`~repro.sim.kernel.timeline.IndexedTimeline` — so a checkpoint
+taken under one kernel resumes under another with no conversion step.
 
 **Equivalence contract.**  Kernels may differ only in *host* cost.  They
 must issue the same sequence of ``generator.send`` calls with the same
@@ -207,30 +210,6 @@ class SimKernel:
     def run(self) -> None:
         """Drive all cores to completion."""
         raise NotImplementedError
-
-    @classmethod
-    def timeline_class(cls):
-        """The busy-interval calendar class this kernel installs in shared
-        resources (see :meth:`install`).  ``None`` keeps whatever the
-        resource was built with (the reference structures)."""
-        return None
-
-    def install(self, machine) -> None:
-        """Swap the machine's resource calendars for this kernel's.
-
-        Called by :meth:`Machine.run <repro.sim.machine.Machine.run>` (and
-        by checkpoint resume) before the first step.  A calendar swap is a
-        pure data-structure conversion — reservations already booked carry
-        over, and every calendar implementation answers reservation queries
-        identically (:mod:`repro.sim.kernel.timeline`) — so installing a
-        kernel can never change simulated timing, only host speed.
-        """
-        tl_cls = self.timeline_class()
-        if tl_cls is None or machine is None:
-            return
-        bus = getattr(getattr(machine, "mem", None), "bus", None)
-        if bus is not None and not isinstance(bus.timeline, tl_cls):
-            bus.timeline = tl_cls.from_timeline(bus.timeline)
 
     # ------------------------------------------------------------------
     # Shared wake / step primitives

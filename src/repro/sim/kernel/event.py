@@ -1,7 +1,7 @@
 """The ``event`` kernel: event-driven stepping that skips dead work.
 
-Three host-cost reductions over the reference loop, none of which change
-which generator is stepped when (the differential tests in
+Two host-cost reductions over the reference loop, neither of which
+changes which generator is stepped when (the differential tests in
 ``tests/sim/test_kernel.py`` pin bit-identical fingerprints and trace
 streams):
 
@@ -21,14 +21,11 @@ streams):
   core-id order), so the same wakes fire in the same order with the same
   deadline semantics (block deadlines and the everyone-blocked timeout
   firing are evaluated identically).
-* **Idle-span skipping in shared resources.**  The kernel installs an
-  :class:`~repro.sim.kernel.timeline.IndexedTimeline` into the shared bus:
-  reservation queries bisect an index of merged busy intervals instead of
-  linearly walking (and per-call re-pruning) thousands of stale grant
-  records — on bus-heavy design points that walk *is* the dead-cycle cost,
-  ~80% of host time.  Checkpoint grid points, fault-injection events, and
-  trace timestamps need no special handling: they are observers keyed off
-  the same step sequence, which is unchanged.
+
+The machine's own structures are the same under both kernels — the shared
+bus books grants in one indexed calendar
+(:class:`~repro.sim.kernel.timeline.IndexedTimeline`) whichever kernel
+steps it — so the kernels' host-time gap is the stepping loop alone.
 
 Single-runnable fast path: once every other runner is done (the long
 single-threaded baseline runs, or a run's drain phase), the kernel steps
@@ -41,16 +38,11 @@ from __future__ import annotations
 import heapq
 
 from repro.sim.kernel.base import SimKernel, _State, register_kernel
-from repro.sim.kernel.timeline import IndexedTimeline
 
 
 @register_kernel("event")
 class EventKernel(SimKernel):
     """Heap-scheduled kernel, step-sequence-identical to the reference."""
-
-    @classmethod
-    def timeline_class(cls):
-        return IndexedTimeline
 
     def run(self) -> None:
         """Drive all cores to completion."""

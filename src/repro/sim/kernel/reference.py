@@ -11,19 +11,11 @@ for the dual-core figure reproduction and intentionally left untouched.
 from __future__ import annotations
 
 from repro.sim.kernel.base import SimKernel, _State, register_kernel
-from repro.sim.kernel.timeline import LinearTimeline
 
 
 @register_kernel("reference")
 class ReferenceKernel(SimKernel):
     """Min-timestamp scheduler over a set of core generators."""
-
-    @classmethod
-    def timeline_class(cls):
-        """The original list-walk calendar — so installing the reference
-        kernel restores the exact seed-era machinery even on a machine (or
-        snapshot) previously driven by another kernel."""
-        return LinearTimeline
 
     def run(self) -> None:
         """Drive all cores to completion."""

@@ -4,23 +4,21 @@ The shared bus answers one query: *given a request at time ``at`` for
 ``hold`` cycles, when is the first gap that fits?* (first-fit, because a
 split-transaction bus interleaves unrelated transactions between the address
 and data phases of an outstanding miss — see :class:`repro.mem.bus.SharedBus`).
-How the busy intervals are *stored* is a pure host-speed concern, so the
-storage lives behind this small calendar interface and each simulation
-kernel installs the implementation it wants
-(:meth:`repro.sim.kernel.base.SimKernel.install`):
+How the busy intervals are *stored* is a pure host-speed concern, kept
+behind the small :class:`BusTimeline` interface:
 
+* :class:`IndexedTimeline` — the calendar every simulation uses, whichever
+  kernel steps it: *merged* disjoint intervals in parallel start/end
+  arrays; a ``bisect`` over the (sorted) end array jumps straight to the
+  first interval that can conflict, and pruning pops whole intervals off
+  the front.  O(log intervals) per call.
 * :class:`LinearTimeline` — the original list-of-intervals with a linear
-  first-fit walk and a rebuild-the-list prune.  O(intervals) per call; the
-  profile shows this walk is ~80% of host time on bus-heavy design points.
-* :class:`IndexedTimeline` — *merged* disjoint intervals in parallel
-  start/end arrays; a ``bisect`` over the (sorted) end array jumps straight
-  to the first interval that can conflict, and pruning pops whole intervals
-  off the front.  O(log intervals) per call.
+  first-fit walk and a rebuild-the-list prune, O(intervals) per call.
+  Nothing in the simulator builds one: it is the grant-identity oracle the
+  tests compare :class:`IndexedTimeline` against.
 
-**Grant-identity.**  Every implementation must return identical grant times
-for identical call sequences — kernels may swap calendars freely without
-perturbing simulated timing.  Why the indexed form is exact, not
-approximate:
+**Grant-identity.**  Both implementations return identical grant times for
+identical call sequences.  Why the indexed form is exact, not approximate:
 
 * *Merging touching intervals is lossless.*  Reserved holds are strictly
   positive (``BusConfig.transfer_bus_cycles`` ≥ 1 beat), so a zero-width
@@ -33,7 +31,7 @@ approximate:
   (indexed), or kept forever, grants are the same.
 
 ``tests/sim/test_kernel.py`` pins the equivalence with a hypothesis
-round-trip over random reserve sequences.
+replay of random reserve sequences against both.
 """
 
 from __future__ import annotations
@@ -59,28 +57,16 @@ class BusTimeline:
         raise NotImplementedError
 
     def intervals(self) -> List[Tuple[float, float]]:
-        """Busy intervals as sorted ``(start, end)`` pairs (for conversion)."""
-        raise NotImplementedError
-
-    @classmethod
-    def from_timeline(cls, other: "BusTimeline") -> "BusTimeline":
-        """Build an equivalent calendar from another implementation's state.
-
-        Used when a kernel installs its calendar into a machine that already
-        has reservations booked — notably checkpoint resume, where the
-        pickled machine carries whichever calendar the snapshotting kernel
-        used and the resuming kernel may differ.
-        """
-        new = cls()
-        new.load(other.intervals(), other.prune_before)
-        return new
-
-    def load(self, intervals, prune_before: float) -> None:
+        """Busy intervals as sorted ``(start, end)`` pairs."""
         raise NotImplementedError
 
 
 class LinearTimeline(BusTimeline):
-    """The original storage: a sorted interval list walked linearly."""
+    """The original storage: a sorted interval list walked linearly.
+
+    Kept as the reference the tests replay :class:`IndexedTimeline`
+    against; the simulator never builds one.
+    """
 
     def __init__(self) -> None:
         # Busy intervals (start, end), kept sorted by start.  Grants are
@@ -112,13 +98,11 @@ class LinearTimeline(BusTimeline):
     def intervals(self) -> List[Tuple[float, float]]:
         return list(self.busy)
 
-    def load(self, intervals, prune_before: float) -> None:
-        self.busy = [(float(s), float(e)) for s, e in intervals]
-        self.prune_before = prune_before
-
 
 class IndexedTimeline(BusTimeline):
     """Merged disjoint intervals in parallel arrays, searched by bisect.
+
+    The calendar of :class:`repro.mem.bus.SharedBus` on every kernel.
 
     Invariants: ``starts`` is strictly increasing, ``ends[i] > starts[i]``,
     and ``starts[i+1] > ends[i]`` (a true gap between successive intervals —
@@ -167,17 +151,3 @@ class IndexedTimeline(BusTimeline):
 
     def intervals(self) -> List[Tuple[float, float]]:
         return list(zip(self.starts, self.ends))
-
-    def load(self, intervals, prune_before: float) -> None:
-        starts: List[float] = []
-        ends: List[float] = []
-        for s, e in intervals:  # merge touching neighbours while loading
-            if ends and s <= ends[-1]:
-                if e > ends[-1]:
-                    ends[-1] = e
-            else:
-                starts.append(float(s))
-                ends.append(float(e))
-        self.starts = starts
-        self.ends = ends
-        self.prune_before = prune_before

@@ -163,7 +163,6 @@ class Machine:
             checkpoint=checkpoint,
             abort=abort,
         )
-        engine.install(self)
         engine.run()
         stats = RunStats(
             threads=[self.cores[i].stats for i in range(program.n_threads)],

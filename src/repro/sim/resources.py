@@ -44,8 +44,10 @@ class UnitPool:
         """
         if busy < 0:
             raise ValueError("busy time must be non-negative")
-        grant = max(at, self._free_at[0])
-        heapq.heapreplace(self._free_at, grant + busy)
+        free_at = self._free_at
+        first = free_at[0]
+        grant = first if first > at else at
+        heapq.heapreplace(free_at, grant + busy)
         self.grants += 1
         self.busy_cycles += busy
         return grant

@@ -24,7 +24,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Tuple
 
 #: Ordered component names, bottom-to-top as stacked in the paper's figures.
 COMPONENTS = ("COMPUTE", "PreL2", "L2", "BUS", "L3", "MEM", "PostL2")
@@ -79,14 +79,24 @@ class LatencyBreakdown:
         """
         if cycles <= 0 or self.total <= 0:
             return LatencyBreakdown()
+        l2, bus, l3, mem, prel2 = self._shares(cycles)
+        return LatencyBreakdown(total=cycles, l2=l2, bus=bus, l3=l3, mem=mem, prel2=prel2)
+
+    def _shares(self, cycles: int) -> Tuple[int, int, int, int, int]:
+        """:meth:`scaled_to`'s (l2, bus, l3, mem, prel2), for ``cycles`` > 0
+        and ``total`` > 0, without building the breakdown."""
         f = min(1.0, cycles / self.total)
-        out = LatencyBreakdown(total=cycles)
         remaining = cycles
-        for name in ("l2", "bus", "l3", "mem", "prel2"):
-            share = min(remaining, int(round(getattr(self, name) * f)))
-            setattr(out, name, share)
-            remaining -= share
-        return out
+        l2 = min(remaining, int(round(self.l2 * f)))
+        remaining -= l2
+        bus = min(remaining, int(round(self.bus * f)))
+        remaining -= bus
+        l3 = min(remaining, int(round(self.l3 * f)))
+        remaining -= l3
+        mem = min(remaining, int(round(self.mem * f)))
+        remaining -= mem
+        prel2 = min(remaining, int(round(self.prel2 * f)))
+        return l2, bus, l3, mem, prel2
 
 
 @dataclass
@@ -141,14 +151,20 @@ class ThreadStats:
         """
         if exposed <= 0:
             return
-        scaled = bd.scaled_to(int(exposed))
-        self.charge("L2", scaled.l2)
-        self.charge("BUS", scaled.bus)
-        self.charge("L3", scaled.l3)
-        self.charge("MEM", scaled.mem)
-        self.charge("PreL2", scaled.prel2)
-        named = scaled.l2 + scaled.bus + scaled.l3 + scaled.mem + scaled.prel2
-        self.charge("COMPUTE", exposed - named)
+        comps = self.components
+        cycles = int(exposed)
+        if cycles <= 0 or bd.total <= 0:  # nothing named: all residual
+            comps["COMPUTE"] += exposed
+            return
+        l2, bus, l3, mem, prel2 = bd._shares(cycles)
+        if min(l2, bus, l3, mem, prel2) < 0:
+            raise ValueError("cannot charge negative cycles")
+        comps["L2"] += l2
+        comps["BUS"] += bus
+        comps["L3"] += l3
+        comps["MEM"] += mem
+        comps["PreL2"] += prel2
+        comps["COMPUTE"] += exposed - (l2 + bus + l3 + mem + prel2)
 
     @property
     def total_instructions(self) -> int:

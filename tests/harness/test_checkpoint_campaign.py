@@ -6,6 +6,7 @@ import errno
 import multiprocessing
 import os
 import signal
+import struct
 import time
 
 import pytest
@@ -28,7 +29,7 @@ from repro.harness.campaign import (
     run_campaign,
 )
 from repro.harness.runner import FailedRun, PreemptedRun, RunResult
-from repro.sim.checkpoint import Checkpointer, recover_snapshot
+from repro.sim.checkpoint import CHECKPOINT_VERSION, Checkpointer, recover_snapshot
 
 CELL = CampaignCell(benchmark="wc", design_point="EXISTING", trip_count=400)
 
@@ -147,6 +148,26 @@ class TestWorkerCheckpointFlow:
         notes, outcome = self._run_worker(CELL, path, attempt=1, allow_resume=False)
         assert isinstance(outcome, RunResult) and outcome.ok
         assert "resumed_from_cycle" not in outcome.extras
+
+    def test_v1_snapshot_quarantined_then_cold_start(self, tmp_path):
+        """A snapshot stamped with the retired v1 format (whose reference-
+        kernel machines carried the list calendar) is never unpickled: it
+        is quarantined and the cell reruns from cycle 0."""
+        assert CHECKPOINT_VERSION == 2
+        path, _ = _preempt_to_snapshot(tmp_path)
+        generations = [path, path + ".prev"]
+        for generation in generations:  # both generations in the old format
+            with open(generation, "r+b") as fh:
+                data = bytearray(fh.read())
+                struct.pack_into("<I", data, 8, 1)  # header: magic, version, ...
+                fh.seek(0)
+                fh.write(data)
+        notes, outcome = self._run_worker(CELL, path, attempt=2, allow_resume=True)
+        assert isinstance(outcome, RunResult) and outcome.ok
+        assert "resumed_from_cycle" not in outcome.extras
+        quarantined = [f for f in os.listdir(tmp_path) if ".quarantined" in f]
+        assert len(quarantined) == len(generations), "v1 snapshots are kept as evidence"
+        assert outcome.fingerprint() == _reference().fingerprint()
 
     def test_corrupt_snapshot_quarantined_then_cold_start(self, tmp_path):
         path = cell_checkpoint_path(str(tmp_path), CELL)
