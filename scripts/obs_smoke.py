@@ -10,12 +10,14 @@ cross-process story in the shared log — ``serve.query`` span →
 span (in the worker process) → ``store.publish`` — and a repeat of the
 same query must be a ``store.hit`` under a fresh cid.
 
-Phase 2, the metrics drill: run a small campaign plus one in-process
-cell under the same process-wide registry, then scrape ``GET /metrics``
-and validate the Prometheus text exposition — parseable samples,
-cumulative histogram buckets consistent with ``_count``/``_sum``, and
-coverage of the serve, executor/dispatch, campaign, and kernel metric
-families.  ``GET /metrics.json`` must agree on the query counters.
+Phase 2, the metrics drill: run a small campaign on the worker pool
+under the same process-wide registry, then scrape ``GET /metrics`` and
+validate the Prometheus text exposition — parseable samples, cumulative
+histogram buckets consistent with ``_count``/``_sum``, and coverage of
+the serve, executor/dispatch, campaign, and kernel metric families.  The
+kernel family must count exactly the campaign's pool runs (they happen
+in worker processes; the pool folds them into this registry).  ``GET
+/metrics.json`` must agree on the query counters.
 
 Phase 3, the span-tooling drill: ``repro obs tail --cid`` replays the
 miss chain, ``repro obs report`` rolls the spans up, and ``repro obs
@@ -41,7 +43,6 @@ sys.path.insert(0, os.path.join(REPO, "src"))
 from repro.harness.campaign import (  # noqa: E402
     CampaignCell,
     CampaignPolicy,
-    execute_cell,
     run_campaign,
 )
 from repro.obs.events import events_for_cid, read_events  # noqa: E402
@@ -252,12 +253,14 @@ async def drill(root: str) -> None:
                 ledger_path=os.path.join(root, "campaign.jsonl"),
             ),
         )
-        # One in-process run so the kernel family lands in this registry
-        # (campaign attempts run in child processes).
-        await loop.run_in_executor(None, execute_cell, _cell(48))
-
         prom = (await loop.run_in_executor(None, _get, base, "/metrics")).decode()
         families = validate_prometheus(prom)
+        runs = re.findall(r"^repro_sim_runs_total\{[^}]*\} (\S+)$", prom, re.M)
+        if sum(float(v) for v in runs) != len(cells):
+            fail(
+                f"repro_sim_runs_total {runs} does not count the "
+                f"{len(cells)} campaign pool runs"
+            )
         for family in REQUIRED_FAMILIES:
             base_name = re.sub(r"_(bucket|sum|count)$", "", family)
             if base_name not in families:

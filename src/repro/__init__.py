@@ -79,7 +79,7 @@ _EXPORTS = {
     "repro.bench": ("run_bench",),
     "repro.store": (
         "ResultStore", "StoreCorruptError", "StoreError", "WorkQueue", "cell_digest",
-        "dispatch_cells", "run_worker",
+        "run_worker",
     ),
     "repro.sim.config": ("MachineConfig", "baseline_config"),
     "repro.sim.cosim": (
@@ -175,7 +175,6 @@ __all__ = [
     "check_occupancy",
     "create_kernel",
     "create_mechanism",
-    "dispatch_cells",
     "execute_cell",
     "geomean",
     "get_design_point",

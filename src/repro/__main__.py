@@ -201,7 +201,10 @@ def _build_parser() -> argparse.ArgumentParser:
             "--budget",
             type=float,
             default=None,
-            help="wall-clock seconds per cell attempt (default: no watchdog)",
+            help=(
+                "wall-clock seconds per cell attempt; with --workers-external, "
+                "how long one attempt waits for the fleet (default: no limit)"
+            ),
         )
         p.add_argument(
             "--max-attempts",
@@ -261,7 +264,8 @@ def _build_parser() -> argparse.ArgumentParser:
             help=(
                 "do not simulate locally: enqueue store misses on the shared "
                 "work queue and wait for external 'repro store worker' "
-                "processes to publish results (requires --store)"
+                "processes to publish results (requires --store; the ledger, "
+                "resume and retry rules are the local pool's)"
             ),
         )
         p.add_argument(
@@ -506,6 +510,8 @@ def _campaign_main(parser: argparse.ArgumentParser, args) -> int:
         parser.error("--scale must be positive")
     if args.workers_external and args.store is None:
         parser.error("--workers-external requires --store")
+    if args.workers_external and args.checkpoint_every is not None:
+        parser.error("--checkpoint-every needs local workers, not --workers-external")
     if args.queue is not None and not args.workers_external:
         parser.error("--queue only applies with --workers-external")
     if args.obs_log is not None:
@@ -514,39 +520,30 @@ def _campaign_main(parser: argparse.ArgumentParser, args) -> int:
         _obs_runtime.configure(log_path=args.obs_log)
     cells = _campaign_grid(args.grid, args.scale, kernel=args.kernel)
 
+    queue = None
     if args.workers_external:
         import os
 
-        from repro.store.dispatch import WorkQueue, dispatch_cells
-        from repro.store.store import ResultStore
+        from repro.store.dispatch import WorkQueue
 
-        store = ResultStore(args.store)
         queue = WorkQueue(args.queue or os.path.join(args.store, "queue"))
-        report = dispatch_cells(
-            cells,
-            store,
-            queue,
-            ledger_path=args.ledger,
-            timeout=args.budget,
-            progress=print,
-        )
-    else:
-        policy = CampaignPolicy(
-            jobs=args.jobs,
-            wall_clock_budget=args.budget,
-            max_attempts=args.max_attempts,
-            recheck=args.recheck,
-            checkpoint_every=args.checkpoint_every,
-            checkpoint_dir=args.checkpoint_dir,
-        )
-        report = run_campaign(
-            cells,
-            policy,
-            ledger_path=args.ledger,
-            resume=args.campaign_command == "resume",
-            progress=print,
-            store=args.store,
-        )
+    policy = CampaignPolicy(
+        jobs=args.jobs,
+        wall_clock_budget=args.budget,
+        max_attempts=args.max_attempts,
+        recheck=args.recheck,
+        checkpoint_every=args.checkpoint_every,
+        checkpoint_dir=args.checkpoint_dir,
+    )
+    report = run_campaign(
+        cells,
+        policy,
+        ledger_path=args.ledger,
+        resume=args.campaign_command == "resume",
+        progress=print,
+        store=args.store,
+        queue=queue,
+    )
     print(report.summary())
     ok = report.n_failed == 0 and not report.mismatches
     return 0 if ok else 1

@@ -59,8 +59,8 @@ from repro.sim.checkpoint import (
     recover_snapshot,
     write_snapshot,
 )
-from repro.store.dispatch import WorkQueue
-from repro.store.store import ResultStore, cell_digest
+from repro.store.dispatch import WorkQueue, commit
+from repro.store.store import ResultStore, cell_digest, publish
 
 __all__ = [
     "CRASH_MODES",
@@ -461,7 +461,7 @@ def _publish_setup(harness: FleetHarness) -> None:
 
 def _publish_run(harness: FleetHarness) -> None:
     cell, result, _fp = _golden()
-    harness.store().put(cell, result, provenance={"campaign": "chaos"})
+    publish(harness.store(), cell, result, {"campaign": "chaos"})
 
 
 def _publish_check(harness: FleetHarness) -> List[str]:
@@ -483,8 +483,8 @@ def _commit_setup(harness: FleetHarness) -> None:
 
 def _commit_run(harness: FleetHarness) -> None:
     cell, result, _fp = _golden()
-    harness.store().put(cell, result, provenance={"campaign": "chaos"})
-    harness.queue().complete(harness.notes["lease"])
+    lease = harness.notes["lease"]
+    commit(harness.store(), harness.queue(), lease, cell, result, {"campaign": "chaos"})
     harness.notes["acked"] = True
 
 

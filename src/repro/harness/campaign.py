@@ -15,8 +15,10 @@ retryable, durably-recorded unit of work*:
   hash of that spec, so the same grid built twice names the same cells.
 
 * **Worker pool**: up to ``jobs`` worker processes run cells concurrently
-  (:func:`run_campaign`).  Workers are single-use — one process per cell
-  attempt — so a kill can never poison a sibling cell's interpreter state.
+  (:func:`run_campaign` on :class:`~repro.harness.pool.WorkerPool`, the
+  pool ``repro serve`` runs its misses on too).  Workers persist between
+  attempts; a killed or dead worker is replaced by a fresh one.  With a
+  ``queue``, the same loop hands misses to external workers instead.
 
 * **Watchdog**: every attempt gets a wall-clock budget, enforced twice.
   The *soft* layer runs inside the worker — the scheduler's own
@@ -51,10 +53,10 @@ retryable, durably-recorded unit of work*:
   killed or preempted cell from its latest valid snapshot instead of cycle
   0 — with the resumed fingerprint bit-identical to an uninterrupted run.
   SIGTERM becomes graceful preemption: the worker checkpoints at the next
-  safe point, records a :class:`~repro.harness.runner.PreemptedRun`
-  (transient, never terminal, never consuming a retry attempt), and exits
-  cleanly.  Corrupt snapshots are quarantined and recovery falls back to
-  the previous generation or a cold start — never silently loaded.
+  safe point and records a :class:`~repro.harness.runner.PreemptedRun`
+  (transient, never terminal, never consuming a retry attempt).  Corrupt
+  snapshots are quarantined and recovery falls back to the previous
+  generation or a cold start — never silently loaded.
 
 The serial in-process path (:func:`execute_cell` cell by cell) remains the
 default everywhere — :mod:`repro.harness.experiments` only dispatches
@@ -70,12 +72,9 @@ import json
 import multiprocessing
 import os
 import random
-import signal
 import time
-import traceback
 import warnings
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait as _connection_wait
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.design_points import apply_overrides, get_design_point, with_n_cores
@@ -90,13 +89,10 @@ from repro.harness.runner import (
 )
 from repro.obs import runtime as _obs
 from repro.obs.events import new_cid
-from repro.obs.spans import span as _span
 from repro.sim.checkpoint import (
     Checkpointer,
     MachineSnapshot,
     PreemptionRequested,
-    SnapshotError,
-    recover_snapshot,
     resume_run,
 )
 from repro.sim.cosim import SimulationError, WallClockExceededError
@@ -110,6 +106,7 @@ __all__ = [
     "CampaignPolicy",
     "CampaignReport",
     "CellHistory",
+    "CellTask",
     "CheckpointNote",
     "LEDGER_SCHEMA_VERSION",
     "campaign_status",
@@ -464,11 +461,12 @@ def execute_cell(
     resume_from: Optional[MachineSnapshot] = None,
     abort: Optional[Callable[[], Optional[str]]] = None,
 ) -> RunOutcome:
-    """Run one cell in this process; the single executor both paths share.
+    """Run one cell in this process; the single executor every path shares.
 
-    The serial fallback calls this directly; pool workers call it inside
-    :func:`_cell_worker`.  One code path is what makes the pooled campaign's
-    cycle counts and fingerprints bit-identical to the serial sweep's.
+    The serial fallback calls this directly; pool and queue workers call
+    it inside :func:`repro.harness.pool.run_attempt`.  One code path is
+    what makes pooled, queued and serial cycle counts and fingerprints
+    bit-identical.
 
     ``checkpoint`` snapshots the machine periodically; ``resume_from``
     continues a previously snapshotted run instead of starting at cycle 0
@@ -540,18 +538,32 @@ def execute_cell(
 
 
 # ----------------------------------------------------------------------
-# Worker side
+# Attempts: what crosses to a worker and back
 # ----------------------------------------------------------------------
+
+
+@dataclass
+class CellTask:
+    """One attempt of one cell, as it crosses to a worker."""
+
+    cell: CampaignCell
+    attempt: int = 1
+    #: The campaign's snapshot directory when checkpointing is on.
+    checkpoint_dir: Optional[str] = None
+    #: ``False`` for recheck attempts, which must run from cycle 0.
+    allow_resume: bool = True
+    #: Correlation id of the attempt's events and spans.
+    cid: Optional[str] = None
 
 
 @dataclass
 class CheckpointNote:
     """Mid-run journal message a worker sends after persisting a snapshot.
 
-    Flows over the same pipe as the final outcome; the parent drains notes
-    into ``cell-ckpt`` ledger events (never mistaking one for the attempt's
-    outcome), which is how ``campaign status`` knows each in-flight cell's
-    latest checkpointed cycle even after the worker is SIGKILLed.
+    Flows over the same pipe as the final outcome; the pool hands notes to
+    the campaign, which appends them as ``cell-ckpt`` ledger events — how
+    ``campaign status`` knows each in-flight cell's latest checkpointed
+    cycle even after the worker is SIGKILLed.
     """
 
     cell: str
@@ -570,139 +582,6 @@ def cell_checkpoint_path(checkpoint_dir: str, cell: CampaignCell) -> str:
     their ``.prev`` and ``.quarantined`` siblings).
     """
     return os.path.join(checkpoint_dir, cell.key().replace("/", "_") + ".ckpt")
-
-
-def _strip_for_transport(outcome: RunOutcome) -> RunOutcome:
-    """Drop the heavyweight machine/trace before crossing the pipe."""
-    if isinstance(outcome, RunResult):
-        outcome.machine = None
-        outcome.trace = None
-    return outcome
-
-
-def _discard_snapshots(path: Optional[str]) -> None:
-    """Best-effort removal of a cell's snapshot generations after success."""
-    if path is None:
-        return
-    for candidate in (path, path + ".prev"):
-        try:
-            os.unlink(candidate)
-        except OSError:
-            pass
-
-
-def _cell_worker(
-    conn,
-    cell: CampaignCell,
-    soft_budget: Optional[float],
-    checkpoint_every: Optional[int] = None,
-    checkpoint_path: Optional[str] = None,
-    attempt: int = 1,
-    allow_resume: bool = True,
-    obs_ctx: Optional[Tuple[str, bool, Optional[str]]] = None,
-) -> None:
-    """Process entry point: run one cell attempt, send one outcome.
-
-    Usage errors (unknown names, config mismatches) intentionally raise out
-    of :func:`execute_cell`; here they are converted into *data* — a
-    :class:`FailedRun` with the full traceback — because an exception that
-    merely kills the worker would be indistinguishable from host-side
-    interference and get retried, hiding a deterministic bug.
-
-    With checkpointing enabled the worker additionally: recovers the cell's
-    latest valid snapshot and resumes from it (``allow_resume``; recheck
-    attempts always start cold so the determinism check covers the whole
-    run); journals a :class:`CheckpointNote` to the parent after each
-    persisted snapshot; converts SIGTERM into a graceful
-    checkpoint-and-exit (:class:`~repro.harness.runner.PreemptedRun`); and
-    deletes the cell's snapshots once the run completes, so stale state can
-    never leak into a later campaign.
-    """
-    checkpointer: Optional[Checkpointer] = None
-    # Join the campaign's shared event log so the kernel.run events and
-    # sim.run spans this attempt produces carry the cell's correlation id.
-    obs_cid: Optional[str] = None
-    if obs_ctx is not None:
-        try:
-            obs_log_path, obs_sync, obs_cid = obs_ctx
-            _obs.configure(log_path=obs_log_path, sync=obs_sync)
-            if obs_cid is not None:
-                _obs.set_cid(obs_cid)
-        except Exception:
-            obs_cid = None
-    try:
-        resume_from = None
-        resumed_note = ""
-        if checkpoint_every is not None:
-            if checkpoint_path is not None and allow_resume:
-                recovered = recover_snapshot(checkpoint_path)
-                if recovered is not None:
-                    resume_from = recovered.snapshot
-                    if recovered.quarantined:
-                        resumed_note = (
-                            f"quarantined corrupt snapshot(s) "
-                            f"{recovered.quarantined}; "
-                        )
-            elif checkpoint_path is not None:
-                _discard_snapshots(checkpoint_path)  # recheck runs start cold
-            checkpointer = Checkpointer(
-                every=checkpoint_every,
-                path=checkpoint_path,
-                on_snapshot=lambda snap, path: conn.send(
-                    CheckpointNote(
-                        cell=cell.key(),
-                        attempt=attempt,
-                        cycle=snap.cycle,
-                        path=path,
-                        count=checkpointer.snapshots_taken,
-                    )
-                ),
-                on_write_error=lambda exc: None,  # ENOSPC etc.: skip, not die
-            )
-            signal.signal(
-                signal.SIGTERM, lambda signum, frame: checkpointer.request_preempt()
-            )
-        with _span(
-            "sim.run",
-            cid=obs_cid,
-            kernel=cell.kernel,
-            benchmark=cell.benchmark,
-            attempt=attempt,
-            worker="campaign",
-        ) as sp:
-            try:
-                outcome = execute_cell(
-                    cell,
-                    wall_clock_budget=soft_budget,
-                    checkpoint=checkpointer,
-                    resume_from=resume_from,
-                )
-            except SnapshotError:
-                # The snapshot did not fit this cell (stale file from an
-                # older grid, version skew): fall back to cycle 0 rather
-                # than failing the attempt — losing a checkpoint must never
-                # lose the cell.
-                _discard_snapshots(checkpoint_path)
-                outcome = execute_cell(
-                    cell, wall_clock_budget=soft_budget, checkpoint=checkpointer
-                )
-            sp.note(ok=outcome.ok, outcome=type(outcome).__name__)
-        if resumed_note and not outcome.ok:
-            outcome.detail = resumed_note + (outcome.detail or "")
-        if isinstance(outcome, RunResult):
-            _discard_snapshots(checkpoint_path)
-    except BaseException as exc:
-        outcome = FailedRun(
-            benchmark=cell.benchmark,
-            design_point=cell.design_point,
-            error_type=type(exc).__name__,
-            error=(str(exc).splitlines() or [type(exc).__name__])[0],
-            detail=traceback.format_exc(),
-        )
-    try:
-        conn.send(_strip_for_transport(outcome))
-    finally:
-        conn.close()
 
 
 # ----------------------------------------------------------------------
@@ -1029,6 +908,18 @@ class CampaignPolicy:
         )
         return self.backoff_base * (2 ** (attempt - 1)) * (0.75 + 0.5 * rng.random())
 
+    def retry_delay(
+        self, cell_key: str, attempt: int, outcome: RunOutcome
+    ) -> Optional[float]:
+        """Backoff before retrying an outcome, or None if it is final: only
+        transient failures retry — a preemption always, others while
+        attempts remain.  Campaigns and ``repro serve`` share this rule."""
+        if classify_outcome(outcome) is not FailureClass.TRANSIENT:
+            return None
+        if not isinstance(outcome, PreemptedRun) and attempt >= self.max_attempts:
+            return None
+        return self.backoff(cell_key, attempt)
+
 
 @dataclass
 class CampaignReport:
@@ -1075,128 +966,6 @@ class CampaignReport:
         return ", ".join(parts)
 
 
-@dataclass
-class _Running:
-    process: multiprocessing.Process
-    conn: object
-    cell: CampaignCell
-    attempt: int
-    started_at: float
-    budget: Optional[float]
-    hard_deadline: Optional[float]
-
-
-def _spawn(
-    cell: CampaignCell,
-    policy: CampaignPolicy,
-    attempt: int,
-    checkpoint_dir: Optional[str] = None,
-    allow_resume: bool = True,
-    obs_ctx: Optional[Tuple[str, bool, Optional[str]]] = None,
-) -> _Running:
-    ctx = multiprocessing.get_context()
-    parent_conn, child_conn = ctx.Pipe(duplex=False)
-    ckpt_path = (
-        cell_checkpoint_path(checkpoint_dir, cell)
-        if checkpoint_dir is not None
-        else None
-    )
-    proc = ctx.Process(
-        target=_cell_worker,
-        args=(
-            child_conn,
-            cell,
-            policy.wall_clock_budget,
-            policy.checkpoint_every,
-            ckpt_path,
-            attempt,
-            allow_resume,
-            obs_ctx,
-        ),
-        daemon=True,
-        name=f"campaign-{cell.key()}",
-    )
-    proc.start()
-    child_conn.close()
-    now = time.monotonic()
-    deadline = (
-        now + policy.wall_clock_budget + policy.kill_grace
-        if policy.wall_clock_budget is not None
-        else None
-    )
-    return _Running(
-        process=proc,
-        conn=parent_conn,
-        cell=cell,
-        attempt=attempt,
-        started_at=now,
-        budget=policy.wall_clock_budget,
-        hard_deadline=deadline,
-    )
-
-
-def _drain(
-    running: _Running, on_note: Callable[[_Running, CheckpointNote], None]
-) -> Optional[RunOutcome]:
-    """Consume buffered pipe messages: notes to ``on_note``, outcome back.
-
-    A worker interleaves :class:`CheckpointNote` journal messages with (at
-    most) one final outcome on the same pipe; draining notes here is what
-    keeps the pool from mistaking a mid-run checkpoint for the attempt's
-    result.  Returns the outcome if it arrived, else ``None``.
-    """
-    try:
-        while running.conn.poll():
-            msg = running.conn.recv()
-            if isinstance(msg, CheckpointNote):
-                on_note(running, msg)
-            else:
-                return msg
-    except (EOFError, OSError):
-        pass
-    return None
-
-
-def _reap(running: _Running, outcome: Optional[RunOutcome] = None) -> RunOutcome:
-    """Collect the outcome of a finished (or dead) worker."""
-    if outcome is None:
-        try:
-            while running.conn.poll():
-                msg = running.conn.recv()
-                if not isinstance(msg, CheckpointNote):
-                    outcome = msg
-                    break
-        except (EOFError, OSError):
-            outcome = None
-    running.conn.close()
-    running.process.join()
-    if outcome is None:
-        code = running.process.exitcode
-        outcome = FailedRun(
-            benchmark=running.cell.benchmark,
-            design_point=running.cell.design_point,
-            error_type="WorkerDiedError",
-            error=f"worker exited with code {code} before reporting an outcome",
-        )
-    return outcome
-
-
-def _kill(running: _Running) -> TimedOutRun:
-    """Hard watchdog: SIGKILL a worker that outlived budget + grace."""
-    running.process.kill()
-    running.process.join()
-    running.conn.close()
-    elapsed = time.monotonic() - running.started_at
-    return TimedOutRun(
-        benchmark=running.cell.benchmark,
-        design_point=running.cell.design_point,
-        budget=running.budget or 0.0,
-        elapsed=elapsed,
-        error="worker SIGKILLed by the pool watchdog",
-        hard_kill=True,
-    )
-
-
 def run_campaign(
     cells: Iterable[CampaignCell],
     policy: Optional[CampaignPolicy] = None,
@@ -1205,8 +974,9 @@ def run_campaign(
     progress: Optional[Callable[[str], None]] = None,
     store=None,
     campaign_id: Optional[str] = None,
+    queue=None,
 ) -> CampaignReport:
-    """Execute a campaign of cells on the worker pool.
+    """Execute a campaign of cells on the worker pool or a work queue.
 
     Args:
         cells: The declarative grid.  Cell keys must be unique.
@@ -1230,16 +1000,24 @@ def run_campaign(
             golden values and every cell re-runs.
         campaign_id: Provenance label stamped into store entries this
             campaign publishes (default: the ledger path or ``adhoc``).
+        queue: Optional :class:`~repro.store.dispatch.WorkQueue`: enqueue
+            store misses for ``repro store worker`` processes instead of
+            simulating them; an attempt waits up to ``wall_clock_budget``
+            for its cell's fate.  Needs ``store``; no checkpointing.
 
     Returns a :class:`CampaignReport`; raises nothing for cell failures —
     they are data (``report.outcomes``) — but propagates KeyboardInterrupt
-    after killing the pool, leaving the ledger resumable.
+    after stopping the pool, leaving the ledger resumable.
     """
     policy = (policy or CampaignPolicy()).validate()
     if store is not None and not hasattr(store, "get"):
         from repro.store.store import ResultStore
 
         store = ResultStore(str(store))
+    if queue is not None and store is None:
+        raise ValueError("a queue-backed campaign needs a store")
+    if queue is not None and policy.checkpoint_every is not None:
+        raise ValueError("checkpointing needs local workers, not a queue")
     if campaign_id is None:
         campaign_id = str(ledger_path) if ledger_path is not None else "adhoc"
     cells = [c.validate() for c in cells]
@@ -1266,16 +1044,10 @@ def run_campaign(
             cid = cell_cids[key] = new_cid()
         return cid
 
-    def obs_ctx_for(key: str) -> Optional[Tuple[str, bool, Optional[str]]]:
-        state = _obs.get_state()
-        if state is None or state.log is None:
-            return None
-        return (state.log.path, state.log.sync, cell_cid(key))
-
-    def bump(name: str, amount: int = 1, **labels: str) -> None:
+    def bump(name: str, **labels: str) -> None:
         state = _obs.get_state()
         if state is not None:
-            state.registry.counter(name, **labels).inc(amount)
+            state.registry.counter(name, **labels).inc()
 
     report = CampaignReport()
     histories: Dict[str, CellHistory] = {}
@@ -1300,7 +1072,6 @@ def run_campaign(
     heap: List[Tuple[float, int, CampaignCell, int]] = []
     golden: Dict[str, Optional[str]] = {}
     store_hit_records: List[Tuple[CampaignCell, object]] = []
-    digests: Dict[str, str] = {}
     now = time.monotonic()
     for seq, cell in enumerate(cells):
         key = cell.key()
@@ -1314,8 +1085,7 @@ def run_campaign(
         if store is not None:
             from repro.store.store import cell_digest, result_from_entry
 
-            digests[key] = cell_digest(cell)
-            entry = store.get(digests[key])
+            entry = store.get(cell_digest(cell))
             if entry is not None:
                 if policy.recheck:
                     # Stored fingerprints are golden values too: the re-run
@@ -1341,6 +1111,7 @@ def run_campaign(
                 "n_skipped": len(report.skipped),
                 "n_store_hits": len(report.store_hits),
                 "store": getattr(store, "root", None),
+                "queue": getattr(queue, "root", None),
                 "policy": {
                     "jobs": policy.jobs,
                     "wall_clock_budget": policy.wall_clock_budget,
@@ -1388,10 +1159,18 @@ def run_campaign(
                 campaign=campaign_id,
             )
 
-    running: List[_Running] = []
+    # The farm: local worker processes, or the shared work queue.
+    if queue is not None:
+        from repro.store.dispatch import QueueBackend
+
+        backend = QueueBackend(store, queue, policy.wall_clock_budget)
+    else:
+        from repro.harness.pool import WorkerPool
+
+        backend = WorkerPool(policy, multiprocessing.get_context())
     draining = False
 
-    def handle_note(r: _Running, msg: CheckpointNote) -> None:
+    def handle_note(msg: CheckpointNote) -> None:
         """Journal one worker checkpoint into the ledger (``cell-ckpt``)."""
         if ledger is not None:
             ledger.append(
@@ -1427,35 +1206,28 @@ def run_campaign(
                 ),
             )
             report.mismatches.append(key)
-        verdict = classify_outcome(outcome)
         # Preemptions are the host's doing: they stay resumable however many
         # attempts the cell has consumed, and retrying one repeats the SAME
         # attempt number so evictions never exhaust a retry budget.
         preempted = isinstance(outcome, PreemptedRun)
-        resumable = verdict is FailureClass.TRANSIENT and (
-            preempted or attempt < policy.max_attempts
-        )
+        delay = policy.retry_delay(key, attempt, outcome)
+        resumable = delay is not None
         elapsed = time.monotonic() - start_times.pop(key, now)
         published: Optional[str] = None
-        if store is not None and isinstance(outcome, RunResult):
-            from repro.store.store import StoreError
+        if isinstance(outcome, RunResult) and queue is not None:
+            published = outcome.extras.get("store_digest")  # a worker published it
+        elif isinstance(outcome, RunResult) and store is not None:
+            from repro.store.store import StoreError, publish
 
             try:
-                entry, _created = store.put(
+                entry, _created = publish(
+                    store,
                     cell,
                     outcome,
-                    provenance={"campaign": campaign_id, "attempt": attempt},
+                    {"campaign": campaign_id, "attempt": attempt},
+                    cid=cell_cids.get(key),
                 )
                 published = entry.digest
-                if _obs.active():
-                    _obs.emit(
-                        "store.publish",
-                        cid=cell_cids.get(key),
-                        digest=entry.digest,
-                        created=_created,
-                        fingerprint=entry.fingerprint,
-                        campaign=campaign_id,
-                    )
             except StoreError as exc:
                 # A fingerprint conflict with an existing entry is a
                 # determinism violation — surface it like a recheck
@@ -1470,7 +1242,6 @@ def run_campaign(
                 rec["store_digest"] = published
             ledger.append(rec)
         if resumable and not draining:
-            delay = policy.backoff(key, attempt)
             report.retries += 1
             bump("repro_campaign_retries_total")
             note(
@@ -1510,18 +1281,19 @@ def run_campaign(
 
     start_times: Dict[str, float] = {}
     try:
-        while heap or running:
+        while heap or backend.busy:
             now = time.monotonic()
-            # Launch everything ready while there is pool capacity.
-            while heap and len(running) < policy.jobs and heap[0][0] <= now:
+            # Launch everything ready while the farm has capacity.
+            while heap and backend.has_capacity() and heap[0][0] <= now:
                 _, _, cell, attempt = heapq.heappop(heap)
-                start_times[cell.key()] = time.monotonic()
+                key = cell.key()
+                start_times[key] = time.monotonic()
                 if _obs.active():
                     bump("repro_campaign_attempts_total")
                     _obs.emit(
                         "campaign.cell.start",
-                        cid=cell_cid(cell.key()),
-                        cell=cell.key(),
+                        cid=cell_cid(key),
+                        cell=key,
                         attempt=attempt,
                         kernel=cell.kernel,
                     )
@@ -1529,86 +1301,46 @@ def run_campaign(
                     ledger.append(
                         {
                             "event": "cell-start",
-                            "cell": cell.key(),
+                            "cell": key,
                             "attempt": attempt,
                             "time": time.time(),
                             "schema": LEDGER_SCHEMA_VERSION,
                             "spec": cell.spec(),
                         }
                     )
-                running.append(
-                    _spawn(
-                        cell,
-                        policy,
-                        attempt,
-                        checkpoint_dir=checkpoint_dir,
-                        # Recheck re-runs must cover the whole run from
-                        # cycle 0 — resuming would verify only the tail.
-                        allow_resume=cell.key() not in golden,
-                        obs_ctx=obs_ctx_for(cell.key()),
-                    )
+                # Recheck re-runs must cover the whole run from cycle 0 —
+                # resuming would verify only the tail.
+                task = CellTask(
+                    cell, attempt, checkpoint_dir, allow_resume=key not in golden, cid=cell_cid(key)
                 )
+                backend.start(task, on_note=handle_note)
 
-            if not running:
-                # Pool idle but a backoff delay is pending: sleep it off.
+            if not backend.busy:
+                # Farm idle but a backoff delay is pending: sleep it off.
                 if heap:
                     time.sleep(max(0.0, heap[0][0] - time.monotonic()))
                 continue
 
-            # Wait for the first of: a worker reporting, a worker dying, a
-            # hard deadline, or a queued retry becoming ready.
+            # Wait for attempts to end, or a queued retry to become ready.
             timeout = 0.5
-            deadlines = [r.hard_deadline for r in running if r.hard_deadline]
-            if deadlines:
-                timeout = min(timeout, max(0.0, min(deadlines) - time.monotonic()))
             if heap:
                 timeout = min(timeout, max(0.0, heap[0][0] - time.monotonic()))
-            waitables = [r.conn for r in running] + [
-                r.process.sentinel for r in running
-            ]
-            _connection_wait(waitables, timeout=timeout)
-
-            still_running: List[_Running] = []
-            for r in running:
-                now = time.monotonic()
-                outcome = _drain(r, handle_note)
-                if outcome is not None or not r.process.is_alive():
-                    record_outcome(r.cell, r.attempt, _reap(r, outcome))
-                elif r.hard_deadline is not None and now >= r.hard_deadline:
-                    record_outcome(r.cell, r.attempt, _kill(r))
-                else:
-                    still_running.append(r)
-            running = still_running
+            for task, outcome in backend.collect(timeout=timeout):
+                record_outcome(task.cell, task.attempt, outcome)
     finally:
         draining = True
         # Graceful preemption: SIGTERM first, so checkpoint-enabled workers
-        # snapshot at the next safe point and report a PreemptedRun before
-        # exiting; anything still alive after the grace window is killed
-        # (its cell-start stays unmatched, so resume re-queues it).
-        for r in running:
-            r.process.terminate()
-        grace_deadline = time.monotonic() + max(policy.kill_grace, 0.1)
-        for r in running:
-            outcome = None
-            while time.monotonic() < grace_deadline:
-                outcome = _drain(r, handle_note)
-                if outcome is not None or not r.process.is_alive():
-                    break
-                time.sleep(0.02)
-            if outcome is None:
-                outcome = _drain(r, handle_note)
-            if outcome is not None:
-                record_outcome(r.cell, r.attempt, _reap(r, outcome))
-            else:
-                r.process.kill()
-                r.process.join()
-                r.conn.close()
+        # snapshot at the next safe point and report a PreemptedRun;
+        # anything still running after the grace window is killed (its
+        # cell-start stays unmatched, so resume re-queues it).
+        for task, outcome in backend.close(grace=max(policy.kill_grace, 0.1)):
+            record_outcome(task.cell, task.attempt, outcome)
         if ledger is not None:
             ledger.append(
                 {
                     "event": "campaign-end",
                     "time": time.time(),
-                    "complete": not heap and not running,
+                    "complete": not heap and not backend.busy,
                     "n_done": report.n_done,
                     "n_failed": report.n_failed,
                     "retries": report.retries,
@@ -1619,7 +1351,7 @@ def run_campaign(
             _obs.emit(
                 "campaign.end",
                 campaign=campaign_id,
-                complete=not heap and not running,
+                complete=not heap and not backend.busy,
                 n_done=report.n_done,
                 n_failed=report.n_failed,
                 retries=report.retries,

@@ -7,7 +7,8 @@ Three layers over the campaign harness:
   CRC-validated atomic entries and corruption quarantine);
 * :mod:`repro.store.dispatch` — a shared-filesystem work queue with
   atomic lease files, heartbeat renewal, and stale-lease reclamation, so
-  any number of hosts can drain one campaign;
+  any number of hosts can drain one campaign (``run_campaign``'s queue
+  backend enqueues it; ``run_worker`` drains it);
 * :mod:`repro.store.service` — ``repro serve``, the asyncio batch-query
   front end that answers from the store and coalesces duplicate
   in-flight misses.
@@ -17,9 +18,10 @@ from repro.store.dispatch import (
     DEFAULT_LEASE_TTL,
     Lease,
     LeaseLostError,
+    QueueBackend,
     WorkQueue,
+    commit,
     default_worker_id,
-    dispatch_cells,
     run_worker,
 )
 from repro.store.service import (
@@ -36,6 +38,7 @@ from repro.store.store import (
     StoreEntry,
     StoreError,
     cell_digest,
+    publish,
     result_from_entry,
 )
 
@@ -45,6 +48,7 @@ __all__ = [
     "LeaseLostError",
     "LocalExecutor",
     "QueryService",
+    "QueueBackend",
     "QueueExecutor",
     "ResultStore",
     "SPEC_SCHEMA_VERSION",
@@ -54,8 +58,9 @@ __all__ = [
     "StoreError",
     "WorkQueue",
     "cell_digest",
+    "commit",
     "default_worker_id",
-    "dispatch_cells",
+    "publish",
     "result_from_entry",
     "run_worker",
     "start_service",

@@ -1,10 +1,12 @@
 """Multi-host cell dispatch over a shared-filesystem work queue.
 
-The campaign pool (:mod:`repro.harness.campaign`) is single-host: one
-parent process spawns workers.  Fleet scale needs the inverse shape —
+The local worker pool (:mod:`repro.harness.pool`) is single-host: one
+parent process starts workers.  Fleet scale needs the inverse shape —
 any number of hosts mounting one filesystem, each pulling cells from a
 shared queue and publishing results to the content-addressed store
-(:mod:`repro.store.store`), with no coordinator process at all.  The
+(:mod:`repro.store.store`), with no coordinator process at all.
+:class:`QueueBackend` is the campaign's side of it (``run_campaign(...,
+queue=...)`` enqueues misses); :func:`run_worker` is the far side.  The
 design borrows the lock-free split the streaming literature uses between
 dispatch and worker farms (FastFlow's accelerators; Prasaad et al.'s
 ordered-stream workers): the *queue* holds only specs, the *store* is
@@ -49,31 +51,29 @@ import socket
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.harness.campaign import (
-    LEDGER_SCHEMA_VERSION,
-    CampaignCell,
-    CampaignLedger,
-    CampaignReport,
-    execute_cell,
-)
+from repro.harness.campaign import LEDGER_SCHEMA_VERSION, CampaignCell, CellTask
+from repro.harness.pool import run_attempt
 from repro.harness.runner import FailedRun, RunResult, TimedOutRun
 from repro.obs import runtime as _obs
-from repro.obs.spans import span as _span
 from repro.store.io import resolve_fs, write_atomic
-from repro.store.store import ResultStore, cell_digest, result_from_entry
+from repro.store.store import ResultStore, cell_digest, publish, result_from_entry
 
 __all__ = [
     "Lease",
     "LeaseLostError",
+    "QueueBackend",
     "WorkQueue",
-    "dispatch_cells",
+    "commit",
     "run_worker",
 ]
 
 #: Default seconds without a heartbeat before a lease counts as stale.
 DEFAULT_LEASE_TTL = 60.0
+
+#: Seconds between a queue-backed campaign's checks of its cells' fate.
+_QUEUE_POLL_S = 0.2
 
 
 class LeaseLostError(RuntimeError):
@@ -372,6 +372,22 @@ class WorkQueue:
                 continue
         return out
 
+    def fate(self, store: ResultStore, digest: str) -> Tuple[str, Optional[object]]:
+        """``("stored", entry)``, ``("failed", doc)`` or ``("pending", None)``.
+
+        The one check on a queued digest that both of the queue's waiters,
+        serve's ``QueueExecutor`` and the campaign's :class:`QueueBackend`,
+        poll.
+        """
+        entry = store.get(digest)
+        if entry is not None:
+            return "stored", entry
+        path = os.path.join(self.failed_dir, digest + ".json")
+        try:
+            return "failed", json.loads(self.fs.read_bytes(path).decode("utf-8"))
+        except (OSError, ValueError):
+            return "pending", None
+
     def stats(self) -> Dict[str, object]:
         leases = [n for n in os.listdir(self.leases_dir) if n.endswith(".lease")]
         stale = 0
@@ -472,6 +488,29 @@ class _HeartbeatThread(threading.Thread):
         self._halt.set()
 
 
+def commit(
+    store: ResultStore,
+    queue: WorkQueue,
+    lease: Lease,
+    cell: CampaignCell,
+    result: RunResult,
+    provenance: Dict[str, object],
+    cid: Optional[str] = None,
+) -> None:
+    """A worker's commit step: publish the result, then retire the cell.
+
+    Publication is the commit point.  A publish failing with
+    :class:`OSError` is not acknowledged: the cell is released for any
+    worker to retry, and the error re-raised.
+    """
+    try:
+        publish(store, cell, result, provenance, cid=cid)
+    except OSError:
+        queue.release(lease)
+        raise
+    queue.complete(lease)
+
+
 def run_worker(
     store: ResultStore,
     queue: WorkQueue,
@@ -487,9 +526,10 @@ def run_worker(
     """Pull cells from the queue until it drains (or ``max_cells``).
 
     For each claimed cell: a store hit (published by a faster worker or a
-    previous campaign) completes immediately; otherwise the cell runs via
-    the campaign executor, publishes to the store — the commit point —
-    and then retires its queue entry.  Deterministic failures are filed
+    previous campaign) completes immediately; otherwise the cell runs in
+    this process as a pool worker's attempt would (:func:`run_attempt`),
+    publishes to the store — the commit point — and then retires its
+    queue entry (:func:`commit`).  Deterministic failures are filed
     under ``failed/``; transient ones (watchdog timeouts) release the
     lease for any worker to retry.  Heartbeats renew the lease from a
     background thread every ``heartbeat_every`` seconds (default: a third
@@ -527,9 +567,7 @@ def run_worker(
     while max_cells is None or (counters["ran"] + counters["store_hits"]) < max_cells:
         lease = queue.claim(worker_id)
         if lease is None:
-            if drain and not queue.pending():
-                break
-            if not drain:
+            if not drain or not queue.pending():
                 break
             sleep(poll)  # everything pending is leased elsewhere; wait
             continue
@@ -577,21 +615,9 @@ def run_worker(
                 return f"lease on {lease.digest[:16]} lost (fenced heartbeat)"
             return None
 
-        cid_token = _obs.set_cid(cid) if cid is not None else None
         try:
-            with _span(
-                "sim.run",
-                cid=cid,
-                kernel=cell.kernel,
-                benchmark=cell.benchmark,
-                worker=worker_id,
-            ):
-                outcome = execute_cell(
-                    cell, wall_clock_budget=wall_clock_budget, abort=fence
-                )
+            outcome = run_attempt(CellTask(cell, cid=cid), wall_clock_budget, None, abort=fence)
         finally:
-            if cid_token is not None:
-                _obs.reset_cid(cid_token)
             beat.stop()
             beat.join(timeout=heartbeat_every + 1.0)
         if beat.lost.is_set():
@@ -599,37 +625,17 @@ def run_worker(
             note(f"[{worker_id}] lease lost on {lease.digest[:16]}; discarding")
             continue
         if isinstance(outcome, RunResult):
+            provenance = {"campaign": "queue", "worker": worker_id, "attempt": 1}
             try:
-                with _span("store.publish", cid=cid, digest=lease.digest[:16]):
-                    store.put(
-                        cell,
-                        outcome,
-                        provenance={
-                            "campaign": "queue",
-                            "worker": worker_id,
-                            "attempt": 1,
-                        },
-                    )
+                commit(store, queue, lease, cell, outcome, provenance, cid=cid)
             except OSError as exc:
-                # Publish failed (ENOSPC, EIO, mount hiccup): the result is
-                # *not* acknowledged, so give the cell back for any worker
-                # — possibly this one, next claim — to retry.
-                queue.release(lease)
+                # Not acknowledged: the cell is back in the queue for any
+                # worker — possibly this one, next claim — to retry.
                 bump("io_errors")
                 bump("released")
                 note(f"[{worker_id}] publish failed for {cell.key()}: {exc}; released")
                 continue
-            queue.complete(lease)
             bump("ran")
-            if _obs.active():
-                _obs.emit(
-                    "store.publish",
-                    cid=cid,
-                    digest=lease.digest,
-                    worker=worker_id,
-                    cycles=outcome.cycles,
-                    fingerprint=outcome.fingerprint(),
-                )
             note(
                 f"[{worker_id}] ran {cell.key()} "
                 f"({outcome.cycles} cycles, fp {outcome.fingerprint()})"
@@ -654,180 +660,69 @@ def run_worker(
 
 
 # ----------------------------------------------------------------------
-# Store-first external dispatch (the campaign's --workers-external path)
+# The campaign's queue backend (``campaign run --workers-external``)
 # ----------------------------------------------------------------------
 
 
-def dispatch_cells(
-    cells: Iterable[CampaignCell],
-    store: ResultStore,
-    queue: WorkQueue,
-    ledger_path: Optional[str] = None,
-    poll: float = 0.2,
-    timeout: Optional[float] = None,
-    progress: Optional[Callable[[str], None]] = None,
-    sleep: Callable[[float], None] = time.sleep,
-) -> CampaignReport:
-    """Store-first scheduling onto external workers: skip hits, enqueue misses.
+class QueueBackend:
+    """``run_campaign``'s external farm: enqueue misses, await their fate.
 
-    The multi-host half of ``campaign run --store --workers-external``:
-    no cell is simulated in this process.  Hits are answered from the
-    store immediately; misses are enqueued (idempotently — concurrent
-    dispatchers share one queue entry per digest) and awaited until their
-    entries appear, workers file them under ``failed/``, or ``timeout``
-    passes.  Outcomes are bit-identical to running the same grid locally:
-    the store only ever holds fingerprint-checked results.
-
-    Every resolution is journalled to ``ledger_path`` in the campaign
-    ledger dialect, so ``campaign status`` works on dispatched campaigns
-    unchanged.
+    Nothing simulates here.  An attempt ends when :meth:`WorkQueue.fate`
+    finds its cell stored (a :class:`RunResult` rebuilt from the entry) or
+    filed under ``failed/`` (a deterministic :class:`FailedRun`), or after
+    ``budget`` seconds (a transient :class:`TimedOutRun`; the cell stays
+    queued, so a retry waits again).  Same interface as
+    :class:`~repro.harness.pool.WorkerPool`.
     """
-    cells = [c.validate() for c in cells]
-    report = CampaignReport()
-    ledger = CampaignLedger(ledger_path).open() if ledger_path is not None else None
 
-    def note(msg: str) -> None:
-        if progress is not None:
-            progress(msg)
+    def __init__(self, store: ResultStore, queue: WorkQueue, budget: Optional[float]) -> None:
+        self.store = store
+        self.queue = queue
+        self.budget = budget
+        #: ``(task, digest, started_at)`` of every attempt waiting.
+        self.busy: List[Tuple[CellTask, str, float]] = []
 
-    def journal(rec: Dict[str, object]) -> None:
-        if ledger is not None:
-            ledger.append(rec)
+    def has_capacity(self) -> bool:
+        return True
 
-    waiting: Dict[str, CampaignCell] = {}
-    started = time.monotonic()
-    journal(
-        {
-            "event": "campaign-start",
-            "schema": LEDGER_SCHEMA_VERSION,
-            "time": time.time(),
-            "resume": False,
-            "n_cells": len(cells),
-            "store": store.root,
-            "queue": queue.root,
-            "policy": {"external": True},
-        }
-    )
+    def start(self, task: CellTask, on_note=None) -> None:
+        digest, _created = self.queue.enqueue(task.cell, cid=task.cid)
+        self.busy.append((task, digest, time.monotonic()))
 
-    def resolve(cell: CampaignCell, entry, via: str) -> None:
-        key = cell.key()
-        outcome = result_from_entry(entry)
-        report.outcomes[key] = outcome
-        journal(
-            {
-                "event": "cell-end",
-                "cell": key,
-                "attempt": 0 if via == "store" else 1,
-                "time": time.time(),
-                "elapsed": round(time.monotonic() - started, 4),
-                "terminal": True,
-                "status": "done",
-                "cycles": entry.cycles,
-                "fingerprint": entry.fingerprint,
-                "kernel": cell.kernel,
-                "store_hit": via == "store",
-                "store_digest": entry.digest,
-                "via": via,
-            }
-        )
-
-    try:
-        for cell in cells:
-            digest = cell_digest(cell)
-            entry = store.get(digest)
-            if entry is not None:
-                report.store_hits.append(cell.key())
-                resolve(cell, entry, via="store")
-                continue
-            queue.enqueue(cell)
-            waiting[digest] = cell
-            journal(
-                {
-                    "event": "cell-start",
-                    "cell": cell.key(),
-                    "attempt": 1,
-                    "time": time.time(),
-                    "schema": LEDGER_SCHEMA_VERSION,
-                    "spec": cell.spec(),
-                    "enqueued": True,
-                }
+    def _outcome(self, task: CellTask, digest: str, started_at: float):
+        cell = task.cell
+        fate, found = self.queue.fate(self.store, digest)
+        if fate == "stored":
+            return result_from_entry(found)
+        if fate == "failed":
+            return FailedRun(
+                benchmark=cell.benchmark,
+                design_point=cell.design_point,
+                error_type=str(found.get("error_type", "FailedRun")),
+                error=str(found.get("error", "external worker failure")),
             )
-        note(
-            f"dispatch: {len(report.store_hits)} store hit(s), "
-            f"{len(waiting)} enqueued"
-        )
+        elapsed = time.monotonic() - started_at
+        if self.budget is not None and elapsed >= self.budget:
+            return TimedOutRun(
+                benchmark=cell.benchmark,
+                design_point=cell.design_point,
+                budget=self.budget,
+                elapsed=elapsed,
+                error="no external worker resolved the cell within the budget",
+            )
+        return None
 
-        while waiting:
-            if timeout is not None and time.monotonic() - started > timeout:
-                for digest, cell in sorted(waiting.items()):
-                    key = cell.key()
-                    report.outcomes[key] = TimedOutRun(
-                        benchmark=cell.benchmark,
-                        design_point=cell.design_point,
-                        budget=timeout,
-                        elapsed=time.monotonic() - started,
-                        error="external dispatch timed out awaiting workers",
-                    )
-                    journal(
-                        {
-                            "event": "cell-end",
-                            "cell": key,
-                            "attempt": 1,
-                            "time": time.time(),
-                            "elapsed": round(time.monotonic() - started, 4),
-                            "terminal": False,
-                            "status": "timeout",
-                            "transient": True,
-                            "error_type": "WallClockExceededError",
-                            "error": "external dispatch timed out",
-                        }
-                    )
-                break
-            failed = queue.failed()
-            for digest in sorted(waiting):
-                cell = waiting[digest]
-                entry = store.get(digest)
-                if entry is not None:
-                    del waiting[digest]
-                    resolve(cell, entry, via="external")
-                elif digest in failed:
-                    del waiting[digest]
-                    key = cell.key()
-                    doc = failed[digest]
-                    outcome = FailedRun(
-                        benchmark=cell.benchmark,
-                        design_point=cell.design_point,
-                        error_type=str(doc.get("error_type", "FailedRun")),
-                        error=str(doc.get("error", "external worker failure")),
-                    )
-                    report.outcomes[key] = outcome
-                    journal(
-                        {
-                            "event": "cell-end",
-                            "cell": key,
-                            "attempt": 1,
-                            "time": time.time(),
-                            "elapsed": round(time.monotonic() - started, 4),
-                            "terminal": True,
-                            "status": "failed",
-                            "transient": False,
-                            "error_type": outcome.error_type,
-                            "error": outcome.error,
-                        }
-                    )
-            if waiting:
-                sleep(poll)
-    finally:
-        journal(
-            {
-                "event": "campaign-end",
-                "time": time.time(),
-                "complete": not waiting,
-                "n_done": report.n_done,
-                "n_failed": report.n_failed,
-                "retries": 0,
-            }
-        )
-        if ledger is not None:
-            ledger.close()
-    return report
+    def collect(self, timeout: Optional[float] = None):
+        """Resolve what the fleet has finished; sleep one poll if nothing."""
+        done = []
+        for waiting in list(self.busy):
+            outcome = self._outcome(*waiting)
+            if outcome is not None:
+                self.busy.remove(waiting)
+                done.append((waiting[0], outcome))
+        if not done and self.busy:
+            time.sleep(_QUEUE_POLL_S if timeout is None else min(_QUEUE_POLL_S, timeout))
+        return done
+
+    def close(self, grace: Optional[float] = None):
+        return []  # external workers carry on; their results land in the store

@@ -6,8 +6,9 @@ content-addressed store (:mod:`repro.store.store`), simulating only on a
 miss.  The shape follows the ordered-streaming systems the ROADMAP names
 (Prasaad et al.; FastFlow): a single async dispatch plane absorbs heavy
 concurrent query traffic, while the actual work — cell simulation — runs
-on a decoupled worker farm (a local process pool, or external workers
-pulling from the shared :class:`~repro.store.dispatch.WorkQueue`).
+on a decoupled worker farm (the local worker pool campaigns use, or
+external workers pulling from the shared
+:class:`~repro.store.dispatch.WorkQueue`).
 
 Three guarantees:
 
@@ -51,7 +52,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.harness.campaign import CampaignCell, execute_cell
+from repro.harness.campaign import CampaignCell, CampaignPolicy, CellTask
+from repro.harness.pool import WorkerPool
 from repro.harness.runner import RunResult
 from repro.obs import runtime as _obs
 from repro.obs.events import new_cid
@@ -63,7 +65,7 @@ from repro.store.store import (
     StoreEntry,
     StoreError,
     cell_digest,
-    result_from_entry,
+    publish,
 )
 
 __all__ = [
@@ -160,17 +162,14 @@ class ServeMetrics:
             "Wall-clock latency of answered queries",
             buckets=LATENCY_BUCKETS_S,
         )
-        self.latency_total_s = 0.0
-        self.latency_max_s = 0.0
 
     def observe_latency(self, seconds: float) -> None:
-        self.latency_total_s += seconds
-        self.latency_max_s = max(self.latency_max_s, seconds)
         self.latency.observe(seconds)
 
     def snapshot(self) -> Dict[str, object]:
         queries = int(self.queries)
-        avg = self.latency_total_s / queries if queries else 0.0
+        latency = self.latency.snapshot()
+        avg = latency["sum"] / queries if queries else 0.0
         return {
             "queries": queries,
             "batches": int(self.batches),
@@ -182,8 +181,8 @@ class ServeMetrics:
             "timeouts": int(self.timeouts),
             "io_errors": int(self.io_errors),
             "latency_avg_ms": round(avg * 1e3, 3),
-            "latency_max_ms": round(self.latency_max_s * 1e3, 3),
-            "latency_histogram": self.latency.snapshot(),
+            "latency_max_ms": round(latency["max"] * 1e3, 3),
+            "latency_histogram": latency,
         }
 
 
@@ -192,56 +191,14 @@ class ServeMetrics:
 # ----------------------------------------------------------------------
 
 
-def _execute_spec(
-    spec: Dict[str, object],
-    wall_clock_budget: Optional[float],
-    obs_ctx: Optional[Tuple[str, bool, Optional[str]]] = None,
-):
-    """Process-pool entry point: run one cell, return a transportable outcome.
-
-    ``obs_ctx`` carries the parent's observability wiring across the
-    process boundary: ``(event_log_path, sync, cid)``.  The pool worker
-    configures obs for itself (idempotent across cells — same log path
-    reuses the open fd) so the ``sim.run`` span lands in the same
-    shared-FS log, under the same correlation ID, as the serve-side
-    spans.  ``None`` (obs disabled in the parent) costs nothing here.
-    """
-    cid = None
-    if obs_ctx is not None:
-        log_path, sync, cid = obs_ctx
-        _obs.configure(log_path=log_path, sync=sync)
-    cell = CampaignCell.from_spec(spec)
-    with _span("sim.run", cid=cid, kernel=cell.kernel, benchmark=cell.benchmark) as sp:
-        outcome = execute_cell(cell, wall_clock_budget=wall_clock_budget)
-        if isinstance(outcome, RunResult):
-            sp.note(
-                cycles=outcome.cycles,
-                cycles_per_sec=round(outcome.stats.simulated_cycles_per_sec),
-            )
-        else:
-            sp.note(outcome=type(outcome).__name__)
-    if isinstance(outcome, RunResult):
-        outcome.machine = None
-        outcome.trace = None
-    return outcome
-
-
-def _obs_ctx() -> Optional[Tuple[str, bool, Optional[str]]]:
-    """The ``(log_path, sync, cid)`` triple a child process needs, or None."""
-    state = _obs.get_state()
-    if state is None or state.log is None:
-        return None
-    return state.log.path, state.log.sync, _obs.current_cid()
-
-
 class LocalExecutor:
-    """Resolve misses on an in-host process pool (the single-host farm).
+    """Resolve misses on the campaigns' worker pool (:mod:`repro.harness.pool`).
 
-    Simulation is CPU-bound pure Python, so worker *processes* — not
-    threads — are what lets concurrent misses use multiple cores.  The
-    event loop only ever awaits; publication back to the store happens on
-    the loop thread, keeping the store instance single-writer in this
-    process.
+    Transient failures (a killed or dead worker, a timeout) retry under
+    the campaign rule.  The event loop only awaits: one waiting thread per
+    worker blocks on the pool, so misses beyond ``jobs`` queue for a free
+    worker.  Publication happens on the loop thread, keeping the store
+    instance single-writer in this process.
     """
 
     def __init__(
@@ -250,10 +207,7 @@ class LocalExecutor:
         jobs: int = 2,
         wall_clock_budget: Optional[float] = None,
     ) -> None:
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
         self.store = store
-        self.wall_clock_budget = wall_clock_budget
         # ``forkserver``, not the platform-default ``fork``: the pool
         # starts its workers lazily on the first miss, by which time the
         # server holds open client sockets — plain-forked workers would
@@ -261,10 +215,13 @@ class LocalExecutor:
         # so clients reading to EOF (Connection: close) would never see
         # it.  Forkserver children fork from a clean early-started helper
         # and inherit none of the server's descriptors.
-        self.pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=jobs, mp_context=multiprocessing.get_context("forkserver")
+        self.pool = WorkerPool(
+            CampaignPolicy(jobs=jobs, wall_clock_budget=wall_clock_budget),
+            multiprocessing.get_context("forkserver"),
         )
-        self.jobs = jobs
+        self._waiters = concurrent.futures.ThreadPoolExecutor(
+            max_workers=jobs, thread_name_prefix="serve-pool"
+        )
         #: Cells currently submitted to the pool (the depth gauge's measure:
         #: > ``jobs`` means misses are queueing behind a saturated pool).
         self.depth = 0
@@ -272,16 +229,20 @@ class LocalExecutor:
     async def resolve(self, cell: CampaignCell, digest: str) -> StoreEntry:
         loop = asyncio.get_running_loop()
         cid = _obs.current_cid()
+        policy = self.pool.policy
+        attempt = 1
         self.depth += 1
         try:
             with _span("dispatch.wait", cid=cid, executor="local", digest=digest[:16]):
-                outcome = await loop.run_in_executor(
-                    self.pool,
-                    _execute_spec,
-                    cell.spec(),
-                    self.wall_clock_budget,
-                    _obs_ctx(),
-                )
+                while True:
+                    outcome = await loop.run_in_executor(
+                        self._waiters, self.pool.run, CellTask(cell, attempt, cid=cid)
+                    )
+                    delay = policy.retry_delay(cell.key(), attempt, outcome)
+                    if delay is None:
+                        break
+                    await asyncio.sleep(delay)
+                    attempt += 1
         finally:
             self.depth -= 1
         if not isinstance(outcome, RunResult):
@@ -289,41 +250,19 @@ class LocalExecutor:
                 f"simulation failed: {outcome.error_type}: {outcome.error}",
                 status=502,
             )
-        state = _obs.get_state()
-        if state is not None and outcome.stats is not None:
-            # The run happened in a pool child with its own registry; fold
-            # its throughput into the serve registry too (metrics only —
-            # the child already emitted the ``kernel.run`` event), so one
-            # ``/metrics`` scrape covers the kernel family.
-            from repro.obs.registry import CYCLES_PER_SEC_BUCKETS
-
-            state.registry.histogram(
-                "repro_sim_cycles_per_sec",
-                "Simulated cycles per host second, per kernel",
-                buckets=CYCLES_PER_SEC_BUCKETS,
-                kernel=cell.kernel,
-            ).observe(outcome.stats.simulated_cycles_per_sec)
-            state.registry.counter(
-                "repro_sim_runs_total", "Completed simulation runs",
-                kernel=cell.kernel,
-            ).inc()
-        with _span("store.publish", cid=cid, digest=digest[:16]):
-            entry, created = self.store.put(
-                cell, outcome, provenance={"campaign": "serve", "attempt": 1}
-            )
-        if _obs.active():
-            _obs.emit(
-                "store.publish", cid=cid, digest=digest, created=created,
-                fingerprint=entry.fingerprint,
-            )
+        entry, _created = publish(
+            self.store, cell, outcome, {"campaign": "serve", "attempt": attempt}, cid=cid
+        )
         return entry
 
     def stats(self) -> Dict[str, object]:
         """Pool shape for the executor gauges (``/metrics``)."""
-        return {"kind": "local", "pool_size": self.jobs, "depth": self.depth}
+        return {"kind": "local", "pool_size": self.pool.policy.jobs, "depth": self.depth}
 
     def close(self) -> None:
-        self.pool.shutdown(wait=False, cancel_futures=True)
+        """Stop the workers and wait for every one of them to exit."""
+        self.pool.close()
+        self._waiters.shutdown(wait=True)
 
 
 class QueueExecutor:
@@ -358,16 +297,13 @@ class QueueExecutor:
         )
         with _span("dispatch.wait", cid=cid, executor="queue", digest=digest[:16]):
             while True:
-                if self.store.contains(digest):
-                    entry = self.store.get(digest)
-                    if entry is not None:
-                        return entry
-                failed = self.queue.failed()
-                if digest in failed:
-                    doc = failed[digest]
+                fate, found = self.queue.fate(self.store, digest)
+                if fate == "stored":
+                    return found
+                if fate == "failed":
                     raise QueryError(
                         f"simulation failed on worker: "
-                        f"{doc.get('error_type')}: {doc.get('error')}",
+                        f"{found.get('error_type')}: {found.get('error')}",
                         status=502,
                     )
                 if deadline is not None and time.monotonic() > deadline:

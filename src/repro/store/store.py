@@ -52,6 +52,7 @@ from typing import Dict, Iterator, List, Optional
 from repro.harness.campaign import LEDGER_SCHEMA_VERSION, CampaignCell
 from repro.harness.runner import RunResult
 from repro.obs import runtime as _obs
+from repro.obs.spans import span as _span
 from repro.sim.stats import COMPONENTS, RunStats, ThreadStats
 from repro.store.io import TMP_MARKER, resolve_fs, write_atomic
 
@@ -249,6 +250,30 @@ def result_from_entry(entry: StoreEntry) -> RunResult:
         trace=None,
         extras=extras,
     )
+
+
+def publish(
+    store: "ResultStore",
+    cell: CampaignCell,
+    result: RunResult,
+    provenance: Dict[str, object],
+    cid: Optional[str] = None,
+) -> "tuple[StoreEntry, bool]":
+    """:meth:`ResultStore.put` inside the ``store.publish`` span and event:
+    how campaigns, ``repro serve`` and queue workers publish a result."""
+    with _span("store.publish", cid=cid, benchmark=cell.benchmark):
+        entry, created = store.put(cell, result, provenance=provenance)
+    if _obs.active():
+        _obs.emit(
+            "store.publish",
+            cid=cid,
+            digest=entry.digest,
+            created=created,
+            fingerprint=entry.fingerprint,
+            cycles=entry.cycles,
+            **provenance,
+        )
+    return entry, created
 
 
 # ----------------------------------------------------------------------

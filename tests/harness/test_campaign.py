@@ -288,13 +288,14 @@ class TestWatchdogAndRetries:
 
     def test_worker_crash_is_transient_worker_died(self, tmp_path, monkeypatch):
         # A worker that dies without reporting (OOM kill, segfault) must be
-        # recorded as WorkerDiedError and retried as transient.
-        import repro.harness.campaign as campaign_mod
+        # recorded as WorkerDiedError and retried as transient.  Workers
+        # fork from this process, so they inherit the patched attempt.
+        import repro.harness.pool as pool_mod
 
-        def dying_worker(conn, cell, soft_budget, *ckpt_args):
+        def dying_attempt(task, *args):
             os._exit(17)
 
-        monkeypatch.setattr(campaign_mod, "_cell_worker", dying_worker)
+        monkeypatch.setattr(pool_mod, "run_attempt", dying_attempt)
         cell = _grid_cells()[0]
         report = run_campaign(
             [cell],

@@ -3,7 +3,6 @@ records, checkpoint journalling, status reporting, and ledger I/O resilience.
 """
 
 import errno
-import multiprocessing
 import os
 import signal
 import struct
@@ -18,9 +17,8 @@ from repro.harness.campaign import (
     CampaignCell,
     CampaignLedger,
     CampaignPolicy,
-    CheckpointNote,
+    CellTask,
     LedgerWriteError,
-    _cell_worker,
     _outcome_record,
     campaign_status,
     cell_checkpoint_path,
@@ -28,6 +26,7 @@ from repro.harness.campaign import (
     render_status,
     run_campaign,
 )
+from repro.harness.pool import run_attempt
 from repro.harness.runner import FailedRun, PreemptedRun, RunResult
 from repro.sim.checkpoint import CHECKPOINT_VERSION, Checkpointer, recover_snapshot
 
@@ -108,25 +107,24 @@ class TestExecuteCellCheckpointing:
 
 
 class TestWorkerCheckpointFlow:
-    """Drive ``_cell_worker`` in-process over a real pipe."""
+    """Drive a pool worker's attempt (``run_attempt``) in-process."""
 
     def _run_worker(self, cell, ckpt_path, attempt=2, allow_resume=True):
-        parent, child = multiprocessing.Pipe()
+        notes = []
         old_handler = signal.getsignal(signal.SIGTERM)
         try:
-            _cell_worker(child, cell, None, 5000, ckpt_path, attempt, allow_resume)
+            task = CellTask(
+                cell,
+                attempt,
+                checkpoint_dir=os.path.dirname(ckpt_path),
+                allow_resume=allow_resume,
+            )
+            outcome = run_attempt(task, None, 5000, notes.append)
+            # The attempt's SIGTERM preemption handler is gone afterwards.
+            assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
         finally:
             signal.signal(signal.SIGTERM, old_handler)
-        messages = []
-        while parent.poll(0):
-            try:
-                messages.append(parent.recv())
-            except EOFError:
-                break
-        parent.close()
-        notes = [m for m in messages if isinstance(m, CheckpointNote)]
-        assert messages, "worker sent nothing"
-        return notes, messages[-1]
+        return notes, outcome
 
     def test_worker_resumes_from_snapshot_and_cleans_up(self, tmp_path):
         ref = _reference()

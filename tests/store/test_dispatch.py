@@ -11,19 +11,30 @@ Acceptance properties:
 * run_worker drains the queue into the store, completes store hits
   without re-running, files deterministic failures, and releases
   timed-out cells for retry;
-* dispatch_cells is store-first (hits never enqueue) and its ledger
-  replays through `campaign status` unchanged.
+* run_campaign's queue backend is store-first (hits never enqueue),
+  keeps the ledger rules of the local pool (no second campaign onto a
+  non-empty ledger, resume skips done cells), and its ledger replays
+  through `campaign status` unchanged.
 """
 
+import math
 import threading
 
 import pytest
 
-from repro.harness.campaign import CampaignCell, campaign_status, execute_cell
+from repro.harness.campaign import (
+    CampaignCell,
+    CampaignLedger,
+    CampaignPolicy,
+    campaign_status,
+    execute_cell,
+    run_campaign,
+)
+from repro.faults import FaultKind, FaultPlan, FaultRule
+from repro.harness.runner import FailedRun, TimedOutRun
 from repro.store.dispatch import (
     LeaseLostError,
     WorkQueue,
-    dispatch_cells,
     run_worker,
 )
 from repro.store.store import ResultStore, cell_digest
@@ -192,27 +203,23 @@ def test_run_worker_completes_store_hits_without_rerunning(tmp_path):
     assert q.pending() == []
 
 
+#: A permanently wedged queue: the scheduler diagnoses a deterministic
+#: DeadlockError, which a worker must file (not retry, not publish).
+WEDGED = CampaignCell(
+    benchmark="wc",
+    design_point="SYNCOPTI",
+    trip_count=64,
+    fault_plan=FaultPlan(
+        seed=7,
+        rules=(FaultRule(kind=FaultKind.QUEUE_SLOT_STALL, magnitude=math.inf, queue_id=0),),
+    ),
+)
+
+
 def test_run_worker_files_deterministic_failures(tmp_path):
-    import math
-
-    from repro.faults import FaultKind, FaultPlan, FaultRule
-
     store = ResultStore(str(tmp_path / "store"))
     q = WorkQueue(str(tmp_path / "q"))
-    # A permanently wedged queue: the scheduler diagnoses a deterministic
-    # DeadlockError, which the worker must file (not retry, not publish).
-    wedge = FaultPlan(
-        seed=7,
-        rules=(
-            FaultRule(
-                kind=FaultKind.QUEUE_SLOT_STALL, magnitude=math.inf, queue_id=0
-            ),
-        ),
-    )
-    bad = CampaignCell(
-        benchmark="wc", design_point="SYNCOPTI", trip_count=64, fault_plan=wedge
-    )
-    digest, _ = q.enqueue(bad)
+    digest, _ = q.enqueue(WEDGED)
     counters = run_worker(store, q, worker_id="w1")
     assert counters["failed"] == 1
     assert q.failed()[digest]["error_type"] == "DeadlockError"
@@ -220,72 +227,151 @@ def test_run_worker_files_deterministic_failures(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Store-first external dispatch
+# run_campaign's queue backend (campaign run --workers-external)
 # ----------------------------------------------------------------------
 
 
-def test_dispatch_cells_hits_never_enqueue(tmp_path):
+def _drain_in_background(tmp_path, q, **worker_kwargs):
+    """Start a worker thread the first time ``q`` enqueues a cell; returns
+    (the thread, the digests enqueued)."""
+    worker = threading.Thread(
+        target=run_worker,
+        args=(ResultStore(str(tmp_path / "store")), WorkQueue(str(tmp_path / "q"))),
+        kwargs={"worker_id": "bg", "drain": True, "poll": 0.05, **worker_kwargs},
+    )
+    enqueued = []
+    orig_enqueue = q.enqueue
+
+    def tracking_enqueue(cell, cid=None):
+        res = orig_enqueue(cell, cid=cid)
+        enqueued.append(res[0])
+        if worker.ident is None:
+            worker.start()
+        return res
+
+    q.enqueue = tracking_enqueue
+    return worker, enqueued
+
+
+def test_queue_backend_hits_never_enqueue(tmp_path):
     store = ResultStore(str(tmp_path / "store"))
     store.put(CELL_A, execute_cell(CELL_A))
     q = WorkQueue(str(tmp_path / "q"))
 
     # CELL_A is stored; only CELL_B should hit the queue.  A worker
-    # thread drains it while the dispatcher waits.
-    worker = threading.Thread(
-        target=run_worker,
-        args=(ResultStore(str(tmp_path / "store")), WorkQueue(str(tmp_path / "q"))),
-        kwargs={"worker_id": "bg", "drain": True, "poll": 0.05},
-    )
-
-    started = threading.Event()
-    enqueued_digests = []
-    orig_enqueue = q.enqueue
-
-    def tracking_enqueue(cell):
-        res = orig_enqueue(cell)
-        enqueued_digests.append(res[0])
-        if not started.is_set():
-            started.set()
-            worker.start()
-        return res
-
-    q.enqueue = tracking_enqueue
+    # thread drains it while the campaign waits.
+    worker, enqueued = _drain_in_background(tmp_path, q)
     ledger = str(tmp_path / "ledger.jsonl")
-    report = dispatch_cells(
-        [CELL_A, CELL_B], store, q, ledger_path=ledger, poll=0.05, timeout=120
+    report = run_campaign(
+        [CELL_A, CELL_B],
+        CampaignPolicy(wall_clock_budget=120),
+        ledger_path=ledger,
+        store=store,
+        queue=q,
     )
     worker.join(timeout=60)
 
-    assert enqueued_digests == [cell_digest(CELL_B)]
+    assert enqueued == [cell_digest(CELL_B)]
     assert report.n_done == 2
     assert report.n_failed == 0
     assert report.store_hits == [CELL_A.key()]
-    assert report.outcomes[CELL_A.key()].fingerprint() == execute_cell(
-        CELL_A
-    ).fingerprint()
+    for cell in (CELL_A, CELL_B):
+        assert report.outcomes[cell.key()].fingerprint() == execute_cell(
+            cell
+        ).fingerprint()
 
-    # The dispatch ledger replays through the standard status path.
+    # The ledger replays through the standard status path.
     status = campaign_status(ledger)
     assert status["complete"]
     assert status["by_status"] == {"done": 2}
 
 
-def test_dispatch_cells_times_out_waiting_for_workers(tmp_path):
+def test_queue_backend_times_out_waiting_for_workers(tmp_path):
     store = ResultStore(str(tmp_path / "store"))
     q = WorkQueue(str(tmp_path / "q"))
-    sleeps = []
-    report = dispatch_cells(
+    # No worker will ever answer: the one attempt waits out its budget.
+    report = run_campaign(
         [CELL_A],
-        store,
-        q,
-        poll=0.0,
-        timeout=-1.0,  # already expired: no worker will ever answer
-        sleep=sleeps.append,
+        CampaignPolicy(wall_clock_budget=0.05, max_attempts=1),
+        store=store,
+        queue=q,
     )
     out = report.outcomes[CELL_A.key()]
-    assert not out.ok
-    assert out.error_type == "WallClockExceededError"
+    assert isinstance(out, TimedOutRun) and not out.ok
     assert q.pending() == [cell_digest(CELL_A)]  # still queued for later
+
+
+def test_queue_backend_reports_filed_failures_without_retrying(tmp_path):
+    store = ResultStore(str(tmp_path / "store"))
+    q = WorkQueue(str(tmp_path / "q"))
+    worker, _enqueued = _drain_in_background(tmp_path, q)
+    report = run_campaign([WEDGED], CampaignPolicy(wall_clock_budget=120), store=store, queue=q)
+    worker.join(timeout=60)
+    out = report.outcomes[WEDGED.key()]
+    assert isinstance(out, FailedRun) and out.error_type == "DeadlockError"
+    assert report.attempts[WEDGED.key()] == 1  # deterministic: filed, never retried
+
+
+def test_queue_backend_refuses_a_non_empty_ledger(tmp_path):
+    store = ResultStore(str(tmp_path / "store"))
+    store.put(CELL_A, execute_cell(CELL_A))
+    q = WorkQueue(str(tmp_path / "q"))
+    ledger = str(tmp_path / "ledger.jsonl")
+    run_campaign([CELL_A], ledger_path=ledger, store=store, queue=q)
+    with pytest.raises(FileExistsError):
+        run_campaign([CELL_A], ledger_path=ledger, store=store, queue=q)
+    starts = [
+        r for r in CampaignLedger.read(ledger) if r.get("event") == "campaign-start"
+    ]
+    assert len(starts) == 1
+
+
+def test_queue_backend_resume_enqueues_only_unfinished_cells(tmp_path):
+    store = ResultStore(str(tmp_path / "store"))
+    q = WorkQueue(str(tmp_path / "q"))
+    ledger = str(tmp_path / "ledger.jsonl")
+
+    # A partial external run: one worker delivers one cell, then the
+    # dispatcher is interrupted with the other cell still in flight.
+    worker, _enqueued = _drain_in_background(tmp_path, q, max_cells=1)
+    done_keys = []
+
+    def interrupt_after_first_done(line):
+        if " done " in line:
+            done_keys.append(line.split()[0])
+            raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        run_campaign(
+            [CELL_A, CELL_B],
+            ledger_path=ledger,
+            progress=interrupt_after_first_done,
+            store=store,
+            queue=q,
+        )
+    worker.join(timeout=60)
+    (finished,) = done_keys
+    (unfinished,) = [c for c in (CELL_A, CELL_B) if c.key() != finished]
+    assert campaign_status(ledger)["in_flight"] == [unfinished.key()]
+
+    worker, enqueued = _drain_in_background(tmp_path, q)
+    report = run_campaign(
+        [CELL_A, CELL_B],
+        CampaignPolicy(wall_clock_budget=120),
+        ledger_path=ledger,
+        resume=True,
+        store=store,
+        queue=q,
+    )
+    worker.join(timeout=60)
+    assert list(report.skipped) == [finished]
+    assert enqueued == [cell_digest(unfinished)]
+    assert report.attempts[unfinished.key()] == 2  # the in-flight attempt counts
+    assert report.outcomes[unfinished.key()].fingerprint() == execute_cell(
+        unfinished
+    ).fingerprint()
+    status = campaign_status(ledger)
+    assert status["complete"] and status["by_status"] == {"done": 2}
 
 
 # ----------------------------------------------------------------------

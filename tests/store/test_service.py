@@ -17,6 +17,8 @@ No pytest-asyncio in the image: each test drives its own event loop via
 
 import asyncio
 import json
+import os
+import signal
 
 from repro.harness.campaign import CampaignCell, execute_cell
 from repro.store.service import (
@@ -259,7 +261,7 @@ def test_http_bad_body_and_unknown_route(tmp_path):
 
 
 def test_local_executor_resolves_misses_in_worker_processes(tmp_path):
-    """The real executor: a miss runs in the process pool and publishes."""
+    """The real executor: a miss runs in a pool worker and publishes."""
     store = ResultStore(str(tmp_path / "store"))
     executor = LocalExecutor(store, jobs=1)
     try:
@@ -272,8 +274,115 @@ def test_local_executor_resolves_misses_in_worker_processes(tmp_path):
         assert answer["ok"] and not answer["hit"]
         assert answer["fingerprint"] == execute_cell(CELL).fingerprint()
         assert store.contains(cell_digest(CELL))
+        (worker,) = executor.pool.processes()
+        assert worker.pid != os.getpid()
     finally:
         executor.close()
+
+
+#: A miss slow enough (~0.3 s) for a SIGKILL to land while it simulates.
+SLOW_CELL = CampaignCell(benchmark="wc", design_point="EXISTING", trip_count=400)
+SLOW_QUERY = {"benchmark": "wc", "design_point": "EXISTING", "trip_count": 400}
+
+
+def test_local_executor_survives_a_worker_killed_between_misses(tmp_path):
+    store = ResultStore(str(tmp_path / "store"))
+    executor = LocalExecutor(store, jobs=1)
+    try:
+
+        async def main():
+            svc = QueryService(store, executor)
+            first = await svc.answer_query(dict(QUERY))
+            (worker,) = executor.pool.processes()
+            os.kill(worker.pid, signal.SIGKILL)
+            second = await svc.answer_query(dict(SLOW_QUERY))
+            return first, second
+
+        first, second = asyncio.run(main())
+    finally:
+        executor.close()
+    assert first["ok"] and second["ok"] and not second["hit"]
+    assert first["fingerprint"] == execute_cell(CELL).fingerprint()
+    assert second["fingerprint"] == execute_cell(SLOW_CELL).fingerprint()
+
+
+def test_local_executor_retries_a_miss_whose_worker_dies(tmp_path):
+    store = ResultStore(str(tmp_path / "store"))
+    executor = LocalExecutor(store, jobs=1)
+    try:
+
+        async def main():
+            svc = QueryService(store, executor)
+            answer = asyncio.ensure_future(svc.answer_query(dict(SLOW_QUERY)))
+            while not executor.pool.busy:
+                await asyncio.sleep(0.005)
+            os.kill(executor.pool.busy[0].worker.process.pid, signal.SIGKILL)
+            return await answer
+
+        answer = asyncio.run(main())
+    finally:
+        executor.close()
+    assert answer["ok"] and not answer["hit"]
+    assert answer["fingerprint"] == execute_cell(SLOW_CELL).fingerprint()
+    # The dead worker's attempt was retried (transient) on a fresh one.
+    entry = store.get(cell_digest(SLOW_CELL))
+    assert entry.provenance["attempt"] == 2
+
+
+def test_local_executor_answers_deterministic_failures_at_once(tmp_path):
+    store = ResultStore(str(tmp_path / "store"))
+    executor = LocalExecutor(store, jobs=1)
+    attempts = []
+    run = executor.pool.run
+
+    def counting_run(task):
+        attempts.append(task.attempt)
+        return run(task)
+
+    executor.pool.run = counting_run
+    try:
+
+        async def main():
+            svc = QueryService(store, executor)
+            return await svc.answer_query(dict(QUERY, overrides={"no_such_knob": 1}))
+
+        answer = asyncio.run(main())
+    finally:
+        executor.close()
+    assert answer["status"] == 502 and "KeyError" in answer["error"]
+    assert attempts == [1]  # deterministic: never retried
+
+
+def test_queue_executor_waits_on_the_digests_fate(tmp_path):
+    """Fleet mode: a miss answers once a worker publishes it, 502s once a
+    worker files it failed, and 504s while nobody resolves it."""
+    import math
+
+    from repro.faults import FaultKind, FaultPlan, FaultRule
+    from repro.store.dispatch import WorkQueue, run_worker
+    from repro.store.service import QueryError, QueueExecutor
+
+    store = ResultStore(str(tmp_path / "store"))
+    queue = WorkQueue(str(tmp_path / "q"))
+    executor = QueueExecutor(store, queue, poll=0.01, timeout=0.1)
+    wedge = FaultPlan(
+        seed=7,
+        rules=(FaultRule(kind=FaultKind.QUEUE_SLOT_STALL, magnitude=math.inf, queue_id=0),),
+    )
+    bad = CampaignCell(benchmark="wc", design_point="SYNCOPTI", trip_count=64, fault_plan=wedge)
+
+    async def outcome(cell):
+        try:
+            return await executor.resolve(cell, cell_digest(cell))
+        except QueryError as exc:
+            return exc.status
+
+    assert asyncio.run(outcome(CELL)) == 504  # enqueued; no worker yet
+    queue.enqueue(bad)
+    run_worker(store, queue, worker_id="w1")
+    entry = asyncio.run(outcome(CELL))
+    assert entry.fingerprint == execute_cell(CELL).fingerprint()
+    assert asyncio.run(outcome(bad)) == 502
 
 
 # ----------------------------------------------------------------------
