@@ -2,10 +2,12 @@
 """Resilient campaign over the Figure 7 grid: pool + watchdog + ledger.
 
 Runs the benchmark x design-point grid through the campaign runner with a
-worker pool, a per-cell wall-clock watchdog, and a crash-safe JSONL
-ledger.  Kill it at any point (Ctrl-C, SIGKILL, power loss) and run it
-again with ``--resume``: completed cells are skipped, in-flight ones are
-re-queued, and the grid finishes where it left off.
+worker pool, a per-cell wall-clock watchdog, a crash-safe JSONL ledger of
+attempts, and a result store beside it (``<ledger>.store``).  Kill it at
+any point (Ctrl-C, SIGKILL, power loss) and run it again with
+``--resume``: completed cells are answered from the store, in-flight ones
+are re-queued, and the grid finishes where it left off.  Exits 1 if any
+cell failed.
 
     PYTHONPATH=src python examples/campaign.py --jobs 4 --ledger fig7.jsonl
     # ... Ctrl-C mid-run ...
@@ -16,18 +18,14 @@ The same grid is available from the CLI as
 """
 
 import argparse
+import sys
 
 from repro import BENCHMARK_ORDER, geomean
 from repro.core.design_points import FIGURE7_ORDER
-from repro.harness.campaign import (
-    CampaignCell,
-    CampaignLedger,
-    CampaignPolicy,
-    run_campaign,
-)
+from repro.harness.campaign import CampaignCell, CampaignPolicy, run_campaign
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--ledger", default="fig7-campaign.jsonl")
     parser.add_argument("--jobs", type=int, default=4)
@@ -54,17 +52,15 @@ def main() -> None:
         progress=print,
     )
     print(report.summary())
-    if report.skipped:
-        print(f"({len(report.skipped)} cell(s) restored from the ledger)")
+    if report.store_hits:
+        print(f"({len(report.store_hits)} cell(s) answered from the store)")
 
     # Render the surviving grid, EXISTING-relative, gaps for failures.
-    # Cycles come from the ledger replay, so cells completed in a previous
-    # (crashed) run contribute without being re-simulated.
-    history = CampaignLedger.replay(args.ledger)
-
+    # Cells completed in a previous (crashed) run come back from the store
+    # in report.outcomes, without being re-simulated.
     def cycles_of(bench, point):
-        hist = history.get(key_of[(bench, point)])
-        return hist.cycles if hist is not None and hist.status == "done" else None
+        outcome = report.outcomes.get(key_of[(bench, point)])
+        return outcome.cycles if outcome is not None and outcome.ok else None
 
     print(f"\n{'benchmark':10s} " + " ".join(f"{p:>9s}" for p in FIGURE7_ORDER))
     speedups = {p: [] for p in FIGURE7_ORDER}
@@ -84,7 +80,8 @@ def main() -> None:
         f"{'GeoMean':10s} "
         + " ".join(f"{gm[p]:9.2f}" if gm[p] else f"{'--':>9s}" for p in FIGURE7_ORDER)
     )
+    return 0 if report.n_failed == 0 and not report.mismatches else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

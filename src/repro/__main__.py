@@ -177,8 +177,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cresume = csub.add_parser(
         "resume",
         help=(
-            "replay the ledger, skip completed cells, re-queue in-flight "
-            "ones, and finish the grid"
+            "replay the ledger, answer stored cells from the store, re-queue "
+            "in-flight ones, and finish the grid"
         ),
     )
     for p in (crun, cresume):
@@ -216,8 +216,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--recheck",
             action="store_true",
             help=(
-                "re-run cells already recorded done and verify their "
-                "determinism fingerprints against the ledger's golden values"
+                "re-run cells already stored and verify their determinism "
+                "fingerprints against the store's golden values"
             ),
         )
         p.add_argument(
@@ -254,8 +254,9 @@ def _build_parser() -> argparse.ArgumentParser:
             default=None,
             metavar="DIR",
             help=(
-                "content-addressed result store: cells already stored are "
-                "hits (no re-run), fresh results publish back (default: off)"
+                "content-addressed result store, the only record of results: "
+                "cells already stored are hits (no re-run), fresh results "
+                "publish back (default: <ledger>.store next to the ledger)"
             ),
         )
         p.add_argument(
@@ -286,7 +287,9 @@ def _build_parser() -> argparse.ArgumentParser:
                 "FILE, one cid per cell (default: off, zero overhead)"
             ),
         )
-    cstatus = csub.add_parser("status", help="summarize a campaign ledger")
+    cstatus = csub.add_parser(
+        "status", help="summarize a campaign: its ledger's attempts and its store's results"
+    )
     cstatus.add_argument("--ledger", required=True)
 
     store = sub.add_parser(

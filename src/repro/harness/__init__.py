@@ -10,8 +10,8 @@ Three layers, each building on the one below:
   paper, each a resilient grid over (benchmark x design point) cells.
 * :mod:`repro.harness.campaign` — the resilient campaign runner: a worker
   pool with per-cell wall-clock watchdogs, seeded retry backoff for
-  transient failures, a crash-safe JSONL resume ledger, and determinism
-  fingerprints as a golden-regression store.
+  transient failures, a crash-safe JSONL journal of attempts, and the
+  result store as the only record of results and their fingerprints.
 """
 
 from repro.harness.campaign import (

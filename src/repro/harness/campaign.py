@@ -34,17 +34,20 @@ retryable, durably-recorded unit of work*:
   (deadlock/step-limit diagnoses, config errors) fail fast, because the
   seeded simulator guarantees a retry would fail identically.
 
-* **Ledger**: every attempt appends one JSON record to an append-only JSONL
-  file (single ``write`` + ``fsync`` per record, so a crash can tear at
-  most the final line, which replay ignores).  ``campaign resume`` replays
-  the ledger, skips cells with a terminal record, and re-queues cells that
-  were in flight when the process died.
+* **Journal**: the ledger is an append-only JSONL journal of attempts
+  (single ``write`` + ``fsync`` per record, so a crash can tear at most
+  the final line, which replay ignores): ``cell-start`` with the spec,
+  ``cell-ckpt`` per snapshot, ``cell-end`` with status, timing and error.
+  Results are not in it.
 
-* **Fingerprints**: each completed cell records
-  :meth:`~repro.sim.stats.RunStats.fingerprint`.  Re-running a recorded
-  cell (``recheck=True``) must reproduce the fingerprint byte for byte —
-  the simulator's determinism guarantee as a checked invariant, and a
-  golden-regression store for CI.
+* **Store**: a cell is done exactly when the result store
+  (:mod:`repro.store`) holds its digest, unless the journal closed it as
+  failed.  An attempt commits the way ``repro store worker`` does —
+  publish, then journal — and a ledger-backed campaign without a store
+  uses ``<ledger>.store``.  ``campaign resume`` answers stored cells from
+  the store and re-queues the rest; ``recheck=True`` re-runs stored cells,
+  which must reproduce the stored fingerprint byte for byte — the
+  simulator's determinism guarantee as a checked invariant.
 
 * **Checkpoints** (``CampaignPolicy.checkpoint_every``): workers snapshot
   the whole machine every N simulated cycles
@@ -57,15 +60,11 @@ retryable, durably-recorded unit of work*:
   (transient, never terminal, never consuming a retry attempt).  Corrupt
   snapshots are quarantined and recovery falls back to the previous
   generation or a cold start — never silently loaded.
-
-The serial in-process path (:func:`execute_cell` cell by cell) remains the
-default everywhere — :mod:`repro.harness.experiments` only dispatches
-through the pool when asked for ``jobs > 1`` — so existing entry points and
-tests are untouched by the campaign machinery.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import heapq
 import json
@@ -128,7 +127,10 @@ LEDGER_DETAIL_LIMIT = 8000
 #: this version on write, and :meth:`CampaignCell.from_spec` warns (once
 #: per process) when upgrading a legacy record — the content-addressed
 #: result store hashes this version into every digest, so two dialects of
-#: "the same" spec can never alias one store entry.
+#: "the same" spec can never alias one store entry.  ``cell-end`` records
+#: no longer copy ``cycles``/``fingerprint``/``kernel`` from the result;
+#: dropping fields needs no bump, and replay still reads an older record's
+#: ``fingerprint`` as the golden value of a cell that has to re-run.
 LEDGER_SCHEMA_VERSION = 2
 
 #: Cell kinds the worker-side executor understands.
@@ -196,12 +198,14 @@ class CampaignCell:
     Kinds:
 
     * ``"benchmark"`` — the standard two-stage (benchmark, design point)
-      cell of the paper's grids, via :func:`run_benchmark_resilient`.
+      cell of the paper's grids.
     * ``"single"`` — the unpartitioned single-core baseline
       (:func:`run_single_threaded`), used by Figure 9 and the scaling study.
     * ``"pipeline"`` — a K-stage pipeline on K cores (``stages=K``) with
       the scaling study's comm-trace instrumentation; per-hop delays and
       bus utilization come back in ``RunResult.extras``.
+
+    Every kind runs through :func:`execute_cell`.
     """
 
     benchmark: str
@@ -312,14 +316,11 @@ def _build_config(cell: CampaignCell):
 
 @dataclass
 class CellPlan:
-    """Everything needed to run — or *resume* — one cell, precomputed.
-
-    The three cell kinds used to carry three bespoke executors; checkpoint
-    resume needs their common denominator made explicit: a machine config,
-    a mechanism, a deterministic program builder (called again on resume to
-    replay instruction streams up to the snapshot cursors), and a ``finish``
-    hook deriving the cell's :class:`RunResult` (the pipeline kind computes
-    per-hop delays from the restored trace buffer there).
+    """Everything needed to run — or *resume* — one cell, precomputed: a
+    machine config, a mechanism, a deterministic program builder (called
+    again on resume to replay instruction streams up to the snapshot
+    cursors), and an ``extras`` hook deriving kind-specific results (the
+    pipeline kind computes per-hop delays from the restored trace buffer).
     """
 
     #: Design-point label used in failure records (e.g. ``EXISTING/K=4``).
@@ -327,7 +328,7 @@ class CellPlan:
     config: object
     mechanism: str
     build_program: Callable[[], Program]
-    finish: Callable[[Machine, RunStats], RunResult]
+    extras: Optional[Callable[[Machine, RunStats], Dict[str, object]]] = None
 
 
 def _plan_benchmark(cell: CampaignCell) -> CellPlan:
@@ -341,23 +342,11 @@ def _plan_benchmark(cell: CampaignCell) -> CellPlan:
     else:
         cfg = point.build_config()
     cfg.kernel = cell.kernel
-
-    def finish(machine: Machine, stats: RunStats) -> RunResult:
-        return RunResult(
-            benchmark=cell.benchmark,
-            design_point=cell.design_point,
-            cycles=stats.cycles,
-            stats=stats,
-            machine=machine,
-            trace=machine.trace,
-        )
-
     return CellPlan(
         design_label=cell.design_point,
         config=cfg,
         mechanism=point.mechanism,
         build_program=lambda: build_pipelined(cell.benchmark, cell.trip_count),
-        finish=finish,
     )
 
 
@@ -365,17 +354,6 @@ def _plan_single(cell: CampaignCell) -> CellPlan:
     from repro.workloads.suite import build_single_threaded
 
     point = get_design_point("HEAVYWT")  # mechanism is unused without queues
-
-    def finish(machine: Machine, stats: RunStats) -> RunResult:
-        return RunResult(
-            benchmark=cell.benchmark,
-            design_point="SINGLE",
-            cycles=stats.cycles,
-            stats=stats,
-            machine=machine,
-            trace=machine.trace,
-        )
-
     return CellPlan(
         design_label="SINGLE",
         config=point.build_config().copy(kernel=cell.kernel),
@@ -383,7 +361,6 @@ def _plan_single(cell: CampaignCell) -> CellPlan:
         build_program=lambda: build_single_threaded(
             cell.benchmark, cell.trip_count
         ),
-        finish=finish,
     )
 
 
@@ -405,27 +382,19 @@ def _plan_pipeline(cell: CampaignCell) -> CellPlan:
         cfg.validate()
     hop_of_queue = {qid: src for (_, src), qid in plan_queue_hops(partition).items()}
 
-    def finish(machine: Machine, stats: RunStats) -> RunResult:
-        return RunResult(
-            benchmark=cell.benchmark,
-            design_point=cell.design_point,
-            cycles=stats.cycles,
-            stats=stats,
-            machine=machine,
-            trace=machine.trace,
-            extras={
-                "stages": cell.stages,
-                "hop_delays": _per_hop_delay(machine.trace, hop_of_queue),
-                "bus_utilization": machine.mem.bus.utilization(stats.cycles),
-            },
-        )
+    def extras(machine: Machine, stats: RunStats) -> Dict[str, object]:
+        return {
+            "stages": cell.stages,
+            "hop_delays": _per_hop_delay(machine.trace, hop_of_queue),
+            "bus_utilization": machine.mem.bus.utilization(stats.cycles),
+        }
 
     return CellPlan(
         design_label=f"{cell.design_point}/K={cell.stages}",
         config=cfg,
         mechanism=dp.mechanism,
         build_program=lambda: lower_pipeline(partition),
-        finish=finish,
+        extras=extras,
     )
 
 
@@ -529,7 +498,15 @@ def execute_cell(
             detail=str(exc),
             post_mortem=exc.post_mortem,
         )
-    result = plan.finish(machine, stats)
+    result = RunResult(
+        benchmark=cell.benchmark,
+        design_point="SINGLE" if cell.kind == "single" else cell.design_point,
+        cycles=stats.cycles,
+        stats=stats,
+        machine=machine,
+        trace=machine.trace,
+        extras=plan.extras(machine, stats) if plan.extras is not None else {},
+    )
     if resume_from is not None:
         result.extras["resumed_from_cycle"] = resume_from.cycle
     if checkpoint is not None:
@@ -591,15 +568,18 @@ def cell_checkpoint_path(checkpoint_dir: str, cell: CampaignCell) -> str:
 
 @dataclass
 class CellHistory:
-    """Replayed per-cell state of one ledger."""
+    """Replayed per-cell attempt facts of one ledger (results live in the store)."""
 
     key: str
     attempts: int = 0
     in_flight: bool = False
     terminal: bool = False
     status: Optional[str] = None
-    cycles: Optional[int] = None
+    #: Fingerprint of the first done record written before results moved to
+    #: the store: the golden value if the cell has to re-run.
     fingerprint: Optional[str] = None
+    #: Store digest the latest done attempt committed.
+    store_digest: Optional[str] = None
     spec: Optional[Dict[str, object]] = None
     #: Latest checkpointed simulated cycle (``cell-ckpt`` events and
     #: preemption records), or None when the cell never snapshotted.
@@ -610,6 +590,19 @@ class CellHistory:
     checkpoint_time: Optional[float] = None
     #: Total snapshots journalled for this cell across attempts.
     checkpoints: int = 0
+
+    @property
+    def failed(self) -> bool:
+        """The journal closed the cell as failed: it stays failed."""
+        return self.terminal and self.status != "done"
+
+    def digest(self) -> Optional[str]:
+        """The cell's store address, from its journal (None if unknown)."""
+        if self.store_digest is None and self.spec is not None:
+            from repro.store.store import cell_digest
+
+            return cell_digest(CampaignCell.from_spec(self.spec))
+        return self.store_digest
 
 
 class LedgerWriteError(OSError):
@@ -771,9 +764,7 @@ class CampaignLedger:
                     hist.terminal = True
                     hist.status = rec.get("status")
                 if rec.get("status") == "done":
-                    hist.cycles = rec.get("cycles")
-                    # Keep the FIRST recorded fingerprint: it is the golden
-                    # value later re-runs are checked against.
+                    hist.store_digest = rec.get("store_digest", hist.store_digest)
                     if hist.fingerprint is None:
                         hist.fingerprint = rec.get("fingerprint")
         return histories
@@ -795,12 +786,7 @@ def _outcome_record(
         "terminal": terminal,
     }
     if isinstance(outcome, RunResult):
-        rec.update(
-            status="done",
-            cycles=outcome.cycles,
-            fingerprint=outcome.fingerprint(),
-            kernel=cell.kernel,
-        )
+        rec["status"] = "done"
         # Perf-trajectory fields (host-side observability; never part of
         # the fingerprint, so recheck ignores them by construction).
         if outcome.stats.host_seconds > 0:
@@ -834,7 +820,10 @@ def _outcome_record(
     else:
         transient = classify_outcome(outcome) is FailureClass.TRANSIENT
         rec.update(
-            status="worker-died" if outcome.error_type == "WorkerDiedError" else "failed",
+            status={
+                "WorkerDiedError": "worker-died",
+                "FingerprintMismatchError": "fingerprint-mismatch",
+            }.get(outcome.error_type, "failed"),
             transient=transient,
             error_type=outcome.error_type,
             error=outcome.error,
@@ -865,8 +854,8 @@ class CampaignPolicy:
     backoff_seed: int = 0
     #: Extra seconds past the soft budget before the pool SIGKILLs a worker.
     kill_grace: float = 5.0
-    #: Re-run cells already recorded done and verify their fingerprints
-    #: instead of skipping them (golden-regression mode).
+    #: Re-run stored cells and verify their fingerprints against the
+    #: store's instead of answering them from it (golden-regression mode).
     recheck: bool = False
     #: Simulated cycles between worker checkpoints (None = checkpointing
     #: off).  With it on, a killed or preempted cell resumes from its latest
@@ -925,13 +914,14 @@ class CampaignPolicy:
 class CampaignReport:
     """What one :func:`run_campaign` call produced."""
 
-    #: Terminal outcome per cell key for every cell run in this call.
+    #: Final outcome per cell key: every cell run in this call, and every
+    #: cell answered from the store.
     outcomes: Dict[str, RunOutcome] = field(default_factory=dict)
-    #: Cells skipped because the ledger already held a terminal record.
+    #: Cells skipped because the journal already closed them as failed.
     skipped: Dict[str, CellHistory] = field(default_factory=dict)
     #: Attempts consumed per cell key in this call.
     attempts: Dict[str, int] = field(default_factory=dict)
-    #: Cell keys whose recheck fingerprint did not match the golden value.
+    #: Cell keys whose result contradicted a golden or stored fingerprint.
     mismatches: List[str] = field(default_factory=list)
     #: Cell keys answered from the result store without running a worker.
     store_hits: List[str] = field(default_factory=list)
@@ -939,15 +929,11 @@ class CampaignReport:
 
     @property
     def n_done(self) -> int:
-        done = sum(1 for o in self.outcomes.values() if o.ok)
-        done += sum(1 for h in self.skipped.values() if h.status == "done")
-        return done
+        return sum(1 for o in self.outcomes.values() if o.ok)
 
     @property
     def n_failed(self) -> int:
-        failed = sum(1 for o in self.outcomes.values() if not o.ok)
-        failed += sum(1 for h in self.skipped.values() if h.status != "done")
-        return failed
+        return len(self.failures()) + len(self.skipped)
 
     def failures(self) -> List[RunOutcome]:
         return [o for o in self.outcomes.values() if not o.ok]
@@ -956,7 +942,7 @@ class CampaignReport:
         parts = [
             f"{self.n_done} done",
             f"{self.n_failed} failed",
-            f"{len(self.skipped)} skipped (already recorded)",
+            f"{len(self.skipped)} skipped (failed earlier)",
             f"{self.retries} retr{'y' if self.retries == 1 else 'ies'}",
         ]
         if self.store_hits:
@@ -964,6 +950,95 @@ class CampaignReport:
         if self.mismatches:
             parts.append(f"{len(self.mismatches)} FINGERPRINT MISMATCH(ES)")
         return ", ".join(parts)
+
+
+def _bump(name: str, **labels: str) -> None:
+    state = _obs.get_state()
+    if state is not None:
+        state.registry.counter(name, **labels).inc()
+
+
+def _standing(cell: CampaignCell, hist: Optional[CellHistory], store, recheck: bool):
+    """What one cell already has, from its journal and a store lookup:
+    ``(entry, golden)``.  ``entry`` answers the cell without running it;
+    ``golden`` is the fingerprint a run must reproduce — the stored one
+    under ``recheck``, else one a done record carried before results moved
+    to the store.  Cells the journal closed as failed are not asked."""
+    entry = None
+    if store is not None:
+        from repro.store.store import cell_digest
+
+        entry = store.get(cell_digest(cell))
+    if entry is None:
+        return None, hist.fingerprint if hist is not None else None
+    return (None, entry.fingerprint) if recheck else (entry, None)
+
+
+def _commit(
+    cell: CampaignCell, attempt: int, outcome: RunOutcome, elapsed: float,
+    golden: Optional[str], cid: Optional[str], retry: bool, *, store,
+    ledger: Optional[CampaignLedger], report: CampaignReport, policy: CampaignPolicy,
+    campaign_id: str, note: Callable[[str], None],
+) -> Optional[float]:
+    """Commit one finished attempt the way ``run_worker`` does: publish, then
+    journal the ``cell-end``; then the obs event and the report.
+
+    A result contradicting its golden fingerprint or a stored entry fails
+    as ``FingerprintMismatchError``.  A result the store cannot take (an
+    ``OSError``: a full or failing disk) is not done: a transient failure.
+    Returns the backoff before the retry the caller must schedule, or
+    ``None`` when the outcome is final (always so unless ``retry``).
+    """
+    key = cell.key()
+    report.attempts[key] = attempt
+    # A queue worker publishes before the campaign sees its result.
+    digest = outcome.extras.get("store_digest") if outcome.ok else None
+    error: Optional[Tuple[str, str]] = None
+    if outcome.ok and golden is not None and outcome.fingerprint() != golden:
+        error = (
+            "FingerprintMismatchError",
+            f"recorded fingerprint {golden} but re-run produced "
+            f"{outcome.fingerprint()} — determinism violated",
+        )
+    elif outcome.ok and digest is None and store is not None:
+        from repro.store.store import StoreError, publish
+
+        try:
+            provenance = {"campaign": campaign_id, "attempt": attempt}
+            digest = publish(store, cell, outcome, provenance, cid=cid)[0].digest
+        except StoreError as exc:  # a conflicting entry: determinism violated
+            error = ("FingerprintMismatchError", str(exc))
+        except OSError as exc:
+            error = ("OSError", f"result not published: {exc}")
+    if error is not None:
+        if error[0] == "FingerprintMismatchError":
+            report.mismatches.append(key)
+        outcome = FailedRun(benchmark=outcome.benchmark, design_point=outcome.design_point,
+                            error_type=error[0], error=error[1])
+    delay = policy.retry_delay(key, attempt, outcome)
+    if ledger is not None:
+        rec = _outcome_record(cell, attempt, outcome, delay is None, elapsed)
+        if outcome.ok:
+            rec["store_digest"] = digest
+        ledger.append(rec)
+    retrying = retry and delay is not None
+    if retrying:
+        report.retries += 1
+        _bump("repro_campaign_retries_total")
+        note(f"  retry {key} (attempt {attempt} {outcome.error_type}; backoff {delay:.2f}s)")
+    else:
+        report.outcomes[key] = outcome
+        state = "done" if outcome.ok else f"FAILED ({outcome.error_type})"
+        if isinstance(outcome, PreemptedRun):
+            state = f"preempted at cycle {outcome.cycle:.0f} (resumable)"
+        note(f"  {key} {state} [{elapsed:.2f}s, attempt {attempt}]")
+    if _obs.active():
+        status = "retry" if retrying else ("done" if outcome.ok else "failed")
+        if not retrying:
+            _bump("repro_campaign_cells_total", status=status)
+        _obs.emit("campaign.cell.end", cid=cid, cell=key, attempt=attempt, status=status,
+                  error_type=getattr(outcome, "error_type", None), elapsed_s=round(elapsed, 6))
+    return delay if retrying else None
 
 
 def run_campaign(
@@ -982,22 +1057,23 @@ def run_campaign(
         cells: The declarative grid.  Cell keys must be unique.
         policy: Pool size, watchdog budget, retry policy (default: serial
             single-job pool, no watchdog, 3 attempts).
-        ledger_path: JSONL ledger location.  ``None`` runs entirely
-            in-memory (used by the figure functions' ``jobs=`` path).
-        resume: Replay the ledger first: cells with a terminal record are
-            skipped (or re-verified under ``policy.recheck``), in-flight
-            cells are re-queued with their attempt counter preserved.
-            Without ``resume``, an existing non-empty ledger is an error —
-            refusing to silently interleave two campaigns in one file.
+        ledger_path: JSONL attempt journal.  ``None`` runs without one
+            (used by the figure functions' ``jobs=`` path).
+        resume: Replay the journal first: cells it closed as failed are
+            skipped, in-flight cells are re-queued with their attempt
+            counter preserved.  Without ``resume``, an existing non-empty
+            ledger is an error — refusing to silently interleave two
+            campaigns in one file.
         progress: Optional line sink for human-readable progress.
         store: Optional :class:`~repro.store.ResultStore` (or a path to
-            one).  Store-first scheduling: a cell whose digest is already
-            stored is answered from the store — recorded ``done`` in the
-            ledger with ``store_hit``, never simulated — and every freshly
-            completed cell is published back, so a second campaign over
-            the same grid performs zero re-simulations.  Under
-            ``policy.recheck`` stored fingerprints join the ledger's as
-            golden values and every cell re-runs.
+            one); a campaign with a ledger defaults to ``<ledger>.store``.
+            The store is the only record of results: a cell whose digest
+            is stored is answered from it (journalled once as a done
+            ``cell-end`` with ``store_hit``, never simulated), and an
+            attempt commits by publishing its result, so a second campaign
+            over the same grid performs zero re-simulations.  Under
+            ``policy.recheck`` stored cells re-run instead and must
+            reproduce the stored fingerprints.
         campaign_id: Provenance label stamped into store entries this
             campaign publishes (default: the ledger path or ``adhoc``).
         queue: Optional :class:`~repro.store.dispatch.WorkQueue`: enqueue
@@ -1010,10 +1086,8 @@ def run_campaign(
     after stopping the pool, leaving the ledger resumable.
     """
     policy = (policy or CampaignPolicy()).validate()
-    if store is not None and not hasattr(store, "get"):
-        from repro.store.store import ResultStore
-
-        store = ResultStore(str(store))
+    if store is None and ledger_path is not None:
+        store = str(ledger_path) + ".store"
     if queue is not None and store is None:
         raise ValueError("a queue-backed campaign needs a store")
     if queue is not None and policy.checkpoint_every is not None:
@@ -1044,11 +1118,6 @@ def run_campaign(
             cid = cell_cids[key] = new_cid()
         return cid
 
-    def bump(name: str, **labels: str) -> None:
-        state = _obs.get_state()
-        if state is not None:
-            state.registry.counter(name, **labels).inc()
-
     report = CampaignReport()
     histories: Dict[str, CellHistory] = {}
     ledger: Optional[CampaignLedger] = None
@@ -1062,40 +1131,38 @@ def run_campaign(
         if resume and exists:
             histories = CampaignLedger.replay(ledger_path)
         ledger = CampaignLedger(ledger_path).open()
+    if store is not None and not hasattr(store, "get"):
+        from repro.store.store import ResultStore
+
+        store = ResultStore(str(store))
     checkpoint_dir = policy.resolve_checkpoint_dir(ledger_path)
     if checkpoint_dir is not None:
         os.makedirs(checkpoint_dir, exist_ok=True)
 
-    # Seed the run queue: skip terminally-recorded cells, answer store hits
-    # without running, and re-queue the rest (in-flight cells keep their
-    # attempt counter so retries stay bounded across crashes).
+    # Seed the run queue from what each cell already has: failures the
+    # journal closed stay closed, stored cells are answered from the store,
+    # the rest run (in-flight cells keep their attempt counter so retries
+    # stay bounded across crashes).
     heap: List[Tuple[float, int, CampaignCell, int]] = []
-    golden: Dict[str, Optional[str]] = {}
+    golden: Dict[str, str] = {}
     store_hit_records: List[Tuple[CampaignCell, object]] = []
     now = time.monotonic()
     for seq, cell in enumerate(cells):
         key = cell.key()
         hist = histories.get(key)
-        if hist is not None and hist.terminal:
-            if policy.recheck and hist.status == "done":
-                golden[key] = hist.fingerprint
-            else:
-                report.skipped[key] = hist
-                continue
-        if store is not None:
-            from repro.store.store import cell_digest, result_from_entry
+        if hist is not None and hist.failed:
+            report.skipped[key] = hist
+            continue
+        entry, gold = _standing(cell, hist, store, policy.recheck)
+        if gold is not None:
+            golden[key] = gold
+        if entry is not None:
+            from repro.store.store import result_from_entry
 
-            entry = store.get(cell_digest(cell))
-            if entry is not None:
-                if policy.recheck:
-                    # Stored fingerprints are golden values too: the re-run
-                    # below must reproduce them byte for byte.
-                    golden.setdefault(key, entry.fingerprint)
-                else:
-                    report.outcomes[key] = result_from_entry(entry)
-                    report.store_hits.append(key)
-                    store_hit_records.append((cell, entry))
-                    continue
+            report.outcomes[key] = result_from_entry(entry)
+            report.store_hits.append(key)
+            store_hit_records.append((cell, entry))
+            continue
         attempt = (hist.attempts if hist is not None else 0) + 1
         heapq.heappush(heap, (now, seq, cell, attempt))
     seq_counter = len(cells)
@@ -1121,24 +1188,14 @@ def run_campaign(
             }
         )
         for cell, entry in store_hit_records:
-            # One terminal record per store hit: resume and status see the
-            # cell as done, and the record says it was never simulated.
-            ledger.append(
-                {
-                    "event": "cell-end",
-                    "cell": cell.key(),
-                    "attempt": 0,
-                    "time": time.time(),
-                    "elapsed": 0.0,
-                    "terminal": True,
-                    "status": "done",
-                    "cycles": entry.cycles,
-                    "fingerprint": entry.fingerprint,
-                    "kernel": cell.kernel,
-                    "store_hit": True,
-                    "store_digest": entry.digest,
-                }
-            )
+            hist = histories.get(cell.key())
+            if hist is not None and hist.terminal:
+                continue  # the journal already holds the cell's done record
+            # One terminal record per store hit: the cell is done, and the
+            # record says it was never simulated and names its entry.
+            ledger.append({"event": "cell-end", "cell": cell.key(), "attempt": 0,
+                           "time": time.time(), "elapsed": 0.0, "terminal": True,
+                           "status": "done", "store_hit": True, "store_digest": entry.digest})
 
     if _obs.active():
         _obs.emit(
@@ -1149,7 +1206,7 @@ def run_campaign(
             n_store_hits=len(report.store_hits),
         )
         for cell, entry in store_hit_records:
-            bump("repro_campaign_store_hits_total")
+            _bump("repro_campaign_store_hits_total")
             _obs.emit(
                 "store.hit",
                 cid=cell_cid(cell.key()),
@@ -1169,6 +1226,7 @@ def run_campaign(
 
         backend = WorkerPool(policy, multiprocessing.get_context())
     draining = False
+    start_times: Dict[str, float] = {}
 
     def handle_note(msg: CheckpointNote) -> None:
         """Journal one worker checkpoint into the ledger (``cell-ckpt``)."""
@@ -1185,101 +1243,24 @@ def run_campaign(
                 }
             )
 
-    def record_outcome(cell: CampaignCell, attempt: int, outcome: RunOutcome) -> None:
+    commit = functools.partial(
+        _commit, store=store, ledger=ledger, report=report, policy=policy,
+        campaign_id=campaign_id, note=note,
+    )
+
+    def finish(task: CellTask, outcome: RunOutcome) -> None:
         nonlocal seq_counter
-        key = cell.key()
-        report.attempts[key] = attempt
-        # Fingerprint invariant: a re-run of a recorded-done cell must
-        # reproduce the golden fingerprint byte for byte.
-        if (
-            isinstance(outcome, RunResult)
-            and golden.get(key) is not None
-            and outcome.fingerprint() != golden[key]
-        ):
-            outcome = FailedRun(
-                benchmark=cell.benchmark,
-                design_point=cell.design_point,
-                error_type="FingerprintMismatchError",
-                error=(
-                    f"recorded fingerprint {golden[key]} but re-run produced "
-                    f"{outcome.fingerprint()} — determinism violated"
-                ),
-            )
-            report.mismatches.append(key)
-        # Preemptions are the host's doing: they stay resumable however many
-        # attempts the cell has consumed, and retrying one repeats the SAME
-        # attempt number so evictions never exhaust a retry budget.
-        preempted = isinstance(outcome, PreemptedRun)
-        delay = policy.retry_delay(key, attempt, outcome)
-        resumable = delay is not None
-        elapsed = time.monotonic() - start_times.pop(key, now)
-        published: Optional[str] = None
-        if isinstance(outcome, RunResult) and queue is not None:
-            published = outcome.extras.get("store_digest")  # a worker published it
-        elif isinstance(outcome, RunResult) and store is not None:
-            from repro.store.store import StoreError, publish
-
-            try:
-                entry, _created = publish(
-                    store,
-                    cell,
-                    outcome,
-                    {"campaign": campaign_id, "attempt": attempt},
-                    cid=cell_cids.get(key),
-                )
-                published = entry.digest
-            except StoreError as exc:
-                # A fingerprint conflict with an existing entry is a
-                # determinism violation — surface it like a recheck
-                # mismatch instead of silently keeping either value.
-                note(f"  STORE CONFLICT {key}: {exc}")
-                report.mismatches.append(key)
-        if ledger is not None:
-            rec = _outcome_record(cell, attempt, outcome, not resumable, elapsed)
-            if report.mismatches and report.mismatches[-1] == key:
-                rec["status"] = "fingerprint-mismatch"
-            if published is not None:
-                rec["store_digest"] = published
-            ledger.append(rec)
-        if resumable and not draining:
-            report.retries += 1
-            bump("repro_campaign_retries_total")
-            note(
-                f"  retry {key} (attempt {attempt} {outcome.error_type}; "
-                f"backoff {delay:.2f}s)"
-            )
-            heapq.heappush(
-                heap,
-                (
-                    time.monotonic() + delay,
-                    seq_counter,
-                    cell,
-                    attempt if preempted else attempt + 1,
-                ),
-            )
+        key = task.cell.key()
+        elapsed = time.monotonic() - start_times.pop(key)
+        delay = commit(task.cell, task.attempt, outcome, elapsed, golden.get(key), task.cid,
+                       not draining)
+        if delay is not None:
+            # Preemptions are the host's doing: a retry repeats the SAME
+            # attempt number, so evictions never exhaust a retry budget.
+            again = task.attempt if isinstance(outcome, PreemptedRun) else task.attempt + 1
+            heapq.heappush(heap, (time.monotonic() + delay, seq_counter, task.cell, again))
             seq_counter += 1
-        else:
-            report.outcomes[key] = outcome
-            state = "done" if outcome.ok else f"FAILED ({outcome.error_type})"
-            if preempted:
-                state = f"preempted at cycle {outcome.cycle:.0f} (resumable)"
-            note(f"  {key} {state} [{elapsed:.2f}s, attempt {attempt}]")
-        if _obs.active():
-            terminal = not (resumable and not draining)
-            status = "retry" if not terminal else ("done" if outcome.ok else "failed")
-            if terminal:
-                bump("repro_campaign_cells_total", status=status)
-            _obs.emit(
-                "campaign.cell.end",
-                cid=cell_cids.get(key),
-                cell=key,
-                attempt=attempt,
-                status=status,
-                error_type=getattr(outcome, "error_type", None),
-                elapsed_s=round(elapsed, 6),
-            )
 
-    start_times: Dict[str, float] = {}
     try:
         while heap or backend.busy:
             now = time.monotonic()
@@ -1289,7 +1270,7 @@ def run_campaign(
                 key = cell.key()
                 start_times[key] = time.monotonic()
                 if _obs.active():
-                    bump("repro_campaign_attempts_total")
+                    _bump("repro_campaign_attempts_total")
                     _obs.emit(
                         "campaign.cell.start",
                         cid=cell_cid(key),
@@ -1298,16 +1279,9 @@ def run_campaign(
                         kernel=cell.kernel,
                     )
                 if ledger is not None:
-                    ledger.append(
-                        {
-                            "event": "cell-start",
-                            "cell": key,
-                            "attempt": attempt,
-                            "time": time.time(),
-                            "schema": LEDGER_SCHEMA_VERSION,
-                            "spec": cell.spec(),
-                        }
-                    )
+                    ledger.append({"event": "cell-start", "cell": key, "attempt": attempt,
+                                   "time": time.time(), "schema": LEDGER_SCHEMA_VERSION,
+                                   "spec": cell.spec()})
                 # Recheck re-runs must cover the whole run from cycle 0 —
                 # resuming would verify only the tail.
                 task = CellTask(
@@ -1326,7 +1300,7 @@ def run_campaign(
             if heap:
                 timeout = min(timeout, max(0.0, heap[0][0] - time.monotonic()))
             for task, outcome in backend.collect(timeout=timeout):
-                record_outcome(task.cell, task.attempt, outcome)
+                finish(task, outcome)
     finally:
         draining = True
         # Graceful preemption: SIGTERM first, so checkpoint-enabled workers
@@ -1334,7 +1308,7 @@ def run_campaign(
         # anything still running after the grace window is killed (its
         # cell-start stays unmatched, so resume re-queues it).
         for task, outcome in backend.close(grace=max(policy.kill_grace, 0.1)):
-            record_outcome(task.cell, task.attempt, outcome)
+            finish(task, outcome)
         if ledger is not None:
             ledger.append(
                 {
@@ -1417,49 +1391,70 @@ def _checkpoint_entry(hist: CellHistory, now: float) -> Optional[Dict[str, objec
     return entry
 
 
+def _journal_store(ledger_path: str):
+    """The store a ledger's latest campaign named (``<ledger>.store`` if it
+    named none), or None when that directory does not exist."""
+    root = str(ledger_path) + ".store"
+    for rec in CampaignLedger.read(ledger_path):
+        if rec.get("event") == "campaign-start" and rec.get("store"):
+            root = rec["store"]
+    if not os.path.isdir(root):
+        return None
+    from repro.store.store import ResultStore
+
+    return ResultStore(root)
+
+
 def campaign_status(ledger_path: str) -> Dict[str, object]:
-    """Summarize a ledger: counts by status, in-flight cells, fingerprints.
+    """Summarize a campaign: counts by status, in-flight cells, checkpoints.
+
+    A cell is ``done`` exactly when the store the ledger's latest campaign
+    used holds its digest, unless the journal closed it as failed (its
+    journalled status counts).  Resume re-runs cells counted ``unstored``
+    (journalled done, entry gone) or ``interrupted`` (awaiting a retry).
 
     Returns a plain dict (CLI-renderable and test-assertable):
     ``{"cells": N, "by_status": {...}, "in_flight": [...], "complete": bool,
-    "attempts": total, "fingerprints": {key: fp},
+    "attempts": total,
     "checkpoints": {key: {"cycle", "count", "path", "on_disk", "age"}}}``.
     The ``checkpoints`` map holds every cell that journalled a snapshot —
     the recovery story of each in-flight or preempted cell at a glance:
     which cycle it would resume from and how stale that snapshot is.
     """
     histories = CampaignLedger.replay(ledger_path)
+    store = _journal_store(ledger_path)
     by_status: Dict[str, int] = {}
     in_flight: List[str] = []
-    fingerprints: Dict[str, str] = {}
     checkpoints: Dict[str, Dict[str, object]] = {}
     attempts = 0
     now = time.time()
     for hist in histories.values():
         attempts += hist.attempts
-        if hist.in_flight:
+        digest = hist.digest() if store is not None else None
+        if hist.failed:
+            status = hist.status or "?"
+        elif digest is not None and store.contains(digest):
+            status = "done"
+        elif hist.in_flight:
             in_flight.append(hist.key)
-        if hist.terminal:
-            by_status[hist.status or "?"] = by_status.get(hist.status or "?", 0) + 1
-        elif not hist.in_flight:
-            by_status["interrupted"] = by_status.get("interrupted", 0) + 1
-        if hist.fingerprint is not None:
-            fingerprints[hist.key] = hist.fingerprint
+            status = None
+        else:
+            status = "unstored" if hist.terminal else "interrupted"
+        if status is not None:
+            by_status[status] = by_status.get(status, 0) + 1
         # Checkpoint progress matters for cells that may still resume; a
-        # successfully-done cell's snapshots were already discarded.
+        # successfully-done attempt's snapshots were already discarded.
         if not (hist.terminal and hist.status == "done"):
             ckpt = _checkpoint_entry(hist, now)
             if ckpt is not None:
                 checkpoints[hist.key] = ckpt
+    settled = by_status.get("done", 0) + sum(h.failed for h in histories.values())
     return {
         "cells": len(histories),
         "by_status": by_status,
         "in_flight": sorted(in_flight),
-        "complete": not in_flight
-        and all(h.terminal for h in histories.values())
-        and bool(histories),
+        "complete": bool(histories) and settled == len(histories),
         "attempts": attempts,
-        "fingerprints": fingerprints,
         "checkpoints": checkpoints,
     }
 

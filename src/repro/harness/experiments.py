@@ -8,7 +8,7 @@ paper's Itanium 2 testbed; the *shapes* (orderings, approximate factors,
 crossovers) are the reproduction targets recorded in EXPERIMENTS.md.
 
 Resilience: every (benchmark x design point) cell runs through
-:func:`~repro.harness.runner.run_benchmark_resilient`, so one deadlocking or
+:func:`~repro.harness.campaign.execute_cell`, so one deadlocking or
 runaway cell cannot abort an exhibit.  Failed cells render as the
 :data:`GAP` marker in tables, are excluded from geomeans, and surface as
 structured :class:`~repro.harness.runner.FailedRun` records (post-mortem
@@ -34,12 +34,8 @@ from repro.harness.reporting import (
     normalized_series,
     with_geomean,
 )
-from repro.harness.runner import (
-    FailedRun,
-    RunOutcome,
-    run_benchmark_resilient,
-)
-from repro.sim.config import MachineConfig, baseline_config
+from repro.harness.runner import FailedRun, RunOutcome
+from repro.sim.config import baseline_config
 from repro.sim.stats import geomean
 from repro.workloads.suite import BENCHMARK_ORDER, BENCHMARKS
 
@@ -92,7 +88,6 @@ def sweep(
     design_points: Iterable[str],
     trip_count: Optional[int] = None,
     scale: float = 1.0,
-    config_for=None,
     overrides: Optional[Dict[str, int]] = None,
     fault_plan_for=None,
     jobs: int = 1,
@@ -107,12 +102,6 @@ def sweep(
             scaled by ``scale``).
         scale: Multiplier on the per-benchmark defaults when ``trip_count``
             is None.
-        config_for: Optional ``(benchmark, point) -> Optional[MachineConfig]``
-            hook supplying a custom config per cell; returning None uses the
-            design point's own config.  Serial-only: configs are closures
-            over live objects, so this hook cannot cross the worker-pool
-            process boundary — use ``overrides`` / ``fault_plan_for`` with
-            ``jobs > 1``.
         overrides: Declarative ``{knob: value}`` config deltas (see
             :data:`repro.core.design_points.OVERRIDE_KNOBS`) applied to
             every cell; works with any ``jobs``.
@@ -130,23 +119,6 @@ def sweep(
     :class:`~repro.harness.runner.RunOutcome`: failing cells become
     :class:`FailedRun` records and the rest of the grid still completes.
     """
-    if config_for is not None:
-        if jobs > 1:
-            raise ValueError(
-                "config_for is a live-object hook and cannot cross the "
-                "worker-pool boundary; express the cell deltas as "
-                "overrides=/fault_plan_for= to use jobs > 1"
-            )
-        grid: Dict[str, Dict[str, RunOutcome]] = {}
-        for bench in benchmarks:
-            grid[bench] = {}
-            trips = trip_count if trip_count is not None else _trips(bench, scale)
-            for name in design_points:
-                grid[bench][name] = run_benchmark_resilient(
-                    bench, name, trips, config=config_for(bench, name), kernel=kernel
-                )
-        return grid
-
     layout: List[tuple] = []
     cells: List[CampaignCell] = []
     for bench in benchmarks:
@@ -165,7 +137,7 @@ def sweep(
             layout.append((bench, name, cell.key()))
             cells.append(cell)
     outcomes = run_cells(cells, jobs=jobs)
-    grid = {}
+    grid: Dict[str, Dict[str, RunOutcome]] = {}
     for bench, name, key in layout:
         grid.setdefault(bench, {})[name] = outcomes[key]
     return grid

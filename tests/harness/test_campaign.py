@@ -10,8 +10,8 @@ The acceptance properties under test:
 * transient failures retry with bounded attempts, deterministic failures
   fail fast;
 * the JSONL ledger survives crashes (torn tail ignored) and `resume`
-  skips completed cells and re-queues in-flight ones;
-* recorded determinism fingerprints act as a golden-regression store.
+  answers stored cells from the store and re-queues in-flight ones;
+* stored determinism fingerprints act as a golden-regression store.
 """
 
 import json
@@ -370,9 +370,13 @@ class TestLedger:
         assert not status["complete"]
         # Resume over the full grid.
         report = run_campaign(cells, ledger_path=path, resume=True)
-        # Done cells skipped, not re-run.
-        assert set(report.skipped) == {cells[0].key(), cells[1].key()}
-        assert cells[0].key() not in report.outcomes
+        # Done cells are answered from the store, not re-run.
+        assert set(report.store_hits) == {cells[0].key(), cells[1].key()}
+        assert report.outcomes[cells[0].key()].fingerprint() == (
+            first.outcomes[cells[0].key()].fingerprint()
+        )
+        assert cells[0].key() not in report.attempts
+        assert not report.skipped
         # The in-flight cell re-ran with its attempt counter preserved.
         assert report.outcomes[cells[2].key()].ok
         assert report.attempts[cells[2].key()] == 2
@@ -417,17 +421,19 @@ class TestFingerprints:
         assert not report.mismatches
 
     def test_tampered_fingerprint_is_caught(self, tmp_path):
+        from repro.store.store import ResultStore, cell_digest, result_from_entry
+
         path = str(tmp_path / "ledger.jsonl")
         cells = _grid_cells(benchmarks=("fir",), points=("HEAVYWT",))
         run_campaign(cells, ledger_path=path)
-        # Corrupt the recorded golden fingerprint.
-        records = CampaignLedger.read(path)
-        for rec in records:
-            if rec.get("event") == "cell-end":
-                rec["fingerprint"] = "0" * 16
-        with open(path, "w", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec) + "\n")
+        # Replace the golden entry with a valid one whose fingerprint differs.
+        store = ResultStore(path + ".store")
+        digest = cell_digest(cells[0])
+        tampered = result_from_entry(store.get(digest))
+        tampered.stats.threads[0].app_instructions += 1
+        os.remove(store.entry_path(digest))
+        store.put(cells[0], tampered)
+        assert store.get(digest).fingerprint != execute_cell(cells[0]).fingerprint()
         report = run_campaign(
             cells, CampaignPolicy(recheck=True), ledger_path=path, resume=True
         )
@@ -470,14 +476,19 @@ class TestDeclarativeSweepWedge:
             bad = grid["wc"]["EXISTING"]
             assert isinstance(bad, FailedRun)
             assert bad.error_type == "DeadlockError"
-            assert bad.post_mortem is not None
             assert grid["wc"]["HEAVYWT"].ok
             assert grid["fir"]["EXISTING"].ok
             assert grid["fir"]["HEAVYWT"].ok
-
-    def test_config_for_hook_refuses_pool(self):
-        with pytest.raises(ValueError, match="jobs"):
-            sweep(["wc"], ["HEAVYWT"], trip_count=64, config_for=lambda b, p: None, jobs=2)
+            # The post-mortem (which crosses the pool at jobs=2) names the
+            # blocked cores...
+            pm = bad.post_mortem
+            assert pm.blocked_cores() == [0, 1]
+            # ...and the stuck channel's produce/consume counts.
+            ch = pm.channels[0]
+            assert ch.queue_id == 0 and ch.wedged
+            assert ch.n_produced > 0 and ch.n_consumed > 0
+            assert ch.n_freed == 0
+            assert any("WEDGED" in s for s in ch.suspicions())
 
 
 # ----------------------------------------------------------------------

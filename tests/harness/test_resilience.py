@@ -16,14 +16,18 @@ from repro.harness.runner import (
 )
 
 
-def _wedged_config(point_name):
-    cfg = get_design_point(point_name).build_config()
-    cfg.faults = FaultPlan(
+def _wedge_plan():
+    return FaultPlan(
         seed=7,
         rules=(
             FaultRule(kind=FaultKind.QUEUE_SLOT_STALL, magnitude=math.inf, queue_id=0),
         ),
     )
+
+
+def _wedged_config(point_name):
+    cfg = get_design_point(point_name).build_config()
+    cfg.faults = _wedge_plan()
     return cfg.validate()
 
 
@@ -76,16 +80,16 @@ class TestSweepIsolation:
     grid down, and its FailedRun must carry a usable diagnosis."""
 
     def test_partial_grid_completes_around_wedged_cell(self):
-        def config_for(bench, point):
+        def fault_plan_for(bench, point):
             if bench == "wc" and point == "EXISTING":
-                return _wedged_config(point)
+                return _wedge_plan()
             return None
 
         grid = sweep(
             ["wc", "fir"],
             ["EXISTING", "HEAVYWT"],
             trip_count=64,
-            config_for=config_for,
+            fault_plan_for=fault_plan_for,
         )
         bad = grid["wc"]["EXISTING"]
         assert isinstance(bad, FailedRun)

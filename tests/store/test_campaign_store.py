@@ -71,7 +71,10 @@ def test_store_hits_replay_through_campaign_status(tmp_path):
     hits = [r for r in records if r.get("store_hit")]
     assert len(hits) == len(cells)
     assert all(r["attempt"] == 0 for r in hits)  # no attempt was spent
-    assert all(r["fingerprint"] for r in hits)
+    # Each names the entry that answers it; results stay in the store.
+    assert sorted(r["store_digest"] for r in hits) == sorted(cell_digest(c) for c in cells)
+    assert all(store.contains(r["store_digest"]) for r in hits)
+    assert not any({"cycles", "fingerprint", "kernel"} & set(r) for r in hits)
     start = next(r for r in records if r["event"] == "campaign-start")
     assert start["n_store_hits"] == len(cells)
 
@@ -151,5 +154,6 @@ def test_ledger_records_store_digest_on_publish(tmp_path):
     done = [r for r in records if r["event"] == "cell-end" and r["status"] == "done"]
     assert len(done) == 1
     assert done[0]["store_digest"] == cell_digest(cells[0])
+    assert not {"cycles", "fingerprint", "kernel"} & set(done[0])  # the store holds those
     # The digest in the ledger is the store address: round-trip proves it.
     assert store.get(done[0]["store_digest"]) is not None
