@@ -79,6 +79,16 @@ class QueueLayout:
                 f"QLU {self.qlu} x slot {self.slot_bytes}B exceeds a "
                 f"{self.line_bytes}B line"
             )
+        #: Per-slot payload and flag addresses (``flag_addrs`` is ``None``
+        #: without per-slot flags): the tables behind :meth:`data_addr`
+        #: and :meth:`flag_addr`, indexed by ``item % depth``.
+        base, stride = self.base, self.slot_stride
+        self.data_addrs = tuple(base + slot * stride for slot in range(self.depth))
+        self.flag_addrs = (
+            tuple(addr + self.item_bytes for addr in self.data_addrs)
+            if self.flag_bytes
+            else None
+        )
 
     @property
     def slot_bytes(self) -> int:
@@ -111,13 +121,13 @@ class QueueLayout:
 
     def data_addr(self, item_index: int) -> int:
         """Backing-store address of an item's payload."""
-        return self.base + self.slot_of(item_index) * self.slot_stride
+        return self.data_addrs[self.slot_of(item_index)]
 
     def flag_addr(self, item_index: int) -> int:
         """Backing-store address of an item's full/empty flag (co-located)."""
         if self.flag_bytes == 0:
             raise ValueError("this layout has no per-slot flags")
-        return self.data_addr(item_index) + self.item_bytes
+        return self.flag_addrs[self.slot_of(item_index)]
 
     def line_of(self, item_index: int) -> int:
         """Backing line index (0..n_lines-1) holding an item's slot."""

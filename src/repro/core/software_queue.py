@@ -77,16 +77,18 @@ class SoftwareQueueMechanism(CommMechanism):
         layout = ch.layout
         item = ch.n_produced
         ch.n_produced += 1
+        slot = item % layout.depth
+        flag = layout.flag_addrs[slot]
 
         # --- Synchronization: spin until the slot's flag reads empty. ---
-        flag = layout.flag_addr(item)
         first = core.overhead_load(flag)
         core.overhead_alu(self.SYNC_ALU_OPS, dep_height=2)
         gate = ch.producer_must_wait_for(item)
         if gate is not None:
-            yield from self.wait_for_len(
-                core, ch.freed, gate, reason="full", queue_id=ch.queue_id
-            )
+            if len(ch.freed) <= gate:
+                yield from self.wait_for_len(
+                    core, ch.freed, gate, reason="full", queue_id=ch.queue_id
+                )
             free_t = ch.freed[gate]
             if free_t > first.complete:
                 core.stats.queue_full_stall += free_t - max(core.now, first.complete)
@@ -103,7 +105,7 @@ class SoftwareQueueMechanism(CommMechanism):
             op_ready, reg = core.scoreboard.latest(inst.srcs)
             if op_ready > core.now:
                 core.stall_until(op_ready, core.scoreboard.mix_of(reg))
-        data = core.overhead_store(layout.data_addr(item))
+        data = core.overhead_store(layout.data_addrs[slot])
         core.overhead_fence()
         flag_set = core.overhead_store(flag)
         ch.record_produced(flag_set.complete)
@@ -127,14 +129,16 @@ class SoftwareQueueMechanism(CommMechanism):
         layout = ch.layout
         item = ch.n_consumed
         ch.n_consumed += 1
+        slot = item % layout.depth
+        flag = layout.flag_addrs[slot]
 
         # --- Synchronization: spin until the slot's flag reads full. ---
-        flag = layout.flag_addr(item)
         first = core.overhead_load(flag)
         core.overhead_alu(self.SYNC_ALU_OPS, dep_height=2)
-        yield from self.wait_for_len(
-            core, ch.produced, item, reason="empty", queue_id=ch.queue_id
-        )
+        if len(ch.produced) <= item:
+            yield from self.wait_for_len(
+                core, ch.produced, item, reason="empty", queue_id=ch.queue_id
+            )
         avail = ch.produced[item]
         if avail > first.complete:
             core.stats.queue_empty_stall += avail - max(core.now, first.complete)
@@ -143,7 +147,7 @@ class SoftwareQueueMechanism(CommMechanism):
             core.stall_until(first.complete, first.breakdown)
 
         # --- Data transfer: the one load whose value feeds the kernel. ---
-        data = core.overhead_load(layout.data_addr(item))
+        data = core.overhead_load(layout.data_addrs[slot])
         if inst.dest is not None:
             core.scoreboard.define(inst.dest, data.complete, data.breakdown)
 

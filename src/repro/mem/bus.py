@@ -29,14 +29,14 @@ the machine; each transfer makes exactly one reservation query.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.faults.plan import FaultPlan
 from repro.sim.config import BusConfig
 from repro.sim.kernel.timeline import IndexedTimeline
 
 
-@dataclass
+@dataclass(slots=True)
 class BusTransaction:
     """Result of one bus transaction.
 
@@ -91,6 +91,8 @@ class SharedBus:
         self.transactions = 0
         self.busy_cycles = 0.0
         self.grants_by_requester: Dict[int, int] = {}
+        #: payload bytes -> (hold, end-to-end) CPU cycles, filled on first use.
+        self._timing: Dict[int, Tuple[float, float]] = {}
 
     @property
     def beat_cycles(self) -> float:
@@ -127,26 +129,31 @@ class SharedBus:
         it waits for the grant) is unaffected — that port-side contention,
         not bus hogging, is what Section 4.4 blames for MEMOPTI's anomaly.
         """
-        if payload_bytes < 0:
-            raise ValueError("payload must be non-negative")
+        timing = self._timing.get(payload_bytes)
+        if timing is None:
+            if payload_bytes < 0:
+                raise ValueError("payload must be non-negative")
+            end_to_end = self.end_to_end_cycles(payload_bytes)
+            if self.config.pipelined:
+                # The bus re-opens once the beats are injected.
+                timing = (self.occupancy_cycles(payload_bytes), end_to_end)
+            else:
+                timing = (end_to_end, end_to_end)
+            self._timing[payload_bytes] = timing
+        hold, end_to_end = timing
         requested = at
         if self.faults is not None:
             # Injected jitter delays the arbitration request; the requester
             # observes it as extra BUS wait (request_time stays unjittered).
             at += self.faults.bus_jitter(requester, at)
-        end_to_end = self.end_to_end_cycles(payload_bytes)
-        if self.config.pipelined:
-            # The bus re-opens once the beats are injected.
-            hold = self.occupancy_cycles(payload_bytes)
-        else:
-            hold = end_to_end
         # First-fit gap allocation; a background push finds its gap but
         # does not claim it.
         grant = self.timeline.reserve(at, hold, not background)
         done = grant + end_to_end
         self.transactions += 1
         self.busy_cycles += hold
-        self.grants_by_requester[requester] = self.grants_by_requester.get(requester, 0) + 1
+        grants = self.grants_by_requester
+        grants[requester] = grants.get(requester, 0) + 1
         if self.trace is not None:
             self.trace.emit(
                 "bus.grant",
@@ -156,7 +163,7 @@ class SharedBus:
                 payload=payload_bytes,
                 wait=grant - requested,
             )
-        return BusTransaction(request_time=requested, grant_time=grant, done_time=done)
+        return BusTransaction(requested, grant, done)
 
     def control_message(self, at: float, requester: int = 0) -> BusTransaction:
         """Send an address-only message (snoop, upgrade, ACK, counter update)."""

@@ -26,7 +26,11 @@ class LineState(enum.Enum):
     INVALID = "I"
 
 
-@dataclass
+_INVALID = LineState.INVALID
+_MODIFIED = LineState.MODIFIED
+
+
+@dataclass(slots=True)
 class CacheLine:
     """One resident cache line."""
 
@@ -39,7 +43,7 @@ class CacheLine:
 
     @property
     def dirty(self) -> bool:
-        return self.state is LineState.MODIFIED
+        return self.state is _MODIFIED
 
 
 class CacheArray:
@@ -54,6 +58,7 @@ class CacheArray:
         config.validate()
         self.config = config
         self.name = name
+        self.line_bytes = config.line_bytes
         self.n_sets = config.n_sets
         self.assoc = config.assoc
         # Per-set LRU: OrderedDict line_addr -> CacheLine, LRU first.
@@ -67,20 +72,20 @@ class CacheArray:
 
     def line_addr(self, addr: int) -> int:
         """Line index of a byte address."""
-        return addr // self.config.line_bytes
+        return addr // self.line_bytes
 
-    def _set_for(self, line_addr: int) -> "OrderedDict[int, CacheLine]":
-        return self._sets[line_addr % self.n_sets]
+    # Set selection (``line_addr % n_sets``) is written out in each access
+    # method below: it runs on every simulated cache access.
 
     def probe(self, line_addr: int) -> Optional[CacheLine]:
         """Look up a line without updating LRU or counters (snoop path)."""
-        return self._set_for(line_addr).get(line_addr)
+        return self._sets[line_addr % self.n_sets].get(line_addr)
 
     def lookup(self, line_addr: int) -> Optional[CacheLine]:
         """Look up a line, updating LRU and hit/miss counters."""
-        cset = self._set_for(line_addr)
+        cset = self._sets[line_addr % self.n_sets]
         line = cset.get(line_addr)
-        if line is None or line.state is LineState.INVALID:
+        if line is None or line.state is _INVALID:
             self.misses += 1
             return None
         cset.move_to_end(line_addr)
@@ -99,13 +104,14 @@ class CacheArray:
         A returned victim in ``MODIFIED`` state must be written back by the
         caller (the timing model charges the bus for it).
         """
-        if state is LineState.INVALID:
+        if state is _INVALID:
             raise ValueError("cannot install an INVALID line")
-        cset = self._set_for(line_addr)
+        cset = self._sets[line_addr % self.n_sets]
         existing = cset.get(line_addr)
         if existing is not None:
             existing.state = state
-            existing.ready_at = max(existing.ready_at, ready_at)
+            if ready_at > existing.ready_at:
+                existing.ready_at = ready_at
             existing.streaming = existing.streaming or streaming
             cset.move_to_end(line_addr)
             return None
@@ -113,17 +119,14 @@ class CacheArray:
         if len(cset) >= self.assoc:
             _, victim = cset.popitem(last=False)
             self.evictions += 1
-            if victim.dirty:
+            if victim.state is _MODIFIED:
                 self.writebacks += 1
-        cset[line_addr] = CacheLine(
-            line_addr=line_addr, state=state, ready_at=ready_at, streaming=streaming
-        )
+        cset[line_addr] = CacheLine(line_addr, state, ready_at, streaming)
         return victim
 
     def invalidate(self, line_addr: int) -> Optional[CacheLine]:
         """Remove a line (snoop invalidation); returns it if it was present."""
-        cset = self._set_for(line_addr)
-        return cset.pop(line_addr, None)
+        return self._sets[line_addr % self.n_sets].pop(line_addr, None)
 
     def downgrade(self, line_addr: int) -> None:
         """Move a line to SHARED (snoop read hit on M/E)."""

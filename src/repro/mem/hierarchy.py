@@ -32,8 +32,13 @@ from repro.mem.ozq import OzQ
 from repro.sim.config import MachineConfig
 from repro.sim.stats import LatencyBreakdown
 
+_MODIFIED = LineState.MODIFIED
+_EXCLUSIVE = LineState.EXCLUSIVE
+_SHARED = LineState.SHARED
+_INVALID = LineState.INVALID
 
-@dataclass
+
+@dataclass(slots=True)
 class AccessResult:
     """Outcome of one memory access.
 
@@ -64,7 +69,14 @@ class AccessResult:
 
 
 class MemorySystem:
-    """Snoop-coherent two-level private + shared-L3 memory system."""
+    """Snoop-coherent two-level private + shared-L3 memory system.
+
+    The latencies, line sizes and L1-lines-per-L2-line ratio every access
+    reads are bound once, when the system is built.  The access paths build
+    their records positionally — ``LatencyBreakdown(total, l2, bus, l3,
+    mem)`` and ``AccessResult(complete, breakdown, level, prel2_wait,
+    ordered)`` — because keyword construction doubles their cost.
+    """
 
     def __init__(self, config: MachineConfig, trace=None) -> None:
         config.validate()
@@ -99,22 +111,26 @@ class MemorySystem:
         self.dropped_forwards = 0
         self.cache_to_cache_transfers = 0
         self.upgrades = 0
+        self._l1_latency = config.l1d.latency
+        self._l2_latency = config.l2.latency
+        self._l3_latency = config.l3.latency
+        self._l1_line_bytes = config.l1d.line_bytes
+        self._l2_line_bytes = config.l2.line_bytes
+        self._l1_per_l2 = config.l2.line_bytes // config.l1d.line_bytes
 
     # ------------------------------------------------------------------
     # Address helpers
     # ------------------------------------------------------------------
 
     def l2_line(self, addr: int) -> int:
-        return addr // self.config.l2.line_bytes
-
-    def _l1_lines_of_l2_line(self, l2_line: int) -> range:
-        ratio = self.config.l2.line_bytes // self.config.l1d.line_bytes
-        base = l2_line * ratio
-        return range(base, base + ratio)
+        return addr // self._l2_line_bytes
 
     def _invalidate_l1(self, core: int, l2_line: int) -> None:
-        for l1_line in self._l1_lines_of_l2_line(l2_line):
-            self.l1d[core].invalidate(l1_line)
+        l1 = self.l1d[core]
+        ratio = self._l1_per_l2
+        base = l2_line * ratio
+        for l1_line in range(base, base + ratio):
+            l1.invalidate(l1_line)
 
     # ------------------------------------------------------------------
     # Demand loads
@@ -123,67 +139,58 @@ class MemorySystem:
     def load(self, core: int, addr: int, at: float, streaming: bool = False) -> AccessResult:
         """Service a demand load issued by ``core`` at time ``at``."""
         self.loads += 1
-        l1 = self.l1d[core]
-        l1_line = l1.line_addr(addr)
-        hit = l1.lookup(l1_line)
+        hit = self.l1d[core].lookup(addr // self._l1_line_bytes)
         if hit is not None and hit.ready_at <= at:
-            lat = self.config.l1d.latency
-            return AccessResult(
-                complete=at + lat,
-                breakdown=LatencyBreakdown(total=lat),
-                level="L1",
-            )
-        return self._l2_load(core, addr, at, streaming=streaming, fill_l1=not streaming)
+            lat = self._l1_latency
+            return AccessResult(at + lat, LatencyBreakdown(lat), "L1")
+        return self._l2_load(core, addr, at, streaming, not streaming)
 
     def _l2_load(
         self, core: int, addr: int, at: float, streaming: bool, fill_l1: bool
     ) -> AccessResult:
         """L2-and-below load path (also used by produce/consume accesses)."""
         ozq = self.ozq[core]
-        line = self.l2_line(addr)
-        l1_lat = self.config.l1d.latency  # L1 miss detection
-        port_req = at + l1_lat
+        l2_lat = self._l2_latency
+        port_req = at + self._l1_latency  # L1 miss detection
         port = ozq.acquire_port(port_req, busy=1.0)
         port_wait = port - port_req
-        l2_done = port + self.config.l2.latency
+        line = addr // self._l2_line_bytes
         cached = self.l2[core].lookup(line)
         if cached is not None:
             # Hit — possibly on a line whose fill (write-forward) is in flight.
-            ready = max(l2_done, cached.ready_at + self.config.l2.latency)
-            pending_fill = max(0.0, ready - l2_done)
+            l2_done = port + l2_lat
+            ready = cached.ready_at + l2_lat
+            if l2_done >= ready:
+                ready = l2_done
             if fill_l1:
-                self.l1d[core].install(self.l1d[core].line_addr(addr), LineState.SHARED)
-            total = ready - at
+                self.l1d[core].install(addr // self._l1_line_bytes, _SHARED)
             if self.trace is not None:
                 self.trace.emit(
-                    "mem.access", at, core=core, dur=total, addr=addr, level="L2", op="load"
+                    "mem.access", at, core=core, dur=ready - at, addr=addr, level="L2", op="load"
                 )
             return AccessResult(
-                complete=ready,
-                breakdown=LatencyBreakdown(
-                    total=int(total),
-                    l2=int(self.config.l2.latency + port_wait),
-                    bus=int(pending_fill),
+                ready,
+                LatencyBreakdown(
+                    int(ready - at), int(l2_lat + port_wait), int(ready - l2_done)
                 ),
-                level="L2",
+                "L2",
             )
         # L2 miss: allocate an OzQ entry for the duration of the service.
-        entry_req = port  # entry claimed once the miss is detected
-        entry = ozq.begin_entry(entry_req)
-        prel2_wait = entry - entry_req
-        t = entry + self.config.l2.latency  # tag check / miss detect
-        complete, bd, level = self._miss_service(core, line, t, rfo=False, streaming=streaming)
+        entry = ozq.begin_entry(port)  # entry claimed once the miss is detected
+        prel2_wait = entry - port
+        t = entry + l2_lat  # tag check / miss detect
+        complete, bd, level = self._miss_service(core, line, t, False, streaming)
         ozq.end_entry(entry, complete)
         if fill_l1:
-            self.l1d[core].install(self.l1d[core].line_addr(addr), LineState.SHARED)
-        bd.l2 += int(self.config.l2.latency + port_wait)
+            self.l1d[core].install(addr // self._l1_line_bytes, _SHARED)
+        bd.l2 += int(l2_lat + port_wait)
         bd.prel2 += int(prel2_wait)
         bd.total = int(complete - at)
         if self.trace is not None:
             self.trace.emit(
                 "mem.access", at, core=core, dur=complete - at, addr=addr, level=level, op="load"
             )
-        return AccessResult(complete=complete, breakdown=bd, level=level, prel2_wait=prel2_wait)
+        return AccessResult(complete, bd, level, prel2_wait)
 
     # ------------------------------------------------------------------
     # Demand stores
@@ -198,80 +205,79 @@ class MemorySystem:
         """
         self.stores += 1
         ozq = self.ozq[core]
-        line = self.l2_line(addr)
-        port_req = at + self.config.l1d.latency
+        l2_lat = self._l2_latency
+        port_req = at + self._l1_latency
         port = ozq.acquire_port(port_req, busy=1.0)
         port_wait = port - port_req
+        line = addr // self._l2_line_bytes
         cached = self.l2[core].lookup(line)
-        if cached is not None and cached.state in (LineState.MODIFIED, LineState.EXCLUSIVE):
-            cached.state = LineState.MODIFIED
-            cached.streaming = cached.streaming or streaming
-            complete = max(port + self.config.l2.latency, cached.ready_at)
-            self._l1_write_update(core, addr)
-            if self.trace is not None:
-                self.trace.emit(
-                    "mem.access", at, core=core, dur=complete - at, addr=addr, level="L2", op="store"
+        if cached is not None:
+            state = cached.state
+            if state is _MODIFIED or state is _EXCLUSIVE:
+                cached.state = _MODIFIED
+                cached.streaming = cached.streaming or streaming
+                complete = port + l2_lat
+                if cached.ready_at > complete:
+                    complete = cached.ready_at
+                self._l1_write_update(core, addr)
+                if self.trace is not None:
+                    self.trace.emit(
+                        "mem.access", at, core=core, dur=complete - at,
+                        addr=addr, level="L2", op="store",
+                    )
+                return AccessResult(
+                    complete,
+                    LatencyBreakdown(int(complete - at), int(l2_lat + port_wait)),
+                    "L2",
                 )
-            return AccessResult(
-                complete=complete,
-                breakdown=LatencyBreakdown(
-                    total=int(complete - at), l2=int(self.config.l2.latency + port_wait)
-                ),
-                level="L2",
-            )
-        if cached is not None and cached.state is LineState.SHARED:
-            # Upgrade: invalidate remote sharers with a control message.
-            self.upgrades += 1
-            tx = self.bus.control_message(port + self.config.l2.latency, requester=core)
-            self._invalidate_remote(core, line)
-            cached.state = LineState.MODIFIED
-            cached.streaming = cached.streaming or streaming
-            complete = tx.done_time
-            self._l1_write_update(core, addr)
-            if self.trace is not None:
-                self.trace.emit(
-                    "mem.access", at, core=core, dur=complete - at,
-                    addr=addr, level="upgrade", op="store",
+            if state is _SHARED:
+                # Upgrade: invalidate remote sharers with a control message.
+                self.upgrades += 1
+                ordered = port + l2_lat
+                tx = self.bus.control_message(ordered, requester=core)
+                self._invalidate_remote(core, line)
+                cached.state = _MODIFIED
+                cached.streaming = cached.streaming or streaming
+                complete = tx.done_time
+                self._l1_write_update(core, addr)
+                if self.trace is not None:
+                    self.trace.emit(
+                        "mem.access", at, core=core, dur=complete - at,
+                        addr=addr, level="upgrade", op="store",
+                    )
+                return AccessResult(
+                    complete,
+                    LatencyBreakdown(
+                        int(complete - at),
+                        int(l2_lat + port_wait),
+                        int(complete - tx.request_time),
+                    ),
+                    "L2",
+                    0.0,
+                    ordered,
                 )
-            return AccessResult(
-                complete=complete,
-                breakdown=LatencyBreakdown(
-                    total=int(complete - at),
-                    l2=int(self.config.l2.latency + port_wait),
-                    bus=int(tx.total),
-                ),
-                level="L2",
-                ordered=port + self.config.l2.latency,
-            )
         # Store miss: read-for-ownership.
-        entry_req = port
-        entry = ozq.begin_entry(entry_req)
-        prel2_wait = entry - entry_req
-        t = entry + self.config.l2.latency
-        complete, bd, level = self._miss_service(core, line, t, rfo=True, streaming=streaming)
+        entry = ozq.begin_entry(port)
+        prel2_wait = entry - port
+        ordered = entry + l2_lat
+        complete, bd, level = self._miss_service(core, line, ordered, True, streaming)
         ozq.end_entry(entry, complete)
         self._l1_write_update(core, addr)
-        bd.l2 += int(self.config.l2.latency + port_wait)
+        bd.l2 += int(l2_lat + port_wait)
         bd.prel2 += int(prel2_wait)
         bd.total = int(complete - at)
         if self.trace is not None:
             self.trace.emit(
                 "mem.access", at, core=core, dur=complete - at, addr=addr, level=level, op="store"
             )
-        return AccessResult(
-            complete=complete,
-            breakdown=bd,
-            level=level,
-            prel2_wait=prel2_wait,
-            ordered=entry + self.config.l2.latency,
-        )
+        return AccessResult(complete, bd, level, prel2_wait, ordered)
 
     def _l1_write_update(self, core: int, addr: int) -> None:
         """Write-through update: refresh L1 only if the line is resident."""
         l1 = self.l1d[core]
-        l1_line = l1.line_addr(addr)
+        l1_line = addr // self._l1_line_bytes
         if l1.probe(l1_line) is not None:
-            l1.install(l1_line, LineState.SHARED)
+            l1.install(l1_line, _SHARED)
 
     # ------------------------------------------------------------------
     # Miss service via the shared bus
@@ -285,102 +291,94 @@ class MemorySystem:
         Returns ``(complete, breakdown, level)``.  The requesting L2's own
         latency contributions are added by the caller.
         """
-        line_bytes = self.config.l2.line_bytes
+        bus = self.bus
+        line_bytes = self._l2_line_bytes
         # Address/snoop phase.
-        req = self.bus.control_message(at, requester=core)
+        req = bus.control_message(at, requester=core)
         t = req.done_time
-        bus_cycles = req.total
+        bus_cycles = t - req.request_time
         remote = self._find_remote_owner(core, line)
         if remote is not None:
             remote_core, remote_line = remote
             self.cache_to_cache_transfers += 1
             # Remote L2 services the snoop: port + array access, then the
             # line crosses the shared bus (cache-to-cache transfer).
-            rport = self.ozq[remote_core].acquire_port(t, busy=1.0)
-            ready = max(rport + self.config.l2.latency, remote_line.ready_at)
-            data = self.bus.transfer(ready, line_bytes, requester=remote_core)
+            ready = self.ozq[remote_core].acquire_port(t, busy=1.0) + self._l2_latency
+            if remote_line.ready_at > ready:
+                ready = remote_line.ready_at
+            data = bus.transfer(ready, line_bytes, remote_core)
             complete = data.done_time
-            bus_cycles += data.total
+            bus_cycles += complete - data.request_time
             if rfo:
                 self.l2[remote_core].invalidate(line)
                 self._invalidate_l1(remote_core, line)
             else:
                 self.l2[remote_core].downgrade(line)
             # Dirty data also refreshes the shared L3 (writeback-on-transfer).
-            self.l3.install(line, LineState.SHARED)
-            level = "remote-L2"
-            remote_l2_cycles = ready - t
-            self._install_l2(
-                core, line, rfo, complete, streaming, shared=not rfo
-            )
+            self.l3.install(line, _SHARED)
+            self._install_l2(core, line, rfo, complete, streaming, shared=not rfo)
             return complete, LatencyBreakdown(
-                total=0, bus=int(bus_cycles), l2=int(remote_l2_cycles)
-            ), level
+                0, int(ready - t), int(bus_cycles)
+            ), "remote-L2"
         # Invalidate stale SHARED copies on an RFO even with no owner.
         if rfo:
             self._invalidate_remote(core, line)
+        l3_lat = self._l3_latency
         l3_line = self.l3.lookup(line)
         if l3_line is not None and l3_line.ready_at <= t:
-            ready = t + self.config.l3.latency
-            data = self.bus.transfer(ready, line_bytes, requester=core)
+            data = bus.transfer(t + l3_lat, line_bytes, core)
             complete = data.done_time
-            bus_cycles += data.total
+            bus_cycles += complete - data.request_time
             self._install_l2(core, line, rfo, complete, streaming, shared=False)
-            return complete, LatencyBreakdown(
-                total=0, bus=int(bus_cycles), l3=self.config.l3.latency
-            ), "L3"
+            return complete, LatencyBreakdown(0, 0, int(bus_cycles), l3_lat), "L3"
         # Main memory.
-        ready = self.dram.access(line, t + self.config.l3.latency)
-        data = self.bus.transfer(ready, line_bytes, requester=core)
+        ready = self.dram.access(line, t + l3_lat)
+        data = bus.transfer(ready, line_bytes, core)
         complete = data.done_time
-        bus_cycles += data.total
-        self.l3.install(line, LineState.SHARED)
+        bus_cycles += complete - data.request_time
+        self.l3.install(line, _SHARED)
         self._install_l2(core, line, rfo, complete, streaming, shared=False)
         return complete, LatencyBreakdown(
-            total=0,
-            bus=int(bus_cycles),
-            l3=self.config.l3.latency,
-            mem=int(ready - (t + self.config.l3.latency)),
+            0, 0, int(bus_cycles), l3_lat, int(ready - (t + l3_lat))
         ), "MEM"
 
     def _find_remote_owner(self, core: int, line: int):
         """Find a remote L2 holding ``line`` in M or E state."""
-        for other in range(self.n_cores):
+        for other, l2 in enumerate(self.l2):
             if other == core:
                 continue
-            cached = self.l2[other].probe(line)
-            if cached is not None and cached.state in (
-                LineState.MODIFIED,
-                LineState.EXCLUSIVE,
-            ):
-                return other, cached
+            cached = l2.probe(line)
+            if cached is not None:
+                state = cached.state
+                if state is _MODIFIED or state is _EXCLUSIVE:
+                    return other, cached
         return None
 
     def _invalidate_remote(self, core: int, line: int) -> None:
-        for other in range(self.n_cores):
+        for other, l2 in enumerate(self.l2):
             if other == core:
                 continue
-            if self.l2[other].invalidate(line) is not None:
+            if l2.invalidate(line) is not None:
                 self._invalidate_l1(other, line)
 
     def _install_l2(
         self, core: int, line: int, rfo: bool, ready: float, streaming: bool, shared: bool
     ) -> None:
         if rfo:
-            state = LineState.MODIFIED
+            state = _MODIFIED
         else:
-            state = LineState.SHARED if shared else LineState.EXCLUSIVE
-        victim = self.l2[core].install(line, state, ready_at=ready, streaming=streaming)
+            state = _SHARED if shared else _EXCLUSIVE
+        victim = self.l2[core].install(line, state, ready, streaming)
         self._handle_victim(core, victim, ready)
 
     def _handle_victim(self, core: int, victim, at: float) -> None:
         if victim is None:
             return
         self._invalidate_l1(core, victim.line_addr)
-        if victim.dirty:
+        if victim.state is _MODIFIED:
             # Writeback occupies the bus but is off the requester's critical path.
-            self.bus.transfer(at, self.config.l2.line_bytes, requester=core)
-            self.l3.install(victim.line_addr, LineState.SHARED)
+            self.bus.transfer(at, self._l2_line_bytes, core)
+            self.l3.install(victim.line_addr, _SHARED)
         if victim.streaming and self.on_streaming_eviction is not None:
             self.on_streaming_eviction(core, victim.line_addr, at)
 
@@ -418,17 +416,14 @@ class MemorySystem:
             contend_ports: Model source-side recirculation while waiting.
         """
         self.forwards += 1
-        line = self.l2_line(addr)
+        line = addr // self._l2_line_bytes
         ozq = self.ozq[src]
         entry = ozq.begin_entry(at)
-        port = ozq.acquire_port(entry, busy=1.0)
-        ready = port + self.config.l2.latency
+        ready = ozq.acquire_port(entry, busy=1.0) + self._l2_latency
         # The push rides the writeback path: low bus priority, so it fills
         # idle bandwidth instead of stalling demand traffic — the cost that
         # matters is source-side (OzQ entry + port churn below).
-        tx = self.bus.transfer(
-            ready, self.config.l2.line_bytes, requester=src, background=True
-        )
+        tx = self.bus.transfer(ready, self._l2_line_bytes, src, True)
         if contend_ports and tx.grant_time > ready:
             ozq.recirculate(ready, tx.grant_time)
         arrival = tx.done_time
@@ -452,9 +447,9 @@ class MemorySystem:
                 self.l2[src].invalidate(line)
                 self._invalidate_l1(src, line)
             else:
-                src_line.state = LineState.SHARED
-        state = LineState.EXCLUSIVE if release_src else LineState.SHARED
-        victim = self.l2[dst].install(line, state, ready_at=arrival, streaming=True)
+                src_line.state = _SHARED
+        state = _EXCLUSIVE if release_src else _SHARED
+        victim = self.l2[dst].install(line, state, arrival, True)
         self._handle_victim(dst, victim, arrival)
         if self.trace is not None:
             self.trace.emit(
@@ -470,8 +465,8 @@ class MemorySystem:
         holds the line (a write-forward delivered it) observes the flag from
         the local copy instead of demand-refetching across the bus.
         """
-        cached = self.l2[core].probe(self.l2_line(addr))
-        return cached is not None and cached.state is not LineState.INVALID
+        cached = self.l2[core].probe(addr // self._l2_line_bytes)
+        return cached is not None and cached.state is not _INVALID
 
     def observe_update(self, core: int, addr: int, at: float) -> float:
         """A spinning core observes a remote write to ``addr``'s line.
@@ -488,18 +483,16 @@ class MemorySystem:
         lands.  This is MEMOPTI's stated consumer-side benefit; without it
         every forward would pay its push *and* a redundant refetch.
         """
-        line = self.l2_line(addr)
+        line = addr // self._l2_line_bytes
         cached = self.l2[core].probe(line)
-        if cached is not None and cached.state is not LineState.INVALID:
+        if cached is not None and cached.state is not _INVALID:
             cached.streaming = True
             return max(at, cached.ready_at)
-        tx = self.bus.transfer(at, self.config.l2.line_bytes, requester=core)
+        tx = self.bus.transfer(at, self._l2_line_bytes, core)
         owner = self._find_remote_owner(core, line)
         if owner is not None:
             self.l2[owner[0]].downgrade(line)
-        victim = self.l2[core].install(
-            line, LineState.SHARED, ready_at=tx.done_time, streaming=True
-        )
+        victim = self.l2[core].install(line, _SHARED, tx.done_time, True)
         self._handle_victim(core, victim, tx.done_time)
         return tx.done_time
 
@@ -511,7 +504,7 @@ class MemorySystem:
         to the L2, where synchronization counters live.
         """
         self.loads += 1
-        return self._l2_load(core, addr, at, streaming=True, fill_l1=False)
+        return self._l2_load(core, addr, at, True, False)
 
     def control_ack(self, core: int, at: float) -> float:
         """Small bus message (occupancy-counter update / bulk ACK).

@@ -95,7 +95,9 @@ CHECKPOINT_MAGIC = b"RPROCKPT"
 #: version bump is how incompatible machine-state changes stay safe.
 #: v2: the pickled machine's shared bus always holds an ``IndexedTimeline``
 #: (v1 reference-kernel snapshots carried the retired list calendar).
-CHECKPOINT_VERSION = 2
+#: v3: slotted access records and cache lines, build-time bindings on the
+#: core, memory system, bus and queue layouts (a v2 machine lacks them).
+CHECKPOINT_VERSION = 3
 
 #: Suffix of the rotated previous snapshot (the fallback generation).
 PREV_SUFFIX = ".prev"

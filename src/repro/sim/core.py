@@ -19,9 +19,10 @@ paper's stacked bars do.
 
 from __future__ import annotations
 
+from heapq import heapreplace
 from typing import Generator, Iterable, Optional, Tuple
 
-from repro.sim.isa import DynInst, InstrKind
+from repro.sim.isa import EXEC_LATENCY, DynInst, InstrKind
 from repro.sim.resources import UnitPool
 from repro.sim.stats import LatencyBreakdown, ThreadStats
 
@@ -32,7 +33,12 @@ YIELD_INTERVAL = 64
 
 
 class _Scoreboard:
-    """Register ready-times plus the latency mix that produced each value."""
+    """Register ready-times plus the latency mix that produced each value.
+
+    The core's issue path reads and writes ``_ready`` and ``_mix`` in place;
+    these methods serve the communication mechanisms.  A register defined
+    by an ALU op maps to a ``None`` mix.
+    """
 
     __slots__ = ("_ready", "_mix")
 
@@ -62,14 +68,16 @@ class _Scoreboard:
 
     def define(self, reg: int, at: float, mix: Optional[LatencyBreakdown] = None) -> None:
         self._ready[reg] = at
-        if mix is not None:
-            self._mix[reg] = mix
-        else:
-            self._mix.pop(reg, None)
+        self._mix[reg] = mix
 
 
 class CoreModel:
-    """Timing model of one in-order core."""
+    """Timing model of one in-order core.
+
+    Every unit pool of a core grants with ``busy=1.0``; the issue paths
+    below book those grants on the pool's free-at heap in place, exactly as
+    :meth:`UnitPool.acquire` would.
+    """
 
     def __init__(self, core_id: int, machine) -> None:
         self.core_id = core_id
@@ -103,6 +111,14 @@ class CoreModel:
         #: serialized and later resumed by replaying each thread's
         #: instruction stream from its cursor.
         self.at_safe_point = True
+        # Hot-path bindings, made when the machine is built (never at
+        # import), so class-level instrumentation installed before the
+        # build is what the core calls.
+        self._comps = self.stats.components
+        self._ready = self.scoreboard._ready
+        self._mixes = self.scoreboard._mix
+        self._mem_load = machine.mem.load
+        self._mem_store = machine.mem.store
 
     # ------------------------------------------------------------------
     # Public helpers used by communication mechanisms
@@ -129,7 +145,7 @@ class CoreModel:
         if mix is not None:
             self.stats.charge_breakdown(mix, gap)
         else:
-            self.stats.components[component] += gap
+            self._comps[component] += gap
         self.t_issue = t
 
     def retire(self, n: int = 1, overhead: bool = False) -> None:
@@ -139,7 +155,7 @@ class CoreModel:
             stats.comm_instructions += n
         else:
             stats.app_instructions += n
-        stats.components["PostL2"] += n * self._commit_cost
+        self._comps["PostL2"] += n * self._commit_cost
         if self.trace is not None:
             self.trace.emit(
                 "core.retire", self.t_issue, core=self.core_id,
@@ -154,19 +170,31 @@ class CoreModel:
         """
         if n <= 0:
             return self.t_issue
-        start = self.t_issue
-        comps = self.stats.components
+        start = t = self.t_issue
+        comps = self._comps
         pace = self._pace
+        pool = self.ialu
+        free_at = pool._free_at
         for _ in range(n):
-            floor = self.t_issue + pace
-            grant = self.ialu.acquire(floor, busy=1.0)
+            floor = t + pace
+            first = free_at[0]
+            t = first if first > floor else floor
+            heapreplace(free_at, t + 1.0)
             comps["COMPUTE"] += pace
-            if grant > floor:
-                comps["PreL2"] += grant - floor
-            self.t_issue = grant
-        self.retire(n, overhead=True)
-        complete = max(self.t_issue, start + dep_height)
-        self.horizon = max(self.horizon, complete)
+            if t > floor:
+                comps["PreL2"] += t - floor
+        pool.grants += n
+        pool.busy_cycles += n  # n grants of 1.0 each: exact in a float
+        self.t_issue = t
+        self.stats.comm_instructions += n
+        comps["PostL2"] += n * self._commit_cost
+        if self.trace is not None:
+            self.trace.emit("core.retire", t, core=self.core_id, n=n, overhead=True)
+        complete = start + dep_height
+        if t > complete:
+            complete = t
+        if complete > self.horizon:
+            self.horizon = complete
         return complete
 
     def overhead_load(
@@ -174,9 +202,13 @@ class CoreModel:
     ):
         """Issue one overhead load; returns the AccessResult (not exposed yet)."""
         issue = self._issue_mem_slot(at)
-        result = self.machine.mem.load(self.core_id, addr, issue, streaming=streaming)
-        self.retire(1, overhead=True)
-        self.horizon = max(self.horizon, result.complete)
+        result = self._mem_load(self.core_id, addr, issue, streaming)
+        self.stats.comm_instructions += 1
+        self._comps["PostL2"] += self._commit_cost
+        if self.trace is not None:
+            self.trace.emit("core.retire", issue, core=self.core_id, n=1, overhead=True)
+        if result.complete > self.horizon:
+            self.horizon = result.complete
         return result
 
     def overhead_store(
@@ -184,10 +216,14 @@ class CoreModel:
     ):
         """Issue one overhead store; returns the AccessResult."""
         issue = self._issue_mem_slot(at)
-        result = self.machine.mem.store(self.core_id, addr, issue, streaming=streaming)
+        result = self._mem_store(self.core_id, addr, issue, streaming)
         self.pending_stores.append((result.ordered, result.breakdown))
-        self.retire(1, overhead=True)
-        self.horizon = max(self.horizon, result.complete)
+        self.stats.comm_instructions += 1
+        self._comps["PostL2"] += self._commit_cost
+        if self.trace is not None:
+            self.trace.emit("core.retire", issue, core=self.core_id, n=1, overhead=True)
+        if result.complete > self.horizon:
+            self.horizon = result.complete
         return result
 
     def spin_wait(self, until: float, mix: LatencyBreakdown, instrs_per_spin: int = 2) -> int:
@@ -212,13 +248,29 @@ class CoreModel:
 
     def overhead_fence(self) -> None:
         """Issue a memory fence as part of a comm-op expansion."""
-        self._do_fence(overhead=True)
+        self._do_fence()
+        self.stats.comm_instructions += 1
+        self._comps["PostL2"] += self._commit_cost
+        if self.trace is not None:
+            self.trace.emit(
+                "core.retire", self.t_issue, core=self.core_id, n=1, overhead=True
+            )
 
     def _issue_mem_slot(self, at: Optional[float] = None) -> float:
         """Advance the issue clock through a memory-port issue slot."""
-        target = max(self.t_issue + self._pace, at if at is not None else 0.0, self.fence_ready)
-        grant = self.mem_ports.acquire(target, busy=1.0)
-        comps = self.stats.components
+        target = self.t_issue + self._pace
+        if at is not None and at > target:
+            target = at
+        if self.fence_ready > target:
+            target = self.fence_ready
+        pool = self.mem_ports
+        free_at = pool._free_at
+        first = free_at[0]
+        grant = first if first > target else target
+        heapreplace(free_at, grant + 1.0)
+        pool.grants += 1
+        pool.busy_cycles += 1.0
+        comps = self._comps
         comps["COMPUTE"] += self._pace
         if grant > target:
             comps["PreL2"] += grant - target
@@ -247,25 +299,104 @@ class CoreModel:
         ``instructions_run``: before re-entering the loop body (a comm op
         re-executes from scratch, so suspension at its leading heartbeat is
         safe — nothing of instruction *k* has run yet) and at the
-        between-instruction heartbeats.  Suspensions inside ``_comm`` (queue
-        blocking, mechanism expansions) leave the flag False.
+        between-instruction heartbeats.  Suspensions inside a comm op
+        (queue blocking, mechanism expansions) leave the flag False.
+
+        Every other instruction issues through one :meth:`_issue` call;
+        its completion, scoreboard update and retirement follow inline.
+        The instruction count lives in a local between heartbeats and is
+        stored back before every suspension.
         """
-        produce, consume = InstrKind.PRODUCE, InstrKind.CONSUME
+        IALU, BRANCH, FALU, NOP = InstrKind.IALU, InstrKind.BRANCH, InstrKind.FALU, InstrKind.NOP
+        LOAD, STORE, FENCE = InstrKind.LOAD, InstrKind.STORE, InstrKind.FENCE
+        PRODUCE, CONSUME = InstrKind.PRODUCE, InstrKind.CONSUME
+        ialu_lat, branch_lat = EXEC_LATENCY[IALU], EXEC_LATENCY[BRANCH]
+        falu_lat, nop_lat = EXEC_LATENCY[FALU], EXEC_LATENCY[NOP]
+        issue = self._issue
+        ialu, falu, branch, mem_ports = self.ialu, self.falu, self.branch, self.mem_ports
+        stats = self.stats
+        comps = self._comps
+        ready, mixes = self._ready, self._mixes
+        mem_load, mem_store = self._mem_load, self._mem_store
+        pending_stores = self.pending_stores
+        commit = self._commit_cost
+        core_id = self.core_id
+        trace = self.trace
+        mech = self.machine.mechanism
+        produce, consume = mech.produce, mech.consume
+        interval = YIELD_INTERVAL
+        count = self.instructions_run
         self.at_safe_point = False
         for inst in program:
             kind = inst.kind
-            if kind is produce or kind is consume:
+            if kind is PRODUCE or kind is CONSUME:
+                self.instructions_run = count
                 self.at_safe_point = True
                 yield ("time", self.t_issue)
                 self.at_safe_point = False
-                yield from self._comm(inst)
+                if trace is not None:
+                    yield from self._comm(inst)
+                elif kind is PRODUCE:
+                    stats.produces += 1
+                    yield from produce(self, inst)
+                else:
+                    stats.consumes += 1
+                    yield from consume(self, inst)
             else:
-                self._plain(inst)
-            self.instructions_run += 1
-            if self.instructions_run % YIELD_INTERVAL == 0:
+                pool = None
+                if kind is IALU:
+                    pool, latency = ialu, ialu_lat
+                elif kind is LOAD:
+                    result = mem_load(core_id, inst.addr, issue(inst, mem_ports), False)
+                    complete = result.complete
+                    dest = inst.dest
+                    if dest is not None:
+                        ready[dest] = complete
+                        mixes[dest] = result.breakdown
+                    if complete > self.horizon:
+                        self.horizon = complete
+                elif kind is BRANCH:
+                    pool, latency = branch, branch_lat
+                elif kind is FALU:
+                    pool, latency = falu, falu_lat
+                elif kind is STORE:
+                    result = mem_store(core_id, inst.addr, issue(inst, mem_ports), False)
+                    pending_stores.append((result.ordered, result.breakdown))
+                    complete = result.complete
+                    if complete > self.horizon:
+                        self.horizon = complete
+                elif kind is FENCE:
+                    self._do_fence()
+                elif kind is NOP:
+                    pool, latency = ialu, nop_lat
+                else:  # PREFETCH
+                    mem_load(core_id, inst.addr, issue(inst, mem_ports), False)
+                if pool is not None:
+                    complete = issue(inst, pool)
+                    complete += latency if inst.latency is None else inst.latency
+                    dest = inst.dest
+                    if dest is not None:
+                        ready[dest] = complete
+                        mixes[dest] = None
+                    if complete > self.horizon:
+                        self.horizon = complete
+                if inst.is_overhead:
+                    stats.comm_instructions += 1
+                else:
+                    stats.app_instructions += 1
+                comps["PostL2"] += commit
+                if trace is not None:
+                    trace.emit(
+                        "core.retire", self.t_issue, core=core_id,
+                        n=1, overhead=inst.is_overhead,
+                    )
+            count += 1
+            if count % interval == 0:
+                self.instructions_run = count
                 self.at_safe_point = True
                 yield ("time", self.t_issue)
                 self.at_safe_point = False
+        self.instructions_run = count
         self._finish()
         self.at_safe_point = True
         yield ("time", self.stats.cycles)
@@ -275,105 +406,86 @@ class CoreModel:
     def _issue(self, inst: DynInst, pool: UnitPool) -> float:
         """Compute and book the issue time of ``inst`` on ``pool``.
 
-        The per-instruction components (COMPUTE pace, PreL2 operand and
-        structural waits) accumulate straight into ``stats.components``, in
-        the same order and amounts :meth:`ThreadStats.charge` would add them.
+        The one issue rule: after the previous issue slot and any fence,
+        once the last-arriving source operand is ready, on the earliest
+        free unit of ``pool``.  The per-instruction components (COMPUTE
+        pace, PreL2 operand and structural waits) accumulate straight into
+        ``stats.components``, in the same order and amounts
+        :meth:`ThreadStats.charge` would add them; an operand wait on a
+        loaded value takes that load's latency mix.
         """
-        stats = self.stats
-        comps = stats.components
+        comps = self._comps
         pace = self._pace
         floor = self.t_issue + pace
         comps["COMPUTE"] += pace
         fence_ready = self.fence_ready
         start = fence_ready if fence_ready > floor else floor
-        if inst.srcs:
-            op_ready, reg = self.scoreboard.latest(inst.srcs)
-            if op_ready > start:
-                mix = self.scoreboard.mix_of(reg)
+        srcs = inst.srcs
+        if srcs:
+            ready = self._ready
+            op_ready = start
+            reg = None
+            for r in srcs:
+                rt = ready.get(r, 0.0)
+                if rt > op_ready:
+                    op_ready = rt
+                    reg = r
+            if reg is not None:
+                mix = self._mixes[reg]
                 if mix is not None:
-                    stats.charge_breakdown(mix, op_ready - start)
+                    self.stats.charge_breakdown(mix, op_ready - start)
                 else:
                     comps["PreL2"] += op_ready - start
                 start = op_ready
-        grant = pool.acquire(start, busy=1.0)
-        if grant > start:
-            comps["PreL2"] += grant - start
-        self.t_issue = grant
-        return grant
+        free_at = pool._free_at
+        first = free_at[0]
+        if first > start:
+            comps["PreL2"] += first - start
+            start = first
+        heapreplace(free_at, start + 1.0)
+        pool.grants += 1
+        pool.busy_cycles += 1.0
+        self.t_issue = start
+        return start
 
-    def _plain(self, inst: DynInst) -> None:
-        kind = inst.kind
-        if kind is InstrKind.FENCE:
-            self._do_fence(overhead=inst.is_overhead)
-            return
-        if kind is InstrKind.LOAD:
-            issue = self._issue(inst, self.mem_ports)
-            result = self.machine.mem.load(
-                self.core_id, inst.addr, issue, streaming=False
-            )
-            if inst.dest is not None:
-                self.scoreboard.define(inst.dest, result.complete, result.breakdown)
-            if result.complete > self.horizon:
-                self.horizon = result.complete
-        elif kind is InstrKind.STORE:
-            issue = self._issue(inst, self.mem_ports)
-            result = self.machine.mem.store(
-                self.core_id, inst.addr, issue, streaming=False
-            )
-            self.pending_stores.append((result.ordered, result.breakdown))
-            if result.complete > self.horizon:
-                self.horizon = result.complete
-        elif kind is InstrKind.PREFETCH:
-            issue = self._issue(inst, self.mem_ports)
-            self.machine.mem.load(self.core_id, inst.addr, issue, streaming=False)
-        else:
-            if kind is InstrKind.FALU:
-                pool = self.falu
-            elif kind is InstrKind.BRANCH:
-                pool = self.branch
-            else:  # IALU, NOP
-                pool = self.ialu
-            issue = self._issue(inst, pool)
-            latency = inst.latency
-            complete = issue + (latency if latency is not None else inst.exec_latency())
-            if inst.dest is not None:
-                self.scoreboard.define(inst.dest, complete)
-            if complete > self.horizon:
-                self.horizon = complete
-        self.retire(1, inst.is_overhead)
+    def _do_fence(self) -> None:
+        """Stall issue until all prior stores are globally visible.
 
-    def _do_fence(self, overhead: bool) -> None:
-        """Stall issue until all prior stores are globally visible."""
-        grant = self.ialu.acquire(self.t_issue + self._pace, busy=1.0)
-        self.stats.components["COMPUTE"] += self._pace
-        self.t_issue = grant
-        if self.pending_stores:
-            worst_t, worst_mix = max(self.pending_stores, key=lambda p: p[0])
-            if worst_t > self.t_issue:
-                self.stats.charge_breakdown(worst_mix, worst_t - self.t_issue)
-                self.t_issue = worst_t
-            self.pending_stores.clear()
-        self.fence_ready = self.t_issue
-        self.retire(1, overhead=overhead)
+        The caller retires the fence.
+        """
+        pace = self._pace
+        floor = self.t_issue + pace
+        pool = self.ialu
+        free_at = pool._free_at
+        first = free_at[0]
+        t = first if first > floor else floor
+        heapreplace(free_at, t + 1.0)
+        pool.grants += 1
+        pool.busy_cycles += 1.0
+        self._comps["COMPUTE"] += pace
+        pending = self.pending_stores
+        if pending:
+            worst_t, worst_mix = pending[0]
+            for stored_t, mix in pending:
+                if stored_t > worst_t:
+                    worst_t, worst_mix = stored_t, mix
+            if worst_t > t:
+                self.stats.charge_breakdown(worst_mix, worst_t - t)
+                t = worst_t
+            pending.clear()
+        self.t_issue = t
+        self.fence_ready = t
 
     def _comm(self, inst: DynInst) -> Generator:
-        """Dispatch a PRODUCE/CONSUME macro-op to the mechanism.
+        """Run a PRODUCE/CONSUME macro-op under tracing.
 
-        When tracing, the whole macro-op is bracketed so the COMM-OP
-        profiler can recover its issue-clock span (``dur``), the queue
-        full/empty blocking inside that span (``stall``), and the
-        per-component attribution deltas — everything needed to compute the
-        paper's COMM-OP delay without touching the mechanisms themselves.
+        The whole macro-op is bracketed so the COMM-OP profiler can recover
+        its issue-clock span (``dur``), the queue full/empty blocking inside
+        that span (``stall``), and the per-component attribution deltas —
+        everything needed to compute the paper's COMM-OP delay without
+        touching the mechanisms themselves.
         """
         mech = self.machine.mechanism
-        if self.trace is None:
-            if inst.kind is InstrKind.PRODUCE:
-                self.stats.produces += 1
-                yield from mech.produce(self, inst)
-            else:
-                self.stats.consumes += 1
-                yield from mech.consume(self, inst)
-            return
         t0 = self.t_issue
         comp0 = dict(self.stats.components)
         stall0 = self.stats.queue_full_stall + self.stats.queue_empty_stall

@@ -53,7 +53,7 @@ EXEC_LATENCY = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class DynInst:
     """A single dynamic instruction in a thread's execution trace.
 

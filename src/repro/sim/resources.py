@@ -32,6 +32,8 @@ class UnitPool:
         heapq.heapify(self._free_at)
         self.grants = 0
         self.busy_cycles = 0.0
+        #: Two-phase grants opened by :meth:`begin` and not yet ended.
+        self._open_grants = 0
 
     def earliest_grant(self, at: float) -> float:
         """When would a request arriving at ``at`` be granted? (no booking)"""
@@ -61,15 +63,14 @@ class UnitPool:
         """
         grant = max(at, heapq.heappop(self._free_at))
         self.grants += 1
-        self._open_grants = getattr(self, "_open_grants", 0) + 1
+        self._open_grants += 1
         return grant
 
     def end(self, grant: float, free_at: float) -> None:
         """Close a :meth:`begin` grant, freeing its unit at ``free_at``."""
-        open_grants = getattr(self, "_open_grants", 0)
-        if open_grants <= 0:
+        if self._open_grants <= 0:
             raise RuntimeError("UnitPool.end() without matching begin()")
-        self._open_grants = open_grants - 1
+        self._open_grants -= 1
         heapq.heappush(self._free_at, max(grant, free_at))
         self.busy_cycles += max(0.0, free_at - grant)
 
@@ -108,26 +109,3 @@ class ThroughputPort:
         self._next_free = grant + occ
         self.grants += 1
         return grant
-
-
-class Scoreboard:
-    """Register ready-time tracking for in-order dependence stalls."""
-
-    def __init__(self) -> None:
-        self._ready_at = {}
-
-    def ready_time(self, regs) -> float:
-        """Earliest time all of ``regs`` are available."""
-        t = 0.0
-        for r in regs:
-            rt = self._ready_at.get(r, 0.0)
-            if rt > t:
-                t = rt
-        return t
-
-    def set_ready(self, reg: int, at: float) -> None:
-        """Record that ``reg`` is produced at time ``at``."""
-        self._ready_at[reg] = at
-
-    def reg_ready(self, reg: int) -> float:
-        return self._ready_at.get(reg, 0.0)

@@ -33,7 +33,7 @@ COMPONENTS = ("COMPUTE", "PreL2", "L2", "BUS", "L3", "MEM", "PostL2")
 MEMORY_COMPONENTS = ("L2", "BUS", "L3", "MEM")
 
 
-@dataclass
+@dataclass(slots=True)
 class LatencyBreakdown:
     """Where the cycles of one memory access were spent.
 
@@ -84,7 +84,34 @@ class LatencyBreakdown:
 
     def _shares(self, cycles: int) -> Tuple[int, int, int, int, int]:
         """:meth:`scaled_to`'s (l2, bus, l3, mem, prel2), for ``cycles`` > 0
-        and ``total`` > 0, without building the breakdown."""
+        and ``total`` > 0, without building the breakdown.
+
+        An exposure of at least ``total`` cycles scales by exactly 1, so
+        each (whole-cycle) component is taken whole, capped only by the
+        running remainder — the values the scaled path computes.
+        """
+        if cycles >= self.total:
+            remaining = cycles
+            l2 = self.l2
+            if l2 > remaining:
+                l2 = remaining
+            remaining -= l2
+            bus = self.bus
+            if bus > remaining:
+                bus = remaining
+            remaining -= bus
+            l3 = self.l3
+            if l3 > remaining:
+                l3 = remaining
+            remaining -= l3
+            mem = self.mem
+            if mem > remaining:
+                mem = remaining
+            remaining -= mem
+            prel2 = self.prel2
+            if prel2 > remaining:
+                prel2 = remaining
+            return l2, bus, l3, mem, prel2
         f = min(1.0, cycles / self.total)
         remaining = cycles
         l2 = min(remaining, int(round(self.l2 * f)))
@@ -157,7 +184,7 @@ class ThreadStats:
             comps["COMPUTE"] += exposed
             return
         l2, bus, l3, mem, prel2 = bd._shares(cycles)
-        if min(l2, bus, l3, mem, prel2) < 0:
+        if l2 < 0 or bus < 0 or l3 < 0 or mem < 0 or prel2 < 0:
             raise ValueError("cannot charge negative cycles")
         comps["L2"] += l2
         comps["BUS"] += bus

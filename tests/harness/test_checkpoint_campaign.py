@@ -147,24 +147,26 @@ class TestWorkerCheckpointFlow:
         assert isinstance(outcome, RunResult) and outcome.ok
         assert "resumed_from_cycle" not in outcome.extras
 
-    def test_v1_snapshot_quarantined_then_cold_start(self, tmp_path):
-        """A snapshot stamped with the retired v1 format (whose reference-
-        kernel machines carried the list calendar) is never unpickled: it
-        is quarantined and the cell reruns from cycle 0."""
-        assert CHECKPOINT_VERSION == 2
+    @pytest.mark.parametrize("stamped", [1, 2], ids=["v1", "v2"])
+    def test_v1_snapshot_quarantined_then_cold_start(self, tmp_path, stamped):
+        """A snapshot stamped with a retired format is never unpickled: it
+        is quarantined and the cell reruns from cycle 0.  v1 machines
+        carried the list calendar; v2 machines lack the slotted records and
+        build-time bindings of v3."""
+        assert CHECKPOINT_VERSION == 3
         path, _ = _preempt_to_snapshot(tmp_path)
         generations = [path, path + ".prev"]
         for generation in generations:  # both generations in the old format
             with open(generation, "r+b") as fh:
                 data = bytearray(fh.read())
-                struct.pack_into("<I", data, 8, 1)  # header: magic, version, ...
+                struct.pack_into("<I", data, 8, stamped)  # header: magic, version, ...
                 fh.seek(0)
                 fh.write(data)
         notes, outcome = self._run_worker(CELL, path, attempt=2, allow_resume=True)
         assert isinstance(outcome, RunResult) and outcome.ok
         assert "resumed_from_cycle" not in outcome.extras
         quarantined = [f for f in os.listdir(tmp_path) if ".quarantined" in f]
-        assert len(quarantined) == len(generations), "v1 snapshots are kept as evidence"
+        assert len(quarantined) == len(generations), "old snapshots are kept as evidence"
         assert outcome.fingerprint() == _reference().fingerprint()
 
     def test_corrupt_snapshot_quarantined_then_cold_start(self, tmp_path):

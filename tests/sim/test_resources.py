@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.resources import Scoreboard, ThroughputPort, UnitPool
+from repro.sim.resources import ThroughputPort, UnitPool
 
 
 class TestUnitPool:
@@ -105,20 +105,3 @@ class TestThroughputPort:
         port = ThroughputPort(4.0)
         port.acquire(0.0)
         assert port.earliest_grant(1.0) == 4.0
-
-
-class TestScoreboard:
-    def test_unknown_regs_ready_at_zero(self):
-        assert Scoreboard().ready_time([1, 2, 3]) == 0.0
-
-    def test_ready_time_is_max(self):
-        sb = Scoreboard()
-        sb.set_ready(1, 5.0)
-        sb.set_ready(2, 9.0)
-        assert sb.ready_time([1, 2]) == 9.0
-
-    def test_redefinition_overwrites(self):
-        sb = Scoreboard()
-        sb.set_ready(1, 5.0)
-        sb.set_ready(1, 2.0)
-        assert sb.reg_ready(1) == 2.0
