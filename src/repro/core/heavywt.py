@@ -12,6 +12,7 @@ and the OS burden of context-switching all of this architectural state.
 
 from __future__ import annotations
 
+from heapq import heapreplace
 from typing import Generator
 
 from repro.core.interconnect import DedicatedInterconnect
@@ -23,7 +24,13 @@ from repro.sim.stats import LatencyBreakdown
 
 @register_mechanism("heavywt")
 class HeavyWeightMechanism(CommMechanism):
-    """Dedicated-store, dedicated-network streaming support."""
+    """Dedicated-store, dedicated-network streaming support.
+
+    Like SYNCOPTI, each comm op reads its full-queue gate ``item - depth``
+    off the layout and creates a :meth:`wait_for_len` generator only when
+    it must block; a consume books its dedicated-store port in place on
+    the pool's free-at heap, as :meth:`UnitPool.acquire` would.
+    """
 
     flag_bytes = 0
 
@@ -36,27 +43,32 @@ class HeavyWeightMechanism(CommMechanism):
             UnitPool(ded.ops_per_cycle, name=f"sa-ports-{c}")
             for c in range(machine.config.n_cores)
         ]
+        self._consume_to_use = ded.consume_to_use
 
     # ------------------------------------------------------------------
 
     def produce(self, core, inst: DynInst) -> Generator:
-        ch = self.channel(inst.queue)
+        ch = self._channels.get(inst.queue)
+        if ch is None:
+            ch = self.machine.channel(inst.queue)
         item = ch.n_produced
-        ch.n_produced += 1
-        ded = self.machine.config.dedicated
+        ch.n_produced = item + 1
 
         issue = core.issue_comm_slot(inst)
-        core.retire(1, overhead=True)
+        core.retire(1, True)
         t = issue
 
         # Local occupancy counter: block the pipeline on a full queue until
         # the consumer's ACK (carried on the dedicated network) arrives.
-        gate = ch.producer_must_wait_for(item)
-        if gate is not None:
-            yield from self.wait_for_len(
-                core, ch.freed, gate, reason="full", queue_id=ch.queue_id
-            )
-            free_t = ch.freed[gate]
+        depth = ch.layout.depth
+        if item >= depth:
+            gate = item - depth
+            freed = ch.freed
+            if len(freed) <= gate:
+                yield from self.wait_for_len(
+                    core, freed, gate, reason="full", queue_id=ch.layout.queue_id
+                )
+            free_t = freed[gate]
             if free_t > t:
                 core.stats.queue_full_stall += free_t - t
                 core.stall_until(free_t, component="PreL2")
@@ -68,38 +80,52 @@ class HeavyWeightMechanism(CommMechanism):
         # queue; only consume-side reads contend for ports.
         arrival = self.network.send(ch.producer_core, ch.consumer_core, t)
         ch.record_produced(arrival)
-        ch.record_store_complete(arrival)
-        core.horizon = max(core.horizon, arrival)
+        ch.store_complete.append(arrival)
+        if arrival > core.horizon:
+            core.horizon = arrival
         return None
 
     # ------------------------------------------------------------------
 
     def consume(self, core, inst: DynInst) -> Generator:
-        ch = self.channel(inst.queue)
+        ch = self._channels.get(inst.queue)
+        if ch is None:
+            ch = self.machine.channel(inst.queue)
         item = ch.n_consumed
-        ch.n_consumed += 1
-        ded = self.machine.config.dedicated
+        ch.n_consumed = item + 1
 
         issue = core.issue_comm_slot(inst)
-        core.retire(1, overhead=True)
+        core.retire(1, True)
 
-        yield from self.wait_for_len(
-            core, ch.produced, item, reason="empty", queue_id=ch.queue_id
-        )
-        avail = ch.produced[item]
-        wait = max(0.0, avail - issue)
+        produced = ch.produced
+        if len(produced) <= item:
+            yield from self.wait_for_len(
+                core, produced, item, reason="empty", queue_id=ch.layout.queue_id
+            )
+        avail = produced[item]
+        if avail > issue:
+            wait = avail - issue
+            at = avail
+        else:
+            wait = 0.0
+            at = issue
         core.stats.queue_empty_stall += wait
 
         # Read from the local dedicated store: 1-cycle consume-to-use.
-        grant = self._store_ports[core.core_id].acquire(max(issue, avail), busy=1.0)
-        ready = grant + ded.consume_to_use
+        ports = self._store_ports[core.core_id]
+        free_at = ports._free_at
+        first = free_at[0]
+        grant = first if first > at else at
+        heapreplace(free_at, grant + 1.0)
+        ports.grants += 1
+        ports.busy_cycles += 1.0
+        ready = grant + self._consume_to_use
         if inst.dest is not None:
             core.scoreboard.define(
-                inst.dest,
-                ready,
-                LatencyBreakdown(total=int(ready - issue), prel2=int(wait)),
+                inst.dest, ready, LatencyBreakdown(int(ready - issue), 0, 0, 0, 0, int(wait))
             )
-        core.horizon = max(core.horizon, ready)
+        if ready > core.horizon:
+            core.horizon = ready
 
         # Occupancy ACK back to the producer over the dedicated network.
         freed_visible = self.network.send(ch.consumer_core, ch.producer_core, ready)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import abc
 from typing import Callable, Dict, Generator, Optional
 
-from repro.core.queue_model import QueueChannel, QueueLayout
+from repro.core.queue_model import QueueLayout
 from repro.sim.isa import DynInst
 
 #: name -> factory(machine) registry, populated by the implementations.
@@ -61,6 +61,10 @@ class CommMechanism(abc.ABC):
 
     def __init__(self, machine) -> None:
         self.machine = machine
+        #: The machine's channel table, bound when the mechanism is built.
+        #: Comm ops look their channel up here and fall back to
+        #: ``Machine.channel`` (lazy creation, range check) on a miss.
+        self._channels = machine.channels
 
     # ------------------------------------------------------------------
     # Layout / channel plumbing
@@ -84,9 +88,6 @@ class CommMechanism(abc.ABC):
             line_bytes=line,
             flag_bytes=self.flag_bytes,
         )
-
-    def channel(self, queue_id: int) -> QueueChannel:
-        return self.machine.channel(queue_id)
 
     # ------------------------------------------------------------------
     # Blocking helper (co-simulation protocol)

@@ -212,11 +212,6 @@ class QueueChannel:
             )
         return index
 
-    def record_store_complete(self, at: float) -> int:
-        index = len(self.store_complete)
-        self.store_complete.append(at)
-        return index
-
     def record_freed(self, visible_at: float) -> int:
         """Append one slot-free visibility time; returns its item index.
 

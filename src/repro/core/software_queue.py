@@ -38,18 +38,16 @@ class SoftwareQueueMechanism(CommMechanism):
     #: Stream-address (head/tail pointer) update: add, compare, select.
     POINTER_ALU_OPS = 3
 
-    def _observe_flag_delay(self) -> float:
-        """Latency for an in-flight spin load to observe the remote update.
-
-        While spinning, the flag load recirculates as an outstanding L2
-        transaction; once the other core's flag write happens, the update
-        reaches the spinner via a snoop round plus an L2 visit — not a full
-        fresh line refetch.
-        """
-        mem = self.machine.mem
-        return (
-            mem.bus.end_to_end_cycles(SharedBus.CONTROL_BYTES)
-            + self.machine.config.l2.latency
+    def __init__(self, machine) -> None:
+        super().__init__(machine)
+        self._l2_latency = machine.config.l2.latency
+        #: Latency for an in-flight spin load to observe the remote update.
+        #: While spinning, the flag load recirculates as an outstanding L2
+        #: transaction; once the other core's flag write happens, the update
+        #: reaches the spinner via a snoop round plus an L2 visit — not a
+        #: full fresh line refetch.
+        self._observe_delay = (
+            machine.mem.bus.end_to_end_cycles(SharedBus.CONTROL_BYTES) + self._l2_latency
         )
 
     def _spin_until(self, core, flag_addr: int, visible_at: float, first) -> None:
@@ -63,33 +61,37 @@ class SoftwareQueueMechanism(CommMechanism):
         mem = self.machine.mem
         local = mem.holds_line(core.core_id, flag_addr)
         arrival = mem.observe_update(core.core_id, flag_addr, visible_at)
-        core.retire(1, overhead=True)
+        core.retire(1, True)
         if local:
-            observed = max(arrival, visible_at) + self.machine.config.l2.latency
+            observed = max(arrival, visible_at) + self._l2_latency
         else:
-            observed = visible_at + self._observe_flag_delay()
+            observed = visible_at + self._observe_delay
         core.stall_until(observed, first.breakdown)
 
     # ------------------------------------------------------------------
 
     def produce(self, core, inst: DynInst) -> Generator:
-        ch = self.channel(inst.queue)
+        ch = self._channels.get(inst.queue)
+        if ch is None:
+            ch = self.machine.channel(inst.queue)
         layout = ch.layout
+        depth = layout.depth
         item = ch.n_produced
-        ch.n_produced += 1
-        slot = item % layout.depth
+        ch.n_produced = item + 1
+        slot = item % depth
         flag = layout.flag_addrs[slot]
 
         # --- Synchronization: spin until the slot's flag reads empty. ---
         first = core.overhead_load(flag)
-        core.overhead_alu(self.SYNC_ALU_OPS, dep_height=2)
-        gate = ch.producer_must_wait_for(item)
-        if gate is not None:
-            if len(ch.freed) <= gate:
+        core.overhead_alu(self.SYNC_ALU_OPS, 2)
+        if item >= depth:
+            gate = item - depth
+            freed = ch.freed
+            if len(freed) <= gate:
                 yield from self.wait_for_len(
-                    core, ch.freed, gate, reason="full", queue_id=ch.queue_id
+                    core, freed, gate, reason="full", queue_id=layout.queue_id
                 )
-            free_t = ch.freed[gate]
+            free_t = freed[gate]
             if free_t > first.complete:
                 core.stats.queue_full_stall += free_t - max(core.now, first.complete)
                 self._spin_until(core, flag, free_t, first)
@@ -109,37 +111,40 @@ class SoftwareQueueMechanism(CommMechanism):
         core.overhead_fence()
         flag_set = core.overhead_store(flag)
         ch.record_produced(flag_set.complete)
-        ch.record_store_complete(data.complete)
-        self._after_flag_set(core, ch, item, flag_set.complete)
+        ch.store_complete.append(data.complete)
+        self._after_flag_set(core, ch, slot, flag_set.complete)
 
         # --- Stream address (tail pointer) update. ---
-        core.overhead_alu(self.POINTER_ALU_OPS, dep_height=2)
+        core.overhead_alu(self.POINTER_ALU_OPS, 2)
         return None
 
     # Hook for MEMOPTI's write-forwarding.
     def _after_flag_set(
-        self, core, ch: QueueChannel, item: int, at: float
+        self, core, ch: QueueChannel, slot: int, at: float
     ) -> None:
-        """Called after the producer's flag-set store completes."""
+        """Called after the producer's flag-set store to ``slot`` completes."""
 
     # ------------------------------------------------------------------
 
     def consume(self, core, inst: DynInst) -> Generator:
-        ch = self.channel(inst.queue)
+        ch = self._channels.get(inst.queue)
+        if ch is None:
+            ch = self.machine.channel(inst.queue)
         layout = ch.layout
         item = ch.n_consumed
-        ch.n_consumed += 1
+        ch.n_consumed = item + 1
         slot = item % layout.depth
         flag = layout.flag_addrs[slot]
 
         # --- Synchronization: spin until the slot's flag reads full. ---
         first = core.overhead_load(flag)
-        core.overhead_alu(self.SYNC_ALU_OPS, dep_height=2)
-        if len(ch.produced) <= item:
+        core.overhead_alu(self.SYNC_ALU_OPS, 2)
+        produced = ch.produced
+        if len(produced) <= item:
             yield from self.wait_for_len(
-                core, ch.produced, item, reason="empty", queue_id=ch.queue_id
+                core, produced, item, reason="empty", queue_id=layout.queue_id
             )
-        avail = ch.produced[item]
+        avail = produced[item]
         if avail > first.complete:
             core.stats.queue_empty_stall += avail - max(core.now, first.complete)
             self._spin_until(core, flag, avail, first)
@@ -157,5 +162,5 @@ class SoftwareQueueMechanism(CommMechanism):
         ch.record_freed(clear.complete)
 
         # --- Stream address (head pointer) update. ---
-        core.overhead_alu(self.POINTER_ALU_OPS, dep_height=2)
+        core.overhead_alu(self.POINTER_ALU_OPS, 2)
         return None

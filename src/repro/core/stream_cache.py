@@ -79,91 +79,59 @@ class StreamCache:
 
 @register_mechanism("syncopti_sc")
 class StreamCacheMechanism(SyncOptiMechanism):
-    """SYNCOPTI with the per-core stream cache enabled."""
+    """SYNCOPTI with the per-core stream cache enabled.
+
+    Only the published-item read differs from base SYNCOPTI: it probes the
+    consumer's stream cache first and falls back to the L2 read on a miss.
+    Waiting, the partial-line timeout and the bulk ACK are SYNCOPTI's.
+    """
 
     def __init__(self, machine) -> None:
         super().__init__(machine)
         sc_cfg = machine.config.stream_cache
         self._caches = [StreamCache(sc_cfg) for _ in range(machine.config.n_cores)]
+        self._hit_latency = sc_cfg.hit_latency
 
     def stream_cache(self, core_id: int) -> StreamCache:
         return self._caches[core_id]
 
     # ------------------------------------------------------------------
 
-    def _fill_stream_cache(self, ch: QueueChannel, last_item: int, arrival: float) -> None:
+    def _fill_stream_cache(self, ch: QueueChannel, last_slot: int, arrival: float) -> None:
         """Reverse-map a forwarded line's items into the consumer's SC."""
-        layout = ch.layout
         sc = self._caches[ch.consumer_core]
-        first = last_item - (layout.qlu - 1)
-        for item in range(first, last_item + 1):
-            sc.fill(ch.queue_id, layout.slot_of(item), arrival)
+        queue_id = ch.layout.queue_id
+        for slot in range(last_slot - ch.layout.qlu + 1, last_slot + 1):
+            sc.fill(queue_id, slot, arrival)
 
-    def _obtain_item(self, core, ch: QueueChannel, item: int, t_sync: float):
-        """Try the stream cache first; fall back to the SYNCOPTI L2 path."""
-        layout = ch.layout
-        sc = self._caches[core.core_id]
-        # A hit is only possible once the line's forward has been simulated;
-        # wait for visibility exactly like base SYNCOPTI (same deadline
-        # semantics), then probe the SC.
-        cfg = self.machine.config
-        if len(ch.produced) > item:
-            status = "ok"
-        else:
-            deadline = t_sync + cfg.syncopti.partial_line_timeout
-            status = yield from self.wait_for_len(
-                core, ch.produced, item, deadline=deadline,
-                reason="empty", queue_id=ch.queue_id,
-            )
-        if status == "ok":
-            arrival = sc.lookup(ch.queue_id, layout.slot_of(item), t_sync)
-            if arrival is not None:
-                core.stats.stream_cache_hits += 1
-                avail = max(arrival, ch.produced[item])
-                wait = max(0.0, avail - t_sync)
-                core.stats.queue_empty_stall += wait
-                # 1-cycle consume-to-use; the stream address logic's latency
-                # is what the SC bypasses.
-                issue = t_sync - cfg.syncopti.stream_addr_latency
-                ready = max(issue + cfg.stream_cache.hit_latency, avail)
-                # Counter update still goes to the L2, off the critical path.
-                self.machine.mem.ozq[core.core_id].acquire_port(ready, busy=1.0)
-                mix = LatencyBreakdown(
-                    total=int(ready - issue), prel2=int(wait)
-                )
-                core.horizon = max(core.horizon, ready)
-                return ready, mix
-            core.stats.stream_cache_misses += 1
-        # Miss (or timeout): identical to base SYNCOPTI.
-        result = yield from self._resolve_via_l2(core, ch, item, t_sync, status)
-        return result
+    def _visible_item(self, core, ch: QueueChannel, item: int, t_sync: float):
+        """Try the stream cache first; fall back to the SYNCOPTI L2 read.
 
-    def _resolve_via_l2(self, core, ch: QueueChannel, item: int, t_sync: float, status: str):
-        """Base-SYNCOPTI resolution, reusing the already-determined status."""
-        cfg = self.machine.config
+        A hit is only possible once the line's forward has been simulated,
+        so the probe comes after the item is visible — the wait, with its
+        partial-line deadline, is base SYNCOPTI's.
+        """
         layout = ch.layout
-        if status == "ok":
-            avail = ch.produced[item]
-            wait = max(0.0, avail - t_sync)
-            core.stats.queue_empty_stall += wait
-            res = self.machine.mem.stream_load(
-                core.core_id, layout.data_addr(item), max(t_sync, avail)
-            )
-            mix = res.breakdown
-            mix.prel2 += int(wait)
-            mix.total += int(wait)
-            return res.complete, mix
-        yield from self.wait_for_len(
-            core, ch.store_complete, item,
-            reason="partial-line", queue_id=ch.queue_id,
+        arrival = self._caches[core.core_id].lookup(
+            layout.queue_id, item % layout.depth, t_sync
         )
-        stored = ch.store_complete[item]
-        t0 = max(t_sync + cfg.syncopti.partial_line_timeout, stored)
-        core.stats.queue_empty_stall += t0 - t_sync
-        res = self.machine.mem.stream_load(core.core_id, layout.data_addr(item), t0)
-        while len(ch.produced) <= item:
-            ch.record_produced(res.complete)
-        mix = res.breakdown
-        mix.prel2 += int(t0 - t_sync)
-        mix.total += int(t0 - t_sync)
-        return res.complete, mix
+        if arrival is None:
+            core.stats.stream_cache_misses += 1
+            return super()._visible_item(core, ch, item, t_sync)
+        core.stats.stream_cache_hits += 1
+        avail = ch.produced[item]
+        if arrival > avail:
+            avail = arrival
+        wait = avail - t_sync if avail > t_sync else 0.0
+        core.stats.queue_empty_stall += wait
+        # 1-cycle consume-to-use; the stream address logic's latency is
+        # what the SC bypasses.
+        issue = t_sync - self._stream_addr_latency
+        ready = issue + self._hit_latency
+        if avail > ready:
+            ready = avail
+        # Counter update still goes to the L2, off the critical path.
+        self._ozq[core.core_id].acquire_port(ready)
+        if ready > core.horizon:
+            core.horizon = ready
+        return ready, LatencyBreakdown(int(ready - issue), 0, 0, 0, 0, int(wait))

@@ -39,67 +39,88 @@ from repro.sim.isa import DynInst
 
 @register_mechanism("syncopti")
 class SyncOptiMechanism(CommMechanism):
-    """Produce/consume instructions + counters over the memory subsystem."""
+    """Produce/consume instructions + counters over the memory subsystem.
+
+    Each comm op reads its queue geometry straight off the layout — slot
+    ``item % depth``, line end ``slot % qlu == qlu - 1``, full-queue gate
+    ``item - depth`` and payload address ``data_addrs[slot]`` — and
+    creates a :meth:`wait_for_len` generator only when it must block.  The
+    stream-address latency, the partial-line timeout and the memory
+    system's access methods are bound when the mechanism is built.
+    """
 
     flag_bytes = 0  # synchronization is counter-based; no per-slot flags
+
+    def __init__(self, machine) -> None:
+        super().__init__(machine)
+        cfg = machine.config.syncopti
+        self._stream_addr_latency = cfg.stream_addr_latency
+        self._partial_line_timeout = cfg.partial_line_timeout
+        mem = machine.mem
+        self._ozq = mem.ozq
+        self._store = mem.store
+        self._stream_load = mem.stream_load
+        self._forward = mem.forward_line
+        self._control_ack = mem.control_ack
 
     # ------------------------------------------------------------------
 
     def produce(self, core, inst: DynInst) -> Generator:
-        ch = self.channel(inst.queue)
+        ch = self._channels.get(inst.queue)
+        if ch is None:
+            ch = self.machine.channel(inst.queue)
         layout = ch.layout
+        depth = layout.depth
         item = ch.n_produced
-        ch.n_produced += 1
-        cfg = self.machine.config
+        ch.n_produced = item + 1
+        slot = item % depth
 
         # The produce instruction issues in-order (waiting on its source
         # operand) and occupies one memory-port slot; its stream address is
         # generated in parallel with the L1 bypass.
         issue = core.issue_comm_slot(inst)
-        core.retire(1, overhead=True)
-        t = issue + cfg.syncopti.stream_addr_latency
+        core.retire(1, True)
+        t = issue + self._stream_addr_latency
 
         # Occupancy check at the L2 controller.  On a full queue the produce
         # sits dormant in the OzQ until a counter update frees a line.
-        gate = ch.producer_must_wait_for(item)
-        if gate is not None:
-            yield from self.wait_for_len(
-                core, ch.freed, gate, reason="full", queue_id=ch.queue_id
-            )
-            free_t = ch.freed[gate]
+        if item >= depth:
+            gate = item - depth
+            freed = ch.freed
+            if len(freed) <= gate:
+                yield from self.wait_for_len(
+                    core, freed, gate, reason="full", queue_id=layout.queue_id
+                )
+            free_t = freed[gate]
             if free_t > t:
                 core.stats.queue_full_stall += free_t - t
                 core.stats.ozq_backpressure_events += 1
-                ozq = self.machine.mem.ozq[core.core_id]
+                ozq = self._ozq[core.core_id]
                 entry = ozq.begin_entry(t)
                 ozq.end_entry(entry, free_t)
                 core.stall_until(free_t, component="PreL2")
                 t = max(t, core.now)
 
         # Write the item into the backing line in the producer's L2.
-        res = self.machine.mem.store(
-            core.core_id, layout.data_addr(item), t, streaming=True
-        )
-        core.charge("PreL2", res.prel2_wait)
-        core.horizon = max(core.horizon, res.complete)
-        ch.record_store_complete(res.complete)
+        res = self._store(core.core_id, layout.data_addrs[slot], t, True)
+        core.stats.charge("PreL2", res.prel2_wait)
+        complete = res.complete
+        if complete > core.horizon:
+            core.horizon = complete
+        ch.store_complete.append(complete)
 
         # Locality-enhanced write-forward: only once the line is full.
-        if layout.is_last_in_line(item):
-            self._forward_line(core, ch, item, res.complete)
+        qlu = layout.qlu
+        if slot % qlu == qlu - 1:
+            self._forward_line(core, ch, item, slot, complete)
         return None
 
-    def _forward_line(self, core, ch: QueueChannel, item: int, at: float) -> None:
+    def _forward_line(self, core, ch: QueueChannel, item: int, slot: int, at: float) -> None:
         """Push the completed line to the consumer; publish its items."""
         layout = ch.layout
-        line = layout.line_of(item)
-        arrival = self.machine.mem.forward_line(
-            src=ch.producer_core,
-            dst=ch.consumer_core,
-            addr=layout.line_addr(line),
-            at=at,
-            release_src=True,
-            contend_ports=False,
+        line = slot // layout.qlu
+        arrival = self._forward(
+            ch.producer_core, ch.consumer_core, layout.line_addr(line), at, True, False
         )
         if arrival is None:
             # The forward was never delivered: items stay unpublished and
@@ -111,70 +132,83 @@ class SyncOptiMechanism(CommMechanism):
         # the line lands (the forward *is* the consumer's counter update).
         while len(ch.produced) <= item:
             ch.record_produced(arrival)
-        self._fill_stream_cache(ch, item, arrival)
+        self._fill_stream_cache(ch, slot, arrival)
 
-    def _fill_stream_cache(self, ch: QueueChannel, last_item: int, arrival: float) -> None:
+    def _fill_stream_cache(self, ch: QueueChannel, last_slot: int, arrival: float) -> None:
         """Hook for the stream-cache variant (no-op in base SYNCOPTI)."""
 
     # ------------------------------------------------------------------
 
     def consume(self, core, inst: DynInst) -> Generator:
-        ch = self.channel(inst.queue)
+        ch = self._channels.get(inst.queue)
+        if ch is None:
+            ch = self.machine.channel(inst.queue)
         layout = ch.layout
         item = ch.n_consumed
-        ch.n_consumed += 1
-        cfg = self.machine.config
+        ch.n_consumed = item + 1
 
         issue = core.issue_comm_slot(inst)
-        core.retire(1, overhead=True)
-        t_sync = issue + cfg.syncopti.stream_addr_latency
+        core.retire(1, True)
+        t_sync = issue + self._stream_addr_latency
 
         # Wait for the item to become visible: normally via its line's
         # write-forward; on timeout via a demand fetch (partial lines).
-        ready, mix = yield from self._obtain_item(core, ch, item, t_sync)
+        produced = ch.produced
+        if len(produced) > item:
+            ready, mix = self._visible_item(core, ch, item, t_sync)
+        else:
+            status = yield from self.wait_for_len(
+                core, produced, item, deadline=t_sync + self._partial_line_timeout,
+                reason="empty", queue_id=layout.queue_id,
+            )
+            if status == "ok":
+                ready, mix = self._visible_item(core, ch, item, t_sync)
+            else:
+                ready, mix = yield from self._partial_line_item(core, ch, item, t_sync)
         if inst.dest is not None:
             core.scoreboard.define(inst.dest, ready, mix)
-        core.horizon = max(core.horizon, ready)
+        if ready > core.horizon:
+            core.horizon = ready
 
         # Bulk ACK: last item on the line frees all its slots at once.
-        if layout.is_last_in_line(item) or ch.n_consumed == ch.n_produced == len(
+        qlu = layout.qlu
+        if item % layout.depth % qlu == qlu - 1 or ch.n_consumed == ch.n_produced == len(
             ch.store_complete
         ):
             self._bulk_ack(core, ch, item, ready)
         return None
 
-    def _obtain_item(self, core, ch: QueueChannel, item: int, t_sync: float):
-        """Resolve availability + data access; returns (ready, mix)."""
-        cfg = self.machine.config
-        layout = ch.layout
-        if len(ch.produced) > item:
-            status = "ok"
+    def _visible_item(self, core, ch: QueueChannel, item: int, t_sync: float):
+        """Read a published item through the L2; returns (ready, mix)."""
+        avail = ch.produced[item]
+        if avail > t_sync:
+            wait = avail - t_sync
+            at = avail
         else:
-            deadline = t_sync + cfg.syncopti.partial_line_timeout
-            status = yield from self.wait_for_len(
-                core, ch.produced, item, deadline=deadline,
-                reason="empty", queue_id=ch.queue_id,
+            wait = 0.0
+            at = t_sync
+        core.stats.queue_empty_stall += wait
+        layout = ch.layout
+        res = self._stream_load(core.core_id, layout.data_addrs[item % layout.depth], at)
+        mix = res.breakdown
+        waited = int(wait)
+        mix.prel2 += waited
+        mix.total += waited
+        return res.complete, mix
+
+    def _partial_line_item(self, core, ch: QueueChannel, item: int, t_sync: float):
+        """Timeout: elicit a writeback of the partial line from the producer."""
+        store_complete = ch.store_complete
+        layout = ch.layout
+        if len(store_complete) <= item:
+            yield from self.wait_for_len(
+                core, store_complete, item,
+                reason="partial-line", queue_id=layout.queue_id,
             )
-        if status == "ok":
-            avail = ch.produced[item]
-            wait = max(0.0, avail - t_sync)
-            core.stats.queue_empty_stall += wait
-            res = self.machine.mem.stream_load(
-                core.core_id, layout.data_addr(item), max(t_sync, avail)
-            )
-            mix = res.breakdown
-            mix.prel2 += int(wait)
-            mix.total += int(wait)
-            return res.complete, mix
-        # Timeout: elicit a writeback of the partial line from the producer.
-        yield from self.wait_for_len(
-            core, ch.store_complete, item,
-            reason="partial-line", queue_id=ch.queue_id,
-        )
-        stored = ch.store_complete[item]
-        t0 = max(t_sync + cfg.syncopti.partial_line_timeout, stored)
+        stored = store_complete[item]
+        t0 = max(t_sync + self._partial_line_timeout, stored)
         core.stats.queue_empty_stall += t0 - t_sync
-        res = self.machine.mem.stream_load(core.core_id, layout.data_addr(item), t0)
+        res = self._stream_load(core.core_id, layout.data_addrs[item % layout.depth], t0)
         # This item (and nothing beyond it) is now visible.
         while len(ch.produced) <= item:
             ch.record_produced(res.complete)
@@ -185,7 +219,7 @@ class SyncOptiMechanism(CommMechanism):
 
     def _bulk_ack(self, core, ch: QueueChannel, item: int, at: float) -> None:
         """One bus message updates the producer's occupancy counters."""
-        done = self.machine.mem.control_ack(ch.consumer_core, at)
+        done = self._control_ack(ch.consumer_core, at)
         missing = (item + 1) - len(ch.freed)
         if missing > 0:
             ch.record_freed_bulk(missing, done)
@@ -194,4 +228,4 @@ class SyncOptiMechanism(CommMechanism):
 
     def on_streaming_eviction(self, core_id: int, line_addr: int, at: float) -> None:
         """An evicted streaming line flushes its occupancy on the bus."""
-        self.machine.mem.control_ack(core_id, at)
+        self._control_ack(core_id, at)

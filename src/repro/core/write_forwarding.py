@@ -27,23 +27,19 @@ from repro.core.software_queue import SoftwareQueueMechanism
 class WriteForwardingMechanism(SoftwareQueueMechanism):
     """EXISTING plus write-forwarding of completed queue lines."""
 
-    def _after_flag_set(self, core, ch: QueueChannel, item: int, at: float) -> None:
+    def _after_flag_set(self, core, ch: QueueChannel, slot: int, at: float) -> None:
         """Forward the backing line once its last slot has been written."""
         layout = ch.layout
-        if not layout.is_last_in_line(item):
+        qlu = layout.qlu
+        if slot % qlu != qlu - 1:
             return
-        line_addr = layout.line_addr(layout.line_of(item))
+        line = slot // qlu
         arrival = self.machine.mem.forward_line(
-            src=ch.producer_core,
-            dst=ch.consumer_core,
-            addr=line_addr,
-            at=at,
-            release_src=False,
-            contend_ports=True,
+            ch.producer_core, ch.consumer_core, layout.line_addr(line), at, False, True
         )
         if arrival is None:
             # Delivery failed: the consumer's normal coherence miss path
             # still finds the line at the producer, just without the push.
             return
-        ch.record_forward(layout.line_of(item), arrival)
+        ch.record_forward(line, arrival)
         core.stats.lines_forwarded += 1

@@ -28,7 +28,8 @@ same load hoisting) for the Figure 9 speedup baseline.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from itertools import chain
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.dswp.ir import Loop, Op, OpKind
 from repro.dswp.partition import Partition
@@ -88,6 +89,12 @@ class _StageEmitter:
     instructions as read-only), with its execution latency fixed at build
     time; a load or store (``addresses`` is its op's address stream) is
     emitted as a fresh instance taking the stream's next address.
+
+    **Emitted run by run.**  Each template is split at its loads and stores
+    into runs of shared instructions, and the stream chains those runs
+    with the fresh memory instances (:func:`itertools.chain`), each
+    instance leading the run that follows it, so a shared instruction is
+    emitted without resuming a generator.
     """
 
     def __init__(
@@ -188,16 +195,22 @@ class _StageEmitter:
 
     def instructions(self) -> Iterator[DynInst]:
         loop = self.loop
-        trip = loop.trip_count
-        k = self.hoist_depth
-        period = k + 1
         streams = {
             op.op_id: op.addr.stream()
             for op in loop.body
             if op.addr is not None and self._mine(op)
         }
-        bodies = [self._body_template(r, streams) for r in range(period)]
+        period = self.hoist_depth + 1
+        bodies = [_split_runs(self._body_template(r, streams)) for r in range(period)]
         hoists = [self._hoist_template(r, streams) for r in range(period)]
+        return chain.from_iterable(self._pieces(bodies, hoists))
+
+    def _pieces(self, bodies, hoists) -> Iterator[Iterable[DynInst]]:
+        """The stream as tuples: each fresh load or store instance leads
+        the shared run that follows it."""
+        trip = self.loop.trip_count
+        k = self.hoist_depth
+        period = k + 1
         for i in range(trip):
             # Modulo-scheduling: emit hoisted loads ahead of their iteration.
             if k > 0:
@@ -209,17 +222,46 @@ class _StageEmitter:
                     hoist_targets = range(0, 0)
                 for target in hoist_targets:
                     for proto, addresses in hoists[target % period]:
-                        yield DynInst(
-                            proto.kind, proto.dest, proto.srcs, next(addresses),
-                            tag=proto.tag,
+                        yield (
+                            DynInst(
+                                proto.kind, proto.dest, proto.srcs, next(addresses),
+                                None, None, False, proto.tag,
+                            ),
                         )
-            for inst, addresses in bodies[i % period]:
-                if addresses is None:
-                    yield inst
-                else:
-                    yield DynInst(
-                        inst.kind, inst.dest, inst.srcs, next(addresses), tag=inst.tag
-                    )
+            lead, tail = bodies[i % period]
+            if lead:
+                yield lead
+            for proto, addresses, run in tail:
+                yield (
+                    DynInst(
+                        proto.kind, proto.dest, proto.srcs, next(addresses),
+                        None, None, False, proto.tag,
+                    ),
+                    *run,
+                )
+
+
+#: A template split at its loads and stores: the run of shared
+#: instructions before the first of them, then each load or store (its
+#: prototype and address stream) with the shared run that follows it.
+_Split = Tuple[
+    Tuple[DynInst, ...], List[Tuple[DynInst, Iterator[int], Tuple[DynInst, ...]]]
+]
+
+
+def _split_runs(entries: List[_Entry]) -> _Split:
+    """Split a template at its loads and stores into runs of shared
+    instructions."""
+    lead: List[DynInst] = []
+    tail = []
+    run = lead
+    for inst, addresses in entries:
+        if addresses is None:
+            run.append(inst)
+        else:
+            run = []
+            tail.append((inst, addresses, run))
+    return tuple(lead), [(proto, addresses, tuple(run)) for proto, addresses, run in tail]
 
 
 def lower_partition(

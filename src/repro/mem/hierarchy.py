@@ -22,6 +22,7 @@ the bus.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush, heapreplace
 from typing import Callable, List, Optional
 
 from repro.core.queue_model import queue_of_addr
@@ -36,9 +37,10 @@ _MODIFIED = LineState.MODIFIED
 _EXCLUSIVE = LineState.EXCLUSIVE
 _SHARED = LineState.SHARED
 _INVALID = LineState.INVALID
+_CONTROL_BYTES = SharedBus.CONTROL_BYTES
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class AccessResult:
     """Outcome of one memory access.
 
@@ -54,7 +56,8 @@ class AccessResult:
             fences wait for ordering, not global visibility: a store is
             ordered once the L2 accepts it, even while its ownership request
             is still in flight (same-line flag/data pairs are ordered by the
-            single RFO that acquires the line).
+            single RFO that acquires the line).  A non-positive value means
+            "when it completes".
     """
 
     complete: float
@@ -63,19 +66,37 @@ class AccessResult:
     prel2_wait: float = 0.0
     ordered: float = 0.0
 
-    def __post_init__(self) -> None:
-        if self.ordered <= 0.0:
-            self.ordered = self.complete
+    def __init__(
+        self,
+        complete: float,
+        breakdown: LatencyBreakdown,
+        level: str,
+        prel2_wait: float = 0.0,
+        ordered: float = 0.0,
+    ) -> None:
+        self.complete = complete
+        self.breakdown = breakdown
+        self.level = level
+        self.prel2_wait = prel2_wait
+        self.ordered = complete if ordered <= 0.0 else ordered
 
 
 class MemorySystem:
     """Snoop-coherent two-level private + shared-L3 memory system.
 
-    The latencies, line sizes and L1-lines-per-L2-line ratio every access
-    reads are bound once, when the system is built.  The access paths build
-    their records positionally — ``LatencyBreakdown(total, l2, bus, l3,
-    mem)`` and ``AccessResult(complete, breakdown, level, prel2_wait,
-    ordered)`` — because keyword construction doubles their cost.
+    The latencies, line sizes, set counts and L1-lines-per-L2-line ratio
+    every access reads are bound once, when the system is built, and so are
+    each core's L2-port pool, OzQ entry pool and cache set tables.  The
+    access paths grant ports and two-phase OzQ entries in place on those
+    pools' free-at heaps — updating ``grants``, ``busy_cycles`` and
+    ``_open_grants`` and the OzQ's backpressure counters exactly as
+    :meth:`UnitPool.acquire` / ``begin`` / ``end`` and
+    :meth:`OzQ.begin_entry` do — and look lines up, touch LRU order and
+    invalidate by walking the set tables directly, with the hit/miss
+    counting of :meth:`CacheArray.lookup`.  Records are built positionally
+    — ``LatencyBreakdown(total, l2, bus, l3, mem)`` and
+    ``AccessResult(complete, breakdown, level, prel2_wait, ordered)`` —
+    because keyword construction doubles their cost.
     """
 
     def __init__(self, config: MachineConfig, trace=None) -> None:
@@ -117,6 +138,13 @@ class MemorySystem:
         self._l1_line_bytes = config.l1d.line_bytes
         self._l2_line_bytes = config.l2.line_bytes
         self._l1_per_l2 = config.l2.line_bytes // config.l1d.line_bytes
+        self._l1_n_sets = config.l1d.n_sets
+        self._l2_n_sets = config.l2.n_sets
+        #: Per-core L2-port and OzQ entry pools, and L1/L2 set tables.
+        self._l2_ports = [ozq.ports for ozq in self.ozq]
+        self._ozq_entries = [ozq._entries for ozq in self.ozq]
+        self._l1_sets = [l1._sets for l1 in self.l1d]
+        self._l2_sets = [l2._sets for l2 in self.l2]
 
     # ------------------------------------------------------------------
     # Address helpers
@@ -126,11 +154,12 @@ class MemorySystem:
         return addr // self._l2_line_bytes
 
     def _invalidate_l1(self, core: int, l2_line: int) -> None:
-        l1 = self.l1d[core]
+        sets = self._l1_sets[core]
+        n_sets = self._l1_n_sets
         ratio = self._l1_per_l2
         base = l2_line * ratio
         for l1_line in range(base, base + ratio):
-            l1.invalidate(l1_line)
+            sets[l1_line % n_sets].pop(l1_line, None)
 
     # ------------------------------------------------------------------
     # Demand loads
@@ -139,24 +168,39 @@ class MemorySystem:
     def load(self, core: int, addr: int, at: float, streaming: bool = False) -> AccessResult:
         """Service a demand load issued by ``core`` at time ``at``."""
         self.loads += 1
-        hit = self.l1d[core].lookup(addr // self._l1_line_bytes)
-        if hit is not None and hit.ready_at <= at:
-            lat = self._l1_latency
-            return AccessResult(at + lat, LatencyBreakdown(lat), "L1")
+        l1_line = addr // self._l1_line_bytes
+        cset = self._l1_sets[core][l1_line % self._l1_n_sets]
+        hit = cset.get(l1_line)
+        if hit is None or hit.state is _INVALID:
+            self.l1d[core].misses += 1
+        else:
+            cset.move_to_end(l1_line)
+            self.l1d[core].hits += 1
+            if hit.ready_at <= at:
+                lat = self._l1_latency
+                return AccessResult(at + lat, LatencyBreakdown(lat), "L1")
         return self._l2_load(core, addr, at, streaming, not streaming)
 
     def _l2_load(
         self, core: int, addr: int, at: float, streaming: bool, fill_l1: bool
     ) -> AccessResult:
         """L2-and-below load path (also used by produce/consume accesses)."""
-        ozq = self.ozq[core]
         l2_lat = self._l2_latency
         port_req = at + self._l1_latency  # L1 miss detection
-        port = ozq.acquire_port(port_req, busy=1.0)
+        ports = self._l2_ports[core]
+        free_at = ports._free_at
+        first = free_at[0]
+        port = first if first > port_req else port_req
+        heapreplace(free_at, port + 1.0)
+        ports.grants += 1
+        ports.busy_cycles += 1.0
         port_wait = port - port_req
         line = addr // self._l2_line_bytes
-        cached = self.l2[core].lookup(line)
-        if cached is not None:
+        cset = self._l2_sets[core][line % self._l2_n_sets]
+        cached = cset.get(line)
+        if cached is not None and cached.state is not _INVALID:
+            cset.move_to_end(line)
+            self.l2[core].hits += 1
             # Hit — possibly on a line whose fill (write-forward) is in flight.
             l2_done = port + l2_lat
             ready = cached.ready_at + l2_lat
@@ -175,12 +219,28 @@ class MemorySystem:
                 ),
                 "L2",
             )
-        # L2 miss: allocate an OzQ entry for the duration of the service.
-        entry = ozq.begin_entry(port)  # entry claimed once the miss is detected
+        self.l2[core].misses += 1
+        # L2 miss: an OzQ entry is held for the duration of the service,
+        # claimed once the miss is detected.
+        ozq = self.ozq[core]
+        entries = self._ozq_entries[core]
+        entry_free = entries._free_at
+        first = heappop(entry_free)
+        entry = first if first > port else port
+        entries.grants += 1
+        entries._open_grants += 1
+        if entry > port:
+            ozq.backpressure_events += 1
+            ozq.backpressure_cycles += entry - port
         prel2_wait = entry - port
         t = entry + l2_lat  # tag check / miss detect
         complete, bd, level = self._miss_service(core, line, t, False, streaming)
-        ozq.end_entry(entry, complete)
+        entries._open_grants -= 1
+        if complete > entry:
+            heappush(entry_free, complete)
+            entries.busy_cycles += complete - entry
+        else:
+            heappush(entry_free, entry)
         if fill_l1:
             self.l1d[core].install(addr // self._l1_line_bytes, _SHARED)
         bd.l2 += int(l2_lat + port_wait)
@@ -204,80 +264,90 @@ class MemorySystem:
         flag-visibility dependence exposes the completion time.
         """
         self.stores += 1
-        ozq = self.ozq[core]
         l2_lat = self._l2_latency
         port_req = at + self._l1_latency
-        port = ozq.acquire_port(port_req, busy=1.0)
+        ports = self._l2_ports[core]
+        free_at = ports._free_at
+        first = free_at[0]
+        port = first if first > port_req else port_req
+        heapreplace(free_at, port + 1.0)
+        ports.grants += 1
+        ports.busy_cycles += 1.0
         port_wait = port - port_req
         line = addr // self._l2_line_bytes
-        cached = self.l2[core].lookup(line)
-        if cached is not None:
+        cset = self._l2_sets[core][line % self._l2_n_sets]
+        cached = cset.get(line)
+        prel2_wait = ordered = 0.0
+        if cached is not None and cached.state is not _INVALID:
+            cset.move_to_end(line)
+            self.l2[core].hits += 1
             state = cached.state
             if state is _MODIFIED or state is _EXCLUSIVE:
                 cached.state = _MODIFIED
-                cached.streaming = cached.streaming or streaming
+                if streaming:
+                    cached.streaming = True
                 complete = port + l2_lat
                 if cached.ready_at > complete:
                     complete = cached.ready_at
-                self._l1_write_update(core, addr)
-                if self.trace is not None:
-                    self.trace.emit(
-                        "mem.access", at, core=core, dur=complete - at,
-                        addr=addr, level="L2", op="store",
-                    )
-                return AccessResult(
-                    complete,
-                    LatencyBreakdown(int(complete - at), int(l2_lat + port_wait)),
-                    "L2",
-                )
-            if state is _SHARED:
-                # Upgrade: invalidate remote sharers with a control message.
+                bd = LatencyBreakdown(int(complete - at), int(l2_lat + port_wait))
+                level = traced_level = "L2"
+            else:
+                # SHARED — upgrade: invalidate remote sharers with a
+                # control message.
                 self.upgrades += 1
                 ordered = port + l2_lat
-                tx = self.bus.control_message(ordered, requester=core)
+                tx = self.bus.transfer(ordered, _CONTROL_BYTES, core)
                 self._invalidate_remote(core, line)
                 cached.state = _MODIFIED
-                cached.streaming = cached.streaming or streaming
+                if streaming:
+                    cached.streaming = True
                 complete = tx.done_time
-                self._l1_write_update(core, addr)
-                if self.trace is not None:
-                    self.trace.emit(
-                        "mem.access", at, core=core, dur=complete - at,
-                        addr=addr, level="upgrade", op="store",
-                    )
-                return AccessResult(
-                    complete,
-                    LatencyBreakdown(
-                        int(complete - at),
-                        int(l2_lat + port_wait),
-                        int(complete - tx.request_time),
-                    ),
-                    "L2",
-                    0.0,
-                    ordered,
+                bd = LatencyBreakdown(
+                    int(complete - at),
+                    int(l2_lat + port_wait),
+                    int(complete - tx.request_time),
                 )
-        # Store miss: read-for-ownership.
-        entry = ozq.begin_entry(port)
-        prel2_wait = entry - port
-        ordered = entry + l2_lat
-        complete, bd, level = self._miss_service(core, line, ordered, True, streaming)
-        ozq.end_entry(entry, complete)
-        self._l1_write_update(core, addr)
-        bd.l2 += int(l2_lat + port_wait)
-        bd.prel2 += int(prel2_wait)
-        bd.total = int(complete - at)
+                level, traced_level = "L2", "upgrade"
+        else:
+            self.l2[core].misses += 1
+            # Store miss: read-for-ownership, holding an OzQ entry.
+            ozq = self.ozq[core]
+            entries = self._ozq_entries[core]
+            entry_free = entries._free_at
+            first = heappop(entry_free)
+            entry = first if first > port else port
+            entries.grants += 1
+            entries._open_grants += 1
+            if entry > port:
+                ozq.backpressure_events += 1
+                ozq.backpressure_cycles += entry - port
+            prel2_wait = entry - port
+            ordered = entry + l2_lat
+            complete, bd, level = self._miss_service(core, line, ordered, True, streaming)
+            entries._open_grants -= 1
+            if complete > entry:
+                heappush(entry_free, complete)
+                entries.busy_cycles += complete - entry
+            else:
+                heappush(entry_free, entry)
+            bd.l2 += int(l2_lat + port_wait)
+            bd.prel2 += int(prel2_wait)
+            bd.total = int(complete - at)
+            traced_level = level
+        # Write-through: refresh the L1 copy only if it is resident (every
+        # L1 line is installed ready at 0.0, so only state and LRU change).
+        l1_line = addr // self._l1_line_bytes
+        l1_set = self._l1_sets[core][l1_line % self._l1_n_sets]
+        l1_hit = l1_set.get(l1_line)
+        if l1_hit is not None:
+            l1_hit.state = _SHARED
+            l1_set.move_to_end(l1_line)
         if self.trace is not None:
             self.trace.emit(
-                "mem.access", at, core=core, dur=complete - at, addr=addr, level=level, op="store"
+                "mem.access", at, core=core, dur=complete - at,
+                addr=addr, level=traced_level, op="store",
             )
         return AccessResult(complete, bd, level, prel2_wait, ordered)
-
-    def _l1_write_update(self, core: int, addr: int) -> None:
-        """Write-through update: refresh L1 only if the line is resident."""
-        l1 = self.l1d[core]
-        l1_line = addr // self._l1_line_bytes
-        if l1.probe(l1_line) is not None:
-            l1.install(l1_line, _SHARED)
 
     # ------------------------------------------------------------------
     # Miss service via the shared bus
@@ -293,27 +363,33 @@ class MemorySystem:
         """
         bus = self.bus
         line_bytes = self._l2_line_bytes
-        # Address/snoop phase.
-        req = bus.control_message(at, requester=core)
+        # Address/snoop phase: an address-only message.
+        req = bus.transfer(at, _CONTROL_BYTES, core)
         t = req.done_time
         bus_cycles = t - req.request_time
-        remote = self._find_remote_owner(core, line)
-        if remote is not None:
-            remote_core, remote_line = remote
+        remote_core, remote_line = self._find_remote_owner(core, line)
+        if remote_line is not None:
             self.cache_to_cache_transfers += 1
             # Remote L2 services the snoop: port + array access, then the
             # line crosses the shared bus (cache-to-cache transfer).
-            ready = self.ozq[remote_core].acquire_port(t, busy=1.0) + self._l2_latency
+            ports = self._l2_ports[remote_core]
+            free_at = ports._free_at
+            first = free_at[0]
+            grant = first if first > t else t
+            heapreplace(free_at, grant + 1.0)
+            ports.grants += 1
+            ports.busy_cycles += 1.0
+            ready = grant + self._l2_latency
             if remote_line.ready_at > ready:
                 ready = remote_line.ready_at
             data = bus.transfer(ready, line_bytes, remote_core)
             complete = data.done_time
             bus_cycles += complete - data.request_time
             if rfo:
-                self.l2[remote_core].invalidate(line)
+                del self._l2_sets[remote_core][line % self._l2_n_sets][line]
                 self._invalidate_l1(remote_core, line)
             else:
-                self.l2[remote_core].downgrade(line)
+                remote_line.state = _SHARED
             # Dirty data also refreshes the shared L3 (writeback-on-transfer).
             self.l3.install(line, _SHARED)
             self._install_l2(core, line, rfo, complete, streaming, shared=not rfo)
@@ -343,22 +419,22 @@ class MemorySystem:
         ), "MEM"
 
     def _find_remote_owner(self, core: int, line: int):
-        """Find a remote L2 holding ``line`` in M or E state."""
-        for other, l2 in enumerate(self.l2):
-            if other == core:
-                continue
-            cached = l2.probe(line)
-            if cached is not None:
-                state = cached.state
-                if state is _MODIFIED or state is _EXCLUSIVE:
-                    return other, cached
-        return None
+        """``(core, line)`` of a remote L2 holding ``line`` in M or E state,
+        or ``(None, None)``."""
+        index = line % self._l2_n_sets
+        for other, sets in enumerate(self._l2_sets):
+            if other != core:
+                cached = sets[index].get(line)
+                if cached is not None:
+                    state = cached.state
+                    if state is _MODIFIED or state is _EXCLUSIVE:
+                        return other, cached
+        return None, None
 
     def _invalidate_remote(self, core: int, line: int) -> None:
-        for other, l2 in enumerate(self.l2):
-            if other == core:
-                continue
-            if l2.invalidate(line) is not None:
+        index = line % self._l2_n_sets
+        for other, sets in enumerate(self._l2_sets):
+            if other != core and sets[index].pop(line, None) is not None:
                 self._invalidate_l1(other, line)
 
     def _install_l2(
@@ -369,11 +445,11 @@ class MemorySystem:
         else:
             state = _SHARED if shared else _EXCLUSIVE
         victim = self.l2[core].install(line, state, ready, streaming)
-        self._handle_victim(core, victim, ready)
+        if victim is not None:
+            self._handle_victim(core, victim, ready)
 
     def _handle_victim(self, core: int, victim, at: float) -> None:
-        if victim is None:
-            return
+        """Write back and report a line an L2 install evicted."""
         self._invalidate_l1(core, victim.line_addr)
         if victim.state is _MODIFIED:
             # Writeback occupies the bus but is off the requester's critical path.
@@ -418,8 +494,25 @@ class MemorySystem:
         self.forwards += 1
         line = addr // self._l2_line_bytes
         ozq = self.ozq[src]
-        entry = ozq.begin_entry(at)
-        ready = ozq.acquire_port(entry, busy=1.0) + self._l2_latency
+        # The push holds an OzQ entry from ``at`` until it lands, and takes
+        # one source L2 port once the entry is granted.
+        entries = self._ozq_entries[src]
+        entry_free = entries._free_at
+        first = heappop(entry_free)
+        entry = first if first > at else at
+        entries.grants += 1
+        entries._open_grants += 1
+        if entry > at:
+            ozq.backpressure_events += 1
+            ozq.backpressure_cycles += entry - at
+        ports = self._l2_ports[src]
+        free_at = ports._free_at
+        first = free_at[0]
+        port = first if first > entry else entry
+        heapreplace(free_at, port + 1.0)
+        ports.grants += 1
+        ports.busy_cycles += 1.0
+        ready = port + self._l2_latency
         # The push rides the writeback path: low bus priority, so it fills
         # idle bandwidth instead of stalling demand traffic — the cost that
         # matters is source-side (OzQ entry + port churn below).
@@ -427,7 +520,12 @@ class MemorySystem:
         if contend_ports and tx.grant_time > ready:
             ozq.recirculate(ready, tx.grant_time)
         arrival = tx.done_time
-        ozq.end_entry(entry, arrival)
+        entries._open_grants -= 1
+        if arrival > entry:
+            heappush(entry_free, arrival)
+            entries.busy_cycles += arrival - entry
+        else:
+            heappush(entry_free, entry)
         if self.faults is not None:
             dropped, delay = self.faults.forward_fault(
                 queue_of_addr(addr), src=src, dst=dst, at=at
@@ -441,16 +539,18 @@ class MemorySystem:
                     )
                 return None
             arrival += delay
-        src_line = self.l2[src].probe(line)
+        src_set = self._l2_sets[src][line % self._l2_n_sets]
+        src_line = src_set.get(line)
         if src_line is not None:
             if release_src:
-                self.l2[src].invalidate(line)
+                del src_set[line]
                 self._invalidate_l1(src, line)
             else:
                 src_line.state = _SHARED
         state = _EXCLUSIVE if release_src else _SHARED
         victim = self.l2[dst].install(line, state, arrival, True)
-        self._handle_victim(dst, victim, arrival)
+        if victim is not None:
+            self._handle_victim(dst, victim, arrival)
         if self.trace is not None:
             self.trace.emit(
                 "fwd.line", arrival, core=src,
@@ -465,7 +565,8 @@ class MemorySystem:
         holds the line (a write-forward delivered it) observes the flag from
         the local copy instead of demand-refetching across the bus.
         """
-        cached = self.l2[core].probe(addr // self._l2_line_bytes)
+        line = addr // self._l2_line_bytes
+        cached = self._l2_sets[core][line % self._l2_n_sets].get(line)
         return cached is not None and cached.state is not _INVALID
 
     def observe_update(self, core: int, addr: int, at: float) -> float:
@@ -484,17 +585,19 @@ class MemorySystem:
         every forward would pay its push *and* a redundant refetch.
         """
         line = addr // self._l2_line_bytes
-        cached = self.l2[core].probe(line)
+        cached = self._l2_sets[core][line % self._l2_n_sets].get(line)
         if cached is not None and cached.state is not _INVALID:
             cached.streaming = True
-            return max(at, cached.ready_at)
-        tx = self.bus.transfer(at, self._l2_line_bytes, core)
-        owner = self._find_remote_owner(core, line)
+            ready = cached.ready_at
+            return ready if ready > at else at
+        done = self.bus.transfer(at, self._l2_line_bytes, core).done_time
+        owner = self._find_remote_owner(core, line)[1]
         if owner is not None:
-            self.l2[owner[0]].downgrade(line)
-        victim = self.l2[core].install(line, _SHARED, tx.done_time, True)
-        self._handle_victim(core, victim, tx.done_time)
-        return tx.done_time
+            owner.state = _SHARED
+        victim = self.l2[core].install(line, _SHARED, done, True)
+        if victim is not None:
+            self._handle_victim(core, victim, done)
+        return done
 
     def stream_load(self, core: int, addr: int, at: float) -> AccessResult:
         """L2-direct load used by SYNCOPTI consume instructions.
@@ -514,5 +617,4 @@ class MemorySystem:
         """
         if self.faults is not None:
             at += self.faults.ack_delay(core, at)
-        tx = self.bus.control_message(at, requester=core)
-        return tx.done_time
+        return self.bus.transfer(at, _CONTROL_BYTES, core).done_time

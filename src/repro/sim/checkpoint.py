@@ -97,7 +97,12 @@ CHECKPOINT_MAGIC = b"RPROCKPT"
 #: (v1 reference-kernel snapshots carried the retired list calendar).
 #: v3: slotted access records and cache lines, build-time bindings on the
 #: core, memory system, bus and queue layouts (a v2 machine lacks them).
-CHECKPOINT_VERSION = 3
+#: v4: build-time bindings of each core's L2-port and OzQ entry pools and
+#: cache set tables on the memory system, of the channel table and memory
+#: access methods on the mechanisms (a v3 machine lacks them).
+#: ``tests/sim/test_snapshot_layout.py`` records the pickled class layout of
+#: each version: a layout change fails it until the version is bumped.
+CHECKPOINT_VERSION = 4
 
 #: Suffix of the rotated previous snapshot (the fallback generation).
 PREV_SUFFIX = ".prev"

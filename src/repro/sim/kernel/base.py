@@ -242,15 +242,12 @@ class SimKernel:
             )
 
     def _step(self, runner: CoreRunner) -> None:
-        self.total_steps += 1
+        steps = self.total_steps = self.total_steps + 1
         runner.steps += 1
-        runner.last_progress_step = self.total_steps
-        if self.total_steps > self.max_steps:
+        runner.last_progress_step = steps
+        if steps > self.max_steps:
             self._raise_limit()
-        if (
-            self._wall_clock_start is not None
-            and self.total_steps >= self._wall_clock_next_step
-        ):
+        if self._wall_clock_start is not None and steps >= self._wall_clock_next_step:
             self._check_wall_clock()
         try:
             msg = runner.gen.send(runner.resume_value)
@@ -266,7 +263,9 @@ class SimKernel:
             raise TypeError(f"core {runner.core_id} yielded malformed message {msg!r}")
         kind = msg[0]
         if kind == "time":
-            runner.time = max(runner.time, float(msg[1]))
+            t = float(msg[1])
+            if t > runner.time:
+                runner.time = t
             runner.last_progress_time = runner.time
         elif kind == "block":
             _, predicate, deadline = msg

@@ -61,10 +61,10 @@ class Machine:
         if self.faults is not None:
             self.faults.trace = self.trace
         self.mem = MemorySystem(config, trace=self.trace)
+        self.channels: Dict[int, QueueChannel] = {}
         self.mechanism = create_mechanism(mechanism, self)
         self.mem.on_streaming_eviction = self.mechanism.on_streaming_eviction
         self.cores = [CoreModel(i, self) for i in range(config.n_cores)]
-        self.channels: Dict[int, QueueChannel] = {}
         self._ran = False
 
     def channel(self, queue_id: int) -> QueueChannel:

@@ -87,42 +87,36 @@ class LatencyBreakdown:
         and ``total`` > 0, without building the breakdown.
 
         An exposure of at least ``total`` cycles scales by exactly 1, so
-        each (whole-cycle) component is taken whole, capped only by the
-        running remainder — the values the scaled path computes.
+        each (whole-cycle) component is taken whole; a shorter one scales
+        each by ``cycles / total`` (< 1) and rounds.  Either way each
+        share is then capped by the running remainder.
+        :meth:`ThreadStats.charge_breakdown` writes this rule out inline.
         """
-        if cycles >= self.total:
-            remaining = cycles
-            l2 = self.l2
-            if l2 > remaining:
-                l2 = remaining
-            remaining -= l2
-            bus = self.bus
-            if bus > remaining:
-                bus = remaining
-            remaining -= bus
-            l3 = self.l3
-            if l3 > remaining:
-                l3 = remaining
-            remaining -= l3
-            mem = self.mem
-            if mem > remaining:
-                mem = remaining
-            remaining -= mem
-            prel2 = self.prel2
-            if prel2 > remaining:
-                prel2 = remaining
-            return l2, bus, l3, mem, prel2
-        f = min(1.0, cycles / self.total)
+        total = self.total
+        if cycles >= total:
+            l2, bus, l3, mem, prel2 = self.l2, self.bus, self.l3, self.mem, self.prel2
+        else:
+            f = cycles / total
+            l2 = round(self.l2 * f)
+            bus = round(self.bus * f)
+            l3 = round(self.l3 * f)
+            mem = round(self.mem * f)
+            prel2 = round(self.prel2 * f)
         remaining = cycles
-        l2 = min(remaining, int(round(self.l2 * f)))
+        if l2 > remaining:
+            l2 = remaining
         remaining -= l2
-        bus = min(remaining, int(round(self.bus * f)))
+        if bus > remaining:
+            bus = remaining
         remaining -= bus
-        l3 = min(remaining, int(round(self.l3 * f)))
+        if l3 > remaining:
+            l3 = remaining
         remaining -= l3
-        mem = min(remaining, int(round(self.mem * f)))
+        if mem > remaining:
+            mem = remaining
         remaining -= mem
-        prel2 = min(remaining, int(round(self.prel2 * f)))
+        if prel2 > remaining:
+            prel2 = remaining
         return l2, bus, l3, mem, prel2
 
 
@@ -180,10 +174,36 @@ class ThreadStats:
             return
         comps = self.components
         cycles = int(exposed)
-        if cycles <= 0 or bd.total <= 0:  # nothing named: all residual
+        total = bd.total
+        if cycles <= 0 or total <= 0:  # nothing named: all residual
             comps["COMPUTE"] += exposed
             return
-        l2, bus, l3, mem, prel2 = bd._shares(cycles)
+        # ``bd._shares(cycles)``, written out: this runs on every exposed
+        # memory stall.
+        if cycles >= total:
+            l2, bus, l3, mem, prel2 = bd.l2, bd.bus, bd.l3, bd.mem, bd.prel2
+        else:
+            f = cycles / total
+            l2 = round(bd.l2 * f)
+            bus = round(bd.bus * f)
+            l3 = round(bd.l3 * f)
+            mem = round(bd.mem * f)
+            prel2 = round(bd.prel2 * f)
+        remaining = cycles
+        if l2 > remaining:
+            l2 = remaining
+        remaining -= l2
+        if bus > remaining:
+            bus = remaining
+        remaining -= bus
+        if l3 > remaining:
+            l3 = remaining
+        remaining -= l3
+        if mem > remaining:
+            mem = remaining
+        remaining -= mem
+        if prel2 > remaining:
+            prel2 = remaining
         if l2 < 0 or bus < 0 or l3 < 0 or mem < 0 or prel2 < 0:
             raise ValueError("cannot charge negative cycles")
         comps["L2"] += l2

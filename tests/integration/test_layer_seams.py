@@ -7,8 +7,9 @@ six access methods, ``SharedBus.transfer``, ``IndexedTimeline.reserve``,
 ``produce``/``consume`` and ``ThreadProgram.instructions`` — before a
 machine is built.  Hot paths may bind those attributes when a machine is
 built, but never at import and never around them: here counting wrappers
-are patched on the same attributes, three cells run, and the calls each
-seam saw must equal the machine's own counters.  A load, store or bus
+are patched on the same attributes, one cell of each Section 4 design point
+and SYNCOPTI_SC_Q64 runs, and the calls each seam saw must equal the
+machine's own counters.  A load, store or bus
 transfer that bypassed its seam would leave a counter ahead of its wrapper.
 """
 
@@ -65,7 +66,9 @@ def seams(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("point", ["EXISTING", "MEMOPTI", "SYNCOPTI_SC_Q64"])
+@pytest.mark.parametrize(
+    "point", ["EXISTING", "MEMOPTI", "SYNCOPTI", "SYNCOPTI_SC_Q64", "HEAVYWT"]
+)
 def test_every_access_crosses_its_seam(seams, point):
     outcome = execute_cell(CampaignCell(benchmark="wc", design_point=point, trip_count=64))
     assert outcome.ok
@@ -82,10 +85,22 @@ def test_every_access_crosses_its_seam(seams, point):
     assert seams["mech.produce"] == sum(t.produces for t in threads) > 0
     assert seams["mech.consume"] == sum(t.consumes for t in threads) > 0
     assert seams["stats.charge_breakdown"] > 0
-    assert mem.loads > 0 and mem.stores > 0
-    if point == "SYNCOPTI_SC_Q64":
+    assert mem.loads > 0
+    # wc itself stores nothing: every store is a memory-backed queue's.
+    assert (mem.stores > 0) is (point != "HEAVYWT")
+    if point.startswith("SYNCOPTI"):
+        # Bulk ACKs and line forwards; consumes read through stream loads.
         assert seams["mem.control_ack"] > 0 and mem.forwards > 0
+        assert seams["mem.stream_load"] > 0
+        assert seams["mem.observe_update"] == 0
+    elif point == "HEAVYWT":
+        # Queue traffic never touches the memory system.
+        assert seams["mem.forward_line"] == seams["mem.control_ack"] == 0
+        assert seams["mem.observe_update"] == seams["mem.stream_load"] == 0
     else:
         assert seams["mem.observe_update"] > 0
+        assert seams["mem.control_ack"] == seams["mem.stream_load"] == 0
     if point == "MEMOPTI":
         assert mem.forwards > 0
+    if point == "EXISTING":
+        assert mem.forwards == 0

@@ -141,6 +141,57 @@ class TestThreadStats:
         assert set(t.components) == set(COMPONENTS)
 
 
+def _reference_shares(bd: LatencyBreakdown, cycles: int):
+    """The original share rule: ``min``-capped, ``int(round())``-scaled."""
+    if cycles >= bd.total:
+        remaining = cycles
+        out = []
+        for value in (bd.l2, bd.bus, bd.l3, bd.mem, bd.prel2):
+            value = min(remaining, value)
+            remaining -= value
+            out.append(value)
+        return tuple(out)
+    f = min(1.0, cycles / bd.total)
+    remaining = cycles
+    out = []
+    for value in (bd.l2, bd.bus, bd.l3, bd.mem, bd.prel2):
+        value = min(remaining, int(round(value * f)))
+        remaining -= value
+        out.append(value)
+    return tuple(out)
+
+
+_parts = st.integers(-3, 120)
+
+
+class TestShareRule:
+    """``_shares`` and ``charge_breakdown``'s inline copy ≡ the original."""
+
+    @given(
+        st.integers(1, 300), _parts, _parts, _parts, _parts, _parts,
+        st.integers(1, 400), st.sampled_from((0.0, 0.25, 0.5, 0.75)),
+    )
+    def test_shares_and_charge_match_the_original(
+        self, total, l2, bus, l3, mem, prel2, cycles, frac
+    ):
+        bd = LatencyBreakdown(total, l2, bus, l3, mem, prel2)
+        want = _reference_shares(bd, cycles)
+        assert bd._shares(cycles) == want
+        assert all(type(v) is type(w) for v, w in zip(bd._shares(cycles), want))
+        stats = ThreadStats()
+        exposed = cycles + frac
+        if min(want) < 0:
+            with pytest.raises(ValueError):
+                stats.charge_breakdown(bd, exposed)
+            return
+        stats.charge_breakdown(bd, exposed)
+        ref = {name: 0.0 for name in COMPONENTS}
+        for name, value in zip(("L2", "BUS", "L3", "MEM", "PreL2"), want):
+            ref[name] += value
+        ref["COMPUTE"] += exposed - sum(want)
+        assert stats.components == ref
+
+
 class TestRunStats:
     def test_cycles_is_slowest_thread(self):
         rs = RunStats(
