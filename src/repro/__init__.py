@@ -82,13 +82,10 @@ _EXPORTS = {
         "run_worker",
     ),
     "repro.sim.config": ("MachineConfig", "baseline_config"),
-    "repro.sim.cosim": (
-        "DeadlockError", "SimulationError", "SimulationLimitError", "WallClockExceededError",
-    ),
     "repro.sim.forensics": ("PostMortem",),
     "repro.sim.kernel": (
-        "KERNEL_NAMES", "EventKernel", "ReferenceKernel", "SimKernel", "available_kernels",
-        "create_kernel",
+        "DeadlockError", "SimKernel", "SimulationError", "SimulationLimitError",
+        "WallClockExceededError",
     ),
     "repro.sim.machine": ("Machine", "run_program"),
     "repro.sim.program": ("Program", "ThreadProgram"),
@@ -113,8 +110,6 @@ __all__ = [
     "BENCHMARK_ORDER",
     "COMM_OP_POINTS",
     "DESIGN_POINTS",
-    "EventKernel",
-    "KERNEL_NAMES",
     "OVERRIDE_KNOBS",
     "CampaignCell",
     "CampaignLedger",
@@ -138,7 +133,6 @@ __all__ = [
     "PreemptedRun",
     "PreemptionRequested",
     "Program",
-    "ReferenceKernel",
     "ResultStore",
     "RunOutcome",
     "RunResult",
@@ -159,7 +153,6 @@ __all__ = [
     "WallClockExceededError",
     "WorkQueue",
     "apply_overrides",
-    "available_kernels",
     "available_mechanisms",
     "baseline_config",
     "campaign_status",
@@ -173,7 +166,6 @@ __all__ = [
     "cell_digest",
     "check_bus_utilization",
     "check_occupancy",
-    "create_kernel",
     "create_mechanism",
     "execute_cell",
     "geomean",

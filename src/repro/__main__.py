@@ -6,8 +6,7 @@ Examples::
     python -m repro run figure7 --scale 0.25
     python -m repro run table1 pipeline_scaling
     python -m repro run all --scale 0.1 --jobs 4
-    python -m repro run figure7 --kernel event     # same figures, faster host
-    python -m repro bench --quick --check          # kernel perf trajectory
+    python -m repro bench --quick --check          # simulator perf trajectory
 
     python -m repro campaign run --grid figure7 --ledger fig7.jsonl --jobs 4
     python -m repro campaign status --ledger fig7.jsonl
@@ -38,7 +37,7 @@ import sys
 from typing import List, Optional
 
 from repro.harness.experiments import ALL_EXPERIMENTS
-from repro.sim.kernel import KERNEL_NAMES
+from repro.sim.kernel import canonical_kernel
 
 #: Named campaign grids ``campaign run`` can build.  ``resume`` rebuilds the
 #: same grid (cells never started leave no spec in the ledger, so the grid
@@ -55,7 +54,7 @@ def _first_doc_line(fn) -> str:
     return ""
 
 
-def _campaign_grid(name: str, scale: float, kernel: str = "reference"):
+def _campaign_grid(name: str, scale: float):
     """Build the named grid's campaign cells."""
     from repro.core.design_points import FIGURE7_ORDER, FIGURE12_ORDER
     from repro.harness.campaign import CampaignCell
@@ -68,25 +67,19 @@ def _campaign_grid(name: str, scale: float, kernel: str = "reference"):
 
     if name == "figure7":
         return [
-            CampaignCell(
-                benchmark=b, design_point=p, trip_count=trips(b), kernel=kernel
-            )
+            CampaignCell(benchmark=b, design_point=p, trip_count=trips(b))
             for b in BENCHMARK_ORDER
             for p in FIGURE7_ORDER
         ]
     if name == "figure12":
         return [
-            CampaignCell(
-                benchmark=b, design_point=p, trip_count=trips(b), kernel=kernel
-            )
+            CampaignCell(benchmark=b, design_point=p, trip_count=trips(b))
             for b in BENCHMARK_ORDER
             for p in FIGURE12_ORDER
         ]
     if name == "pipeline":
         cells = [
-            CampaignCell(
-                benchmark=b, kind="single", trip_count=trips(b), kernel=kernel
-            )
+            CampaignCell(benchmark=b, kind="single", trip_count=trips(b))
             for b in PIPELINE_BENCHMARKS
         ]
         cells += [
@@ -96,7 +89,6 @@ def _campaign_grid(name: str, scale: float, kernel: str = "reference"):
                 kind="pipeline",
                 stages=k,
                 trip_count=trips(b),
-                kernel=kernel,
             )
             for b in PIPELINE_BENCHMARKS
             for k in (2, 4)
@@ -109,12 +101,23 @@ def _campaign_grid(name: str, scale: float, kernel: str = "reference"):
                 benchmark=b,
                 design_point=p,
                 trip_count=max(32, int(64 * scale)),
-                kernel=kernel,
             )
             for b in ("wc", "fir")
             for p in FIGURE7_ORDER
         ]
     raise KeyError(f"unknown campaign grid {name!r}; known: {CAMPAIGN_GRIDS}")
+
+
+def _add_kernel_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--kernel",
+        default="reference",
+        type=canonical_kernel,
+        help=(
+            "accepted for older scripts: 'reference' and 'event' both name "
+            "the one stepping loop (default: reference)"
+        ),
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -153,15 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "in-process, the default)"
         ),
     )
-    run.add_argument(
-        "--kernel",
-        default="reference",
-        choices=KERNEL_NAMES,
-        help=(
-            "simulation stepping kernel; bit-identical figures either way, "
-            "'event' is the fast path (default: reference)"
-        ),
-    )
+    _add_kernel_argument(run)
 
     camp = sub.add_parser(
         "campaign",
@@ -239,16 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 "(default: <ledger>.ckpt next to the ledger)"
             ),
         )
-        p.add_argument(
-            "--kernel",
-            default="reference",
-            choices=KERNEL_NAMES,
-            help=(
-                "simulation stepping kernel for every cell; part of the "
-                "cell key, so a resume must use the same kernel as the run "
-                "it resumes (default: reference)"
-            ),
-        )
+        _add_kernel_argument(p)
         p.add_argument(
             "--store",
             default=None,
@@ -485,7 +471,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench",
         help=(
-            "measure simulated cycles/sec per kernel (the perf trajectory) "
+            "measure simulated cycles/sec (the perf trajectory) "
             "and write the BENCH json record"
         ),
     )
@@ -521,7 +507,7 @@ def _campaign_main(parser: argparse.ArgumentParser, args) -> int:
         from repro.obs import runtime as _obs_runtime
 
         _obs_runtime.configure(log_path=args.obs_log)
-    cells = _campaign_grid(args.grid, args.scale, kernel=args.kernel)
+    cells = _campaign_grid(args.grid, args.scale)
 
     queue = None
     if args.workers_external:
@@ -765,7 +751,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         result = (
             fn()
             if name.startswith("table")
-            else fn(args.scale, jobs=args.jobs, kernel=args.kernel)
+            else fn(args.scale, jobs=args.jobs)
         )
         print(result.text)
         print()

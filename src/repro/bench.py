@@ -1,16 +1,10 @@
 """``repro.bench`` — the tracked perf trajectory of the simulator itself.
 
 Every other module in this repository measures *simulated* time; this one
-measures *host* time: how many simulated cycles per host second each
-registered stepping kernel (:mod:`repro.sim.kernel`) achieves across the
-Figure-9 sweep (every Figure-7 design point plus the single-threaded
-baseline), and how many campaign cells per minute the harness sustains
-under each kernel.
-
-The run doubles as a differential test: every (benchmark, design point)
-cell is executed once per kernel and the fingerprints must agree — a
-kernel that got faster by simulating something different fails here
-before it can skew an exhibit.
+measures *host* time: how many simulated cycles per host second the
+stepping loop (:mod:`repro.sim.kernel`) achieves across the Figure-9 sweep
+(every Figure-7 design point plus the single-threaded baseline), and how
+many campaign cells per minute the harness sustains.
 
 Since PR 8 the record also carries the result store's cold-vs-warm
 campaign numbers (:func:`bench_store`): the same grid run against a fresh
@@ -21,17 +15,17 @@ contract measured as a throughput ratio.
 Since PR 9 the record is also compared against the previous committed
 record (:func:`compare_baseline`): a seam threaded under a hot path —
 the chaos FS facade, the ``repro.obs`` telemetry gates — is supposed to
-cost *nothing* when disabled, and the per-kernel throughput ratio against
-the previous record is the receipt.  The ratio gates ``--check`` only when
+cost *nothing* when disabled, and the throughput ratio against the
+previous record is the receipt.  The ratio gates ``--check`` only when
 both records were taken at the same trip count (quick vs full), with
 generous bounds — shared-CI hosts are noisy; the gate exists to catch a
 forgotten debug hook or any other structural change (2x), not a 5% wobble.
 
 Results land in ``BENCH_<n>.json`` (``BENCH_11.json`` now, compared
-against ``BENCH_10.json``), the committed perf record the CI perf-smoke job
-regenerates with ``--quick --check`` to catch regressions where the event
-kernel stops paying for itself — or where warm store reruns stop being
-hits.
+against ``BENCH_10.json``'s ``reference`` rows), the committed perf record
+the CI perf-smoke job regenerates with ``--quick --check`` to catch warm
+store reruns that stop being hits.  Full-size fingerprints are gated by
+the tier-1 golden-grid test, not here.
 
 Usage::
 
@@ -46,7 +40,7 @@ import argparse
 import json
 import sys
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.sim.stats import geomean
 
@@ -56,16 +50,16 @@ BENCH_ID = "BENCH_11"
 #: Previous committed record, the throughput baseline.
 BASELINE_ID = "BENCH_10"
 
-#: Acceptable per-kernel throughput ratio (current / baseline) when the
-#: two records share a trip count.  Deliberately loose: the gate is for
-#: structural regressions (an accidentally-enabled shim, a hot-path
-#: import), not host noise.
+#: Acceptable throughput ratio (current / baseline) when the two records
+#: share a trip count.  Deliberately loose: the gate is for structural
+#: regressions (an accidentally-enabled shim, a hot-path import), not host
+#: noise.
 BASELINE_RATIO_MIN = 0.5
 BASELINE_RATIO_MAX = 2.0
 
 #: The sweep's workload: the paper's flagship streaming kernel.  One
-#: benchmark keeps the full grid (kernels x design points) under a minute
-#: while still exercising every mechanism's bus/queue behaviour.
+#: benchmark keeps the full grid under a minute while still exercising
+#: every mechanism's bus/queue behaviour.
 BENCH_BENCHMARK = "wc"
 
 #: Trip counts: full runs are long enough that per-run host time is
@@ -73,11 +67,8 @@ BENCH_BENCHMARK = "wc"
 FULL_TRIPS = 1500
 QUICK_TRIPS = 300
 
-#: Timed samples per (kernel, design point) row.  Each sample round runs
-#: every kernel back to back (alternating which goes first) and a row keeps
-#: its fastest sample, as ``timeit`` does: host interference only adds time.
-#: Both kernels step the same machine, so their throughputs differ by a few
-#: percent — less than one sample's noise on a shared host.
+#: Timed samples per design-point row; a row keeps its fastest sample, as
+#: ``timeit`` does: host interference only adds time.
 REPEATS = 3
 
 #: Campaign-throughput probe: the smoke grid's shape (2 benchmarks x the
@@ -87,46 +78,33 @@ CAMPAIGN_BENCHMARKS = ("wc", "fir")
 CAMPAIGN_TRIPS = 96
 
 
-def bench_grid(
-    kernels: Sequence[str],
-    trips: int,
-    benchmark: str = BENCH_BENCHMARK,
-) -> List[Dict[str, object]]:
-    """Run ``benchmark`` on every design point under every kernel.
+def bench_grid(trips: int, benchmark: str = BENCH_BENCHMARK) -> List[Dict[str, object]]:
+    """Run ``benchmark`` on every design point.
 
-    Returns one row per (kernel, design point) with ``cycles``,
-    ``host_seconds``, ``simulated_cycles_per_sec`` and ``fingerprint`` —
-    plus a ``SINGLE`` row per kernel for the Figure-9 single-threaded
-    baseline — each from the fastest of :data:`REPEATS` interleaved
-    samples.  Rows are measurement records; cross-kernel checks
-    live in :func:`check_rows`.
+    Returns one row per design point with ``cycles``, ``host_seconds``,
+    ``simulated_cycles_per_sec`` and ``fingerprint`` — plus a ``SINGLE``
+    row for the Figure-9 single-threaded baseline — each from the fastest
+    of :data:`REPEATS` samples.
     """
     from repro.core.design_points import FIGURE7_ORDER
     from repro.harness.runner import run_benchmark, run_single_threaded
 
-    points = list(FIGURE7_ORDER) + ["SINGLE"]
-    fastest: Dict[tuple, object] = {}
-    for point in points:
-        for sample in range(REPEATS):
-            order = kernels if sample % 2 == 0 else list(reversed(kernels))
-            for kernel in order:
-                if point == "SINGLE":
-                    res = run_single_threaded(benchmark, trips, kernel=kernel)
-                else:
-                    res = run_benchmark(benchmark, point, trips, kernel=kernel)
-                best = fastest.get((kernel, point))
-                if best is None or res.stats.host_seconds < best.stats.host_seconds:
-                    fastest[(kernel, point)] = res
-    return [
-        _row(kernel, benchmark, point, fastest[(kernel, point)])
-        for kernel in kernels
-        for point in points
-    ]
+    rows = []
+    for point in list(FIGURE7_ORDER) + ["SINGLE"]:
+        fastest = None
+        for _ in range(REPEATS):
+            if point == "SINGLE":
+                res = run_single_threaded(benchmark, trips)
+            else:
+                res = run_benchmark(benchmark, point, trips)
+            if fastest is None or res.stats.host_seconds < fastest.stats.host_seconds:
+                fastest = res
+        rows.append(_row(benchmark, point, fastest))
+    return rows
 
 
-def _row(kernel: str, benchmark: str, point: str, res) -> Dict[str, object]:
+def _row(benchmark: str, point: str, res) -> Dict[str, object]:
     return {
-        "kernel": kernel,
         "benchmark": benchmark,
         "design_point": point,
         "cycles": res.cycles,
@@ -136,37 +114,35 @@ def _row(kernel: str, benchmark: str, point: str, res) -> Dict[str, object]:
     }
 
 
-def bench_campaign(kernels: Sequence[str], trips: int = CAMPAIGN_TRIPS):
-    """Campaign throughput per kernel: serial ``run_cells`` over the smoke
-    grid, reported as cells per minute."""
+def _smoke_cells(trips: int):
     from repro.core.design_points import FIGURE7_ORDER
-    from repro.harness.campaign import CampaignCell, run_cells
+    from repro.harness.campaign import CampaignCell
 
-    out: Dict[str, Dict[str, object]] = {}
-    for kernel in kernels:
-        cells = [
-            CampaignCell(
-                benchmark=b, design_point=p, trip_count=trips, kernel=kernel
-            )
-            for b in CAMPAIGN_BENCHMARKS
-            for p in FIGURE7_ORDER
-        ]
-        started = time.perf_counter()
-        outcomes = run_cells(cells)
-        elapsed = time.perf_counter() - started
-        n_ok = sum(1 for o in outcomes.values() if o.ok)
-        out[kernel] = {
-            "cells": len(cells),
-            "ok": n_ok,
-            "seconds": round(elapsed, 3),
-            "cells_per_min": round(len(cells) * 60.0 / elapsed, 1),
-        }
-    return out
+    return [
+        CampaignCell(benchmark=b, design_point=p, trip_count=trips)
+        for b in CAMPAIGN_BENCHMARKS
+        for p in FIGURE7_ORDER
+    ]
 
 
-def bench_store(
-    kernel: str = "reference", trips: int = CAMPAIGN_TRIPS
-) -> Dict[str, object]:
+def bench_campaign(trips: int = CAMPAIGN_TRIPS) -> Dict[str, object]:
+    """Campaign throughput: serial ``run_cells`` over the smoke grid,
+    reported as cells per minute."""
+    from repro.harness.campaign import run_cells
+
+    cells = _smoke_cells(trips)
+    started = time.perf_counter()
+    outcomes = run_cells(cells)
+    elapsed = time.perf_counter() - started
+    return {
+        "cells": len(cells),
+        "ok": sum(1 for o in outcomes.values() if o.ok),
+        "seconds": round(elapsed, 3),
+        "cells_per_min": round(len(cells) * 60.0 / elapsed, 1),
+    }
+
+
+def bench_store(trips: int = CAMPAIGN_TRIPS) -> Dict[str, object]:
     """Cold-vs-warm store campaign: the memoization contract as a number.
 
     Runs the smoke-shaped grid against a fresh result store (cold — every
@@ -179,15 +155,10 @@ def bench_store(
     import shutil
     import tempfile
 
-    from repro.core.design_points import FIGURE7_ORDER
-    from repro.harness.campaign import CampaignCell, run_campaign
+    from repro.harness.campaign import run_campaign
     from repro.store.store import ResultStore
 
-    cells = [
-        CampaignCell(benchmark=b, design_point=p, trip_count=trips, kernel=kernel)
-        for b in CAMPAIGN_BENCHMARKS
-        for p in FIGURE7_ORDER
-    ]
+    cells = _smoke_cells(trips)
     root = tempfile.mkdtemp(prefix="repro-bench-store-")
     try:
         store = ResultStore(root)
@@ -207,7 +178,6 @@ def bench_store(
     finally:
         shutil.rmtree(root, ignore_errors=True)
     return {
-        "kernel": kernel,
         "cells": len(cells),
         "cold_seconds": round(cold_s, 3),
         "warm_seconds": round(warm_s, 3),
@@ -218,59 +188,22 @@ def bench_store(
     }
 
 
-def check_rows(rows: List[Dict[str, object]]) -> Dict[str, object]:
-    """Cross-kernel verification over the measurement rows.
-
-    * fingerprints: every kernel must produce the same fingerprint for the
-      same (benchmark, design point) cell — the kernels' core contract;
-    * speedup: per-design-point event/reference throughput ratios and
-      their geomean, the number the CI smoke gates on.
-    """
-    by_cell: Dict[tuple, Dict[str, str]] = {}
-    for row in rows:
-        cell = (row["benchmark"], row["design_point"])
-        by_cell.setdefault(cell, {})[row["kernel"]] = row["fingerprint"]
-    mismatches = [
-        {"benchmark": b, "design_point": p, "fingerprints": fps}
-        for (b, p), fps in sorted(by_cell.items())
-        if len(set(fps.values())) > 1
-    ]
-
-    scps: Dict[str, Dict[str, float]] = {}
-    for row in rows:
-        scps.setdefault(row["kernel"], {})[row["design_point"]] = float(
-            row["simulated_cycles_per_sec"]
-        )
-    speedup: Dict[str, float] = {}
-    ref = scps.get("reference", {})
-    ev = scps.get("event", {})
-    for point in ref:
-        if point in ev and ref[point] > 0:
-            speedup[point] = round(ev[point] / ref[point], 2)
-    return {
-        "fingerprints_match": not mismatches,
-        "mismatches": mismatches,
-        "event_speedup_vs_reference": speedup,
-        "event_speedup_geomean": (
-            round(geomean(speedup.values()), 2) if speedup else None
-        ),
-    }
-
-
 def compare_baseline(
     rows: List[Dict[str, object]],
     quick: bool,
     baseline_path: Optional[str] = None,
 ) -> Optional[Dict[str, object]]:
-    """Per-kernel throughput ratio against the previous committed record.
+    """Throughput ratio against the previous committed record.
 
-    Computes, for every kernel present in both records, the geomean over
-    design points of ``current simulated_cycles_per_sec / baseline``.
-    The ratios only ``gate`` (feed ``--check``) when both records were
-    taken at the same trip count — comparing a ``--quick`` run against
-    the committed full run measures trip count, not the code.  Returns
-    ``None`` when no baseline record can be read (fresh checkout,
-    renamed file): absence of a baseline is not a regression.
+    The geomean over design points of ``current simulated_cycles_per_sec /
+    baseline``, against the baseline's ``reference`` rows (records written
+    while two stepping loops existed carry a row per loop; the one loop
+    continues the ``reference`` trajectory).  The ratio only ``gate``s
+    (feeds ``--check``) when both records were taken at the same trip count
+    — comparing a ``--quick`` run against the committed full run measures
+    trip count, not the code.  Returns ``None`` when no baseline record can
+    be read (fresh checkout, renamed file): absence of a baseline is not a
+    regression.
     """
     import os
 
@@ -285,103 +218,66 @@ def compare_baseline(
     except (OSError, ValueError):
         return None
 
-    def scps(rs) -> Dict[str, Dict[str, float]]:
-        out: Dict[str, Dict[str, float]] = {}
-        for r in rs:
-            out.setdefault(r["kernel"], {})[r["design_point"]] = float(
-                r["simulated_cycles_per_sec"]
-            )
-        return out
-
-    cur, base = scps(rows), scps(baseline.get("rows", []))
-    ratios: Dict[str, float] = {}
-    for kernel in cur:
-        shared = [
-            cur[kernel][p] / base[kernel][p]
-            for p in cur[kernel]
-            if p in base.get(kernel, {}) and base[kernel][p] > 0
-        ]
-        if shared:
-            ratios[kernel] = round(geomean(shared), 3)
-    if not ratios:
+    base = {
+        r["design_point"]: float(r["simulated_cycles_per_sec"])
+        for r in baseline.get("rows", [])
+        if r.get("kernel", "reference") == "reference"
+    }
+    shared = [
+        float(r["simulated_cycles_per_sec"]) / base[r["design_point"]]
+        for r in rows
+        if base.get(r["design_point"], 0) > 0
+    ]
+    if not shared:
         return None
-    gate = bool(baseline.get("quick", False)) == quick
-    within = all(
-        BASELINE_RATIO_MIN <= r <= BASELINE_RATIO_MAX for r in ratios.values()
-    )
+    ratio = round(geomean(shared), 3)
     return {
         "baseline_id": baseline.get("bench_id", BASELINE_ID),
         "baseline_trips": baseline.get("trips"),
-        "throughput_ratio": ratios,
-        "gate": gate,
-        "within_bounds": within,
+        "throughput_ratio": ratio,
+        "gate": bool(baseline.get("quick", False)) == quick,
+        "within_bounds": BASELINE_RATIO_MIN <= ratio <= BASELINE_RATIO_MAX,
         "bounds": [BASELINE_RATIO_MIN, BASELINE_RATIO_MAX],
     }
 
 
-def run_bench(
-    quick: bool = False,
-    kernels: Optional[Sequence[str]] = None,
-    with_campaign: bool = True,
-) -> Dict[str, object]:
+def run_bench(quick: bool = False, with_campaign: bool = True) -> Dict[str, object]:
     """Execute the full benchmark and return the ``BENCH_ID`` payload."""
-    from repro.sim.kernel import KERNEL_NAMES
-
-    kernels = list(kernels) if kernels is not None else list(KERNEL_NAMES)
     trips = QUICK_TRIPS if quick else FULL_TRIPS
-    rows = bench_grid(kernels, trips)
+    rows = bench_grid(trips)
     payload: Dict[str, object] = {
         "bench_id": BENCH_ID,
         "quick": quick,
         "benchmark": BENCH_BENCHMARK,
         "trips": trips,
         "repeats": REPEATS,
-        "kernels": kernels,
         "rows": rows,
-        "checks": check_rows(rows),
     }
     baseline = compare_baseline(rows, quick)
     if baseline is not None:
         payload["baseline"] = baseline
     if with_campaign:
-        payload["campaign"] = bench_campaign(
-            kernels, trips=max(32, trips // 8)
-        )
+        payload["campaign"] = bench_campaign(trips=max(32, trips // 8))
         payload["store"] = bench_store(trips=max(32, trips // 8))
     return payload
 
 
 def render(payload: Dict[str, object]) -> str:
     """Human-readable summary of a bench payload."""
-    lines = [f"{payload['bench_id']}: {payload['benchmark']} x "
-             f"{len(payload['kernels'])} kernel(s), trips={payload['trips']}, "
-             f"fastest of {payload['repeats']}"]
+    lines = [f"{payload['bench_id']}: {payload['benchmark']}, "
+             f"trips={payload['trips']}, fastest of {payload['repeats']}"]
     lines.append(
-        f"{'kernel':<10} {'design point':<12} {'cycles':>10} "
-        f"{'host s':>8} {'sim cyc/s':>12}"
+        f"{'design point':<12} {'cycles':>10} {'host s':>8} {'sim cyc/s':>12}"
     )
     for row in payload["rows"]:
         lines.append(
-            f"{row['kernel']:<10} {row['design_point']:<12} "
-            f"{row['cycles']:>10} {row['host_seconds']:>8.3f} "
-            f"{row['simulated_cycles_per_sec']:>12,.0f}"
+            f"{row['design_point']:<12} {row['cycles']:>10} "
+            f"{row['host_seconds']:>8.3f} {row['simulated_cycles_per_sec']:>12,.0f}"
         )
-    checks = payload["checks"]
-    lines.append(
-        "fingerprints: "
-        + ("all kernels agree" if checks["fingerprints_match"] else "MISMATCH")
-    )
-    if checks["event_speedup_vs_reference"]:
-        pairs = ", ".join(
-            f"{p}={s}x" for p, s in checks["event_speedup_vs_reference"].items()
-        )
+    camp = payload.get("campaign")
+    if camp:
         lines.append(
-            f"event vs reference: {pairs} "
-            f"(geomean {checks['event_speedup_geomean']}x)"
-        )
-    for kernel, camp in payload.get("campaign", {}).items():
-        lines.append(
-            f"campaign [{kernel}]: {camp['ok']}/{camp['cells']} cells in "
+            f"campaign: {camp['ok']}/{camp['cells']} cells in "
             f"{camp['seconds']}s = {camp['cells_per_min']} cells/min"
         )
     store = payload.get("store")
@@ -394,12 +290,9 @@ def render(payload: Dict[str, object]) -> str:
         )
     baseline = payload.get("baseline")
     if baseline:
-        pairs = ", ".join(
-            f"{k}={r}x" for k, r in baseline["throughput_ratio"].items()
-        )
         gated = "gated" if baseline["gate"] else "informational (trips differ)"
         lines.append(
-            f"vs {baseline['baseline_id']}: {pairs} [{gated}]"
+            f"vs {baseline['baseline_id']}: {baseline['throughput_ratio']}x [{gated}]"
         )
     return "\n".join(lines)
 
@@ -408,8 +301,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro bench",
         description=(
-            "Measure simulated cycles/sec per kernel across the Figure-9 "
-            "sweep and campaign cells/min; emit the BENCH json record."
+            "Measure simulated cycles/sec across the Figure-9 sweep and "
+            "campaign cells/min; emit the BENCH json record."
         ),
     )
     parser.add_argument(
@@ -431,8 +324,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--check",
         action="store_true",
         help=(
-            "exit non-zero unless every kernel's fingerprints agree and the "
-            "event kernel's geomean throughput is >= the reference kernel's"
+            "exit non-zero unless a warm store rerun is all hits with the "
+            "cold run's fingerprints and throughput against the baseline "
+            "record stays in bounds"
         ),
     )
     args = parser.parse_args(argv)
@@ -445,14 +339,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"wrote {args.out}")
 
     if args.check:
-        checks = payload["checks"]
-        if not checks["fingerprints_match"]:
-            print("CHECK FAILED: kernels disagree on fingerprints")
-            return 1
-        gm = checks["event_speedup_geomean"]
-        if gm is not None and gm < 1.0:
-            print(f"CHECK FAILED: event kernel slower than reference ({gm}x)")
-            return 1
         store = payload.get("store")
         if store is not None:
             if not store["all_hits"]:

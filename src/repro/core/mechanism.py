@@ -75,11 +75,13 @@ class CommMechanism(abc.ABC):
         qcfg = self.machine.config.queues
         line = self.machine.config.l2.line_bytes
         slot = qcfg.item_bytes + self.flag_bytes
-        # The configured QLU is capped by how many slots physically fit.
+        # The configured QLU, capped by how many slots physically fit, falls
+        # back to the largest QLU dividing both the depth and the line size:
+        # the depth so lines fill whole, the line so a queue line's slots
+        # never straddle two cache lines.
         qlu = min(qcfg.qlu, line // slot)
-        # Keep depth a multiple of the effective QLU.
-        if qcfg.depth % qlu != 0:
-            qlu = max(q for q in range(1, qlu + 1) if qcfg.depth % q == 0)
+        if qcfg.depth % qlu or line % qlu:
+            qlu = max(q for q in range(1, qlu + 1) if not qcfg.depth % q and not line % q)
         return QueueLayout(
             queue_id=queue_id,
             depth=qcfg.depth,

@@ -74,6 +74,13 @@ class QueueLayout:
             raise ValueError("queue layout fields must be positive")
         if self.depth % self.qlu != 0:
             raise ValueError("depth must be a multiple of the QLU")
+        if self.line_bytes % self.qlu != 0:
+            # A stride of line_bytes // qlu would leave a remainder, so queue
+            # line k's slots would begin before line_addr(k), on the previous
+            # cache line.
+            raise ValueError(
+                f"QLU {self.qlu} does not divide the {self.line_bytes}B line"
+            )
         if self.qlu * self.slot_bytes > self.line_bytes:
             raise ValueError(
                 f"QLU {self.qlu} x slot {self.slot_bytes}B exceeds a "

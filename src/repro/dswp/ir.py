@@ -17,6 +17,7 @@ loops.
 from __future__ import annotations
 
 import enum
+import functools
 import random
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
@@ -94,12 +95,20 @@ class PointerChase(AddressPattern):
     seed: int = 11
 
     def stream(self) -> Iterator[int]:
-        order = list(range(self.n_nodes))
-        random.Random(self.seed).shuffle(order)
+        order = _visit_order(self.n_nodes, self.seed)
         position = 0
         while True:
             yield self.base + order[position] * self.node_bytes
             position = (position + 1) % self.n_nodes
+
+
+@functools.lru_cache(maxsize=64)
+def _visit_order(n_nodes: int, seed: int) -> Tuple[int, ...]:
+    """The seeded node cycle of a :class:`PointerChase`, shuffled once per
+    ``(n_nodes, seed)`` rather than once per stream."""
+    order = list(range(n_nodes))
+    random.Random(seed).shuffle(order)
+    return tuple(order)
 
 
 @dataclass

@@ -22,7 +22,7 @@ retryable, durably-recorded unit of work*:
 
 * **Watchdog**: every attempt gets a wall-clock budget, enforced twice.
   The *soft* layer runs inside the worker — the scheduler's own
-  :class:`~repro.sim.cosim.WallClockExceededError` check — so a timed-out
+  :class:`~repro.sim.kernel.WallClockExceededError` check — so a timed-out
   run still flushes its post-mortem and trace tail into a structured
   :class:`~repro.harness.runner.TimedOutRun`.  The *hard* layer runs in the
   pool: a worker that outlives budget + grace (wedged outside the scheduler
@@ -94,7 +94,7 @@ from repro.sim.checkpoint import (
     PreemptionRequested,
     resume_run,
 )
-from repro.sim.cosim import SimulationError, WallClockExceededError
+from repro.sim.kernel import SimulationError, WallClockExceededError, canonical_kernel
 from repro.sim.machine import Machine
 from repro.sim.program import Program
 from repro.sim.stats import RunStats
@@ -217,12 +217,14 @@ class CampaignCell:
     fault_plan: Optional[FaultPlan] = field(default=None, repr=False)
     #: Pipeline depth for ``kind="pipeline"`` cells.
     stages: Optional[int] = None
-    #: Simulation kernel the cell runs under (:mod:`repro.sim.kernel`).
-    #: Part of the spec — and therefore the key — even though kernels are
-    #: fingerprint-identical: the ledger must record *how* a result was
-    #: produced for the perf trajectory, and a recheck across kernels is
-    #: exactly the differential test the campaign layer gets for free.
+    #: Kernel name as given: ``"reference"`` or ``"event"``, which both name
+    #: the one stepping loop (:mod:`repro.sim.kernel`).  Construction maps
+    #: it to ``"reference"`` before anything hashes the spec, so either name
+    #: gives the default cell's key and store digest; any other name raises.
     kernel: str = "reference"
+
+    def __post_init__(self) -> None:
+        self.kernel = canonical_kernel(self.kernel)
 
     def validate(self) -> "CampaignCell":
         if self.kind not in CELL_KINDS:
@@ -231,13 +233,6 @@ class CampaignCell:
             raise ValueError("pipeline cells need stages >= 2")
         if self.trip_count is not None and self.trip_count <= 0:
             raise ValueError("trip_count must be positive (or None for default)")
-        from repro.sim.kernel import available_kernels
-
-        if self.kernel not in available_kernels():
-            raise ValueError(
-                f"unknown kernel {self.kernel!r}; "
-                f"known: {', '.join(available_kernels())}"
-            )
         return self
 
     def spec(self) -> Dict[str, object]:
@@ -341,7 +336,6 @@ def _plan_benchmark(cell: CampaignCell) -> CellPlan:
         point.validate_config(cfg)
     else:
         cfg = point.build_config()
-    cfg.kernel = cell.kernel
     return CellPlan(
         design_label=cell.design_point,
         config=cfg,
@@ -356,7 +350,7 @@ def _plan_single(cell: CampaignCell) -> CellPlan:
     point = get_design_point("HEAVYWT")  # mechanism is unused without queues
     return CellPlan(
         design_label="SINGLE",
-        config=point.build_config().copy(kernel=cell.kernel),
+        config=point.build_config(),
         mechanism=point.mechanism,
         build_program=lambda: build_single_threaded(
             cell.benchmark, cell.trip_count
@@ -375,7 +369,6 @@ def _plan_pipeline(cell: CampaignCell) -> CellPlan:
     dp = get_design_point(cell.design_point)
     cfg = with_n_cores(dp.build_config(), cell.stages).copy(
         trace=TraceConfig(capacity=1 << 20, categories=("comm",)),
-        kernel=cell.kernel,
     )
     if cell.fault_plan is not None:
         cfg.faults = cell.fault_plan

@@ -91,7 +91,6 @@ def sweep(
     overrides: Optional[Dict[str, int]] = None,
     fault_plan_for=None,
     jobs: int = 1,
-    kernel: str = "reference",
 ) -> Dict[str, Dict[str, RunOutcome]]:
     """Run a (benchmark x design point) grid, isolating per-cell failures.
 
@@ -111,9 +110,6 @@ def sweep(
         jobs: ``1`` runs the serial in-process loop (the default fallback);
             ``> 1`` dispatches the grid through the campaign runner's
             worker pool.
-        kernel: Simulation kernel every cell runs under
-            (:mod:`repro.sim.kernel`); fingerprint-identical across
-            kernels, so exhibits are kernel-invariant by construction.
 
     Returns a nested dict ``grid[benchmark][point]`` of
     :class:`~repro.harness.runner.RunOutcome`: failing cells become
@@ -132,7 +128,6 @@ def sweep(
                 fault_plan=(
                     fault_plan_for(bench, name) if fault_plan_for is not None else None
                 ),
-                kernel=kernel,
             )
             layout.append((bench, name, cell.key()))
             cells.append(cell)
@@ -175,12 +170,8 @@ def _design_point_grid(
     scale: float,
     overrides: Optional[Dict[str, int]] = None,
     jobs: int = 1,
-    kernel: str = "reference",
 ) -> Dict[str, Dict[str, RunOutcome]]:
-    return sweep(
-        BENCHMARK_ORDER, points, scale=scale, overrides=overrides, jobs=jobs,
-        kernel=kernel,
-    )
+    return sweep(BENCHMARK_ORDER, points, scale=scale, overrides=overrides, jobs=jobs)
 
 
 # ----------------------------------------------------------------------
@@ -224,7 +215,7 @@ def table2() -> ExperimentResult:
 # ----------------------------------------------------------------------
 
 
-def figure6(scale: float = 1.0, jobs: int = 1, kernel: str = "reference") -> ExperimentResult:
+def figure6(scale: float = 1.0, jobs: int = 1) -> ExperimentResult:
     """Figure 6: HEAVYWT at 1- vs 10-cycle transit, 32- vs 64-entry queues.
 
     Paper shape: the 1-cycle and 10-cycle bars are nearly equal for all
@@ -248,7 +239,6 @@ def figure6(scale: float = 1.0, jobs: int = 1, kernel: str = "reference") -> Exp
                 design_point="HEAVYWT",
                 trip_count=_trips(bench, scale),
                 overrides=dict(ov),
-                kernel=kernel,
             )
             layout.append((bench, label, cell.key()))
             cells.append(cell)
@@ -303,11 +293,8 @@ def _breakdown_figure(
     thread: str = "producer",
     baseline_point: Optional[str] = None,
     jobs: int = 1,
-    kernel: str = "reference",
 ) -> ExperimentResult:
-    grid = _design_point_grid(
-        points, scale, overrides=overrides, jobs=jobs, kernel=kernel
-    )
+    grid = _design_point_grid(points, scale, overrides=overrides, jobs=jobs)
     baseline_point = baseline_point or points[0]
     failures = _grid_failures(grid)
     normalized: Dict[str, Dict[str, Optional[float]]] = {}
@@ -351,7 +338,7 @@ def _breakdown_figure(
     )
 
 
-def figure7(scale: float = 1.0, jobs: int = 1, kernel: str = "reference") -> ExperimentResult:
+def figure7(scale: float = 1.0, jobs: int = 1) -> ExperimentResult:
     """Figure 7: normalized execution times for each design point.
 
     Paper shape: HEAVYWT best everywhere; SYNCOPTI trails it closely
@@ -365,11 +352,10 @@ def figure7(scale: float = 1.0, jobs: int = 1, kernel: str = "reference") -> Exp
         list(FIGURE7_ORDER),
         scale,
         jobs=jobs,
-        kernel=kernel,
     )
 
 
-def figure10(scale: float = 1.0, jobs: int = 1, kernel: str = "reference") -> ExperimentResult:
+def figure10(scale: float = 1.0, jobs: int = 1) -> ExperimentResult:
     """Figure 10: 4-CPU-cycle bus latency sensitivity.
 
     Paper shape: tight loops (adpcmdec, wc, epicdec) hurt most; even larger
@@ -383,11 +369,10 @@ def figure10(scale: float = 1.0, jobs: int = 1, kernel: str = "reference") -> Ex
         scale,
         overrides={"bus_latency": 4, "transit_delay": 4},
         jobs=jobs,
-        kernel=kernel,
     )
 
 
-def figure11(scale: float = 1.0, jobs: int = 1, kernel: str = "reference") -> ExperimentResult:
+def figure11(scale: float = 1.0, jobs: int = 1) -> ExperimentResult:
     """Figure 11: 128-byte-wide bus at 4-cycle latency.
 
     Paper shape: the wide bus (one beat per line) removes the arbitration
@@ -401,7 +386,6 @@ def figure11(scale: float = 1.0, jobs: int = 1, kernel: str = "reference") -> Ex
         scale,
         overrides={"bus_latency": 4, "bus_width": 128, "transit_delay": 4},
         jobs=jobs,
-        kernel=kernel,
     )
 
 
@@ -410,7 +394,7 @@ def figure11(scale: float = 1.0, jobs: int = 1, kernel: str = "reference") -> Ex
 # ----------------------------------------------------------------------
 
 
-def figure8(scale: float = 1.0, jobs: int = 1, kernel: str = "reference") -> ExperimentResult:
+def figure8(scale: float = 1.0, jobs: int = 1) -> ExperimentResult:
     """Figure 8: dynamic comm-to-application instruction ratios.
 
     Paper shape: with produce/consume instructions, one communication per
@@ -422,7 +406,6 @@ def figure8(scale: float = 1.0, jobs: int = 1, kernel: str = "reference") -> Exp
             benchmark=bench,
             design_point="HEAVYWT",
             trip_count=_trips(bench, scale),
-            kernel=kernel,
         )
         for bench in BENCHMARK_ORDER
     }
@@ -478,7 +461,7 @@ def figure8(scale: float = 1.0, jobs: int = 1, kernel: str = "reference") -> Exp
 # ----------------------------------------------------------------------
 
 
-def figure9(scale: float = 1.0, jobs: int = 1, kernel: str = "reference") -> ExperimentResult:
+def figure9(scale: float = 1.0, jobs: int = 1) -> ExperimentResult:
     """Figure 9: loop speedup of HEAVYWT over single-threaded execution.
 
     Paper shape: all benchmarks at or above 1.0, geomean ~1.29x — meaning
@@ -489,11 +472,9 @@ def figure9(scale: float = 1.0, jobs: int = 1, kernel: str = "reference") -> Exp
     for bench in BENCHMARK_ORDER:
         trips = _trips(bench, scale)
         mt_cells[bench] = CampaignCell(
-            benchmark=bench, design_point="HEAVYWT", trip_count=trips, kernel=kernel
+            benchmark=bench, design_point="HEAVYWT", trip_count=trips
         )
-        st_cells[bench] = CampaignCell(
-            benchmark=bench, kind="single", trip_count=trips, kernel=kernel
-        )
+        st_cells[bench] = CampaignCell(benchmark=bench, kind="single", trip_count=trips)
     outcomes = run_cells(
         list(mt_cells.values()) + list(st_cells.values()), jobs=jobs
     )
@@ -535,7 +516,7 @@ def figure9(scale: float = 1.0, jobs: int = 1, kernel: str = "reference") -> Exp
 # ----------------------------------------------------------------------
 
 
-def figure12(scale: float = 1.0, jobs: int = 1, kernel: str = "reference") -> ExperimentResult:
+def figure12(scale: float = 1.0, jobs: int = 1) -> ExperimentResult:
     """Figure 12: stream cache and queue size effects on SYNCOPTI.
 
     Paper shape: Q64 reduces producer stalls, SC cuts consume-to-use
@@ -543,7 +524,7 @@ def figure12(scale: float = 1.0, jobs: int = 1, kernel: str = "reference") -> Ex
     EXISTING/MEMOPTI — at ~1% of the dedicated store's cost.
     """
     points = list(FIGURE12_ORDER)
-    grid = _design_point_grid(points, scale, jobs=jobs, kernel=kernel)
+    grid = _design_point_grid(points, scale, jobs=jobs)
     failures = _grid_failures(grid)
     normalized: Dict[str, Dict[str, Optional[float]]] = {}
     producer_bars: Dict[str, Mapping[str, float]] = {}
@@ -596,7 +577,7 @@ def figure12(scale: float = 1.0, jobs: int = 1, kernel: str = "reference") -> Ex
     )
 
 
-def pipeline_scaling(scale: float = 1.0, jobs: int = 1, kernel: str = "reference") -> ExperimentResult:
+def pipeline_scaling(scale: float = 1.0, jobs: int = 1) -> ExperimentResult:
     """Scalability study: K-stage DSWP pipelines on K-core machines.
 
     Sweeps stage count over the four design points and reports speedup,
@@ -608,7 +589,7 @@ def pipeline_scaling(scale: float = 1.0, jobs: int = 1, kernel: str = "reference
     # ExperimentResult, so a top-level import here would cycle.
     from repro.pipeline.scaling import pipeline_scaling as _pipeline_scaling
 
-    return _pipeline_scaling(scale, jobs=jobs, kernel=kernel)
+    return _pipeline_scaling(scale, jobs=jobs)
 
 
 #: All exhibits, in paper order (the scalability study extends the paper).
@@ -626,9 +607,7 @@ ALL_EXPERIMENTS = {
 }
 
 
-def run_all(
-    scale: float = 1.0, jobs: int = 1, kernel: str = "reference"
-) -> List[ExperimentResult]:
+def run_all(scale: float = 1.0, jobs: int = 1) -> List[ExperimentResult]:
     """Regenerate every exhibit (tables take no scale).
 
     ``jobs > 1`` runs each exhibit's grid on the campaign runner's worker
@@ -639,5 +618,5 @@ def run_all(
         if name.startswith("table"):
             results.append(fn())
         else:
-            results.append(fn(scale, jobs=jobs, kernel=kernel))
+            results.append(fn(scale, jobs=jobs))
     return results

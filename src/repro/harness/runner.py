@@ -22,7 +22,7 @@ from typing import Dict, Optional, Union
 
 from repro.core.design_points import get_design_point
 from repro.sim.config import MachineConfig
-from repro.sim.cosim import SimulationError, WallClockExceededError
+from repro.sim.kernel import SimulationError, WallClockExceededError
 from repro.sim.forensics import PostMortem
 from repro.sim.machine import Machine
 from repro.sim.stats import RunStats, ThreadStats
@@ -87,7 +87,7 @@ class FailedRun:
     """A (benchmark, design point) cell that failed instead of finishing.
 
     Produced by :func:`run_benchmark_resilient` when the simulation raises a
-    :class:`~repro.sim.cosim.SimulationError` (deadlock or step-limit).  The
+    :class:`~repro.sim.kernel.SimulationError` (deadlock or step-limit).  The
     attached post-mortem names the blocked cores and each queue channel's
     produce/consume counts, so a failing sweep cell is a diagnosis, not a
     stack trace.
@@ -122,7 +122,7 @@ class TimedOutRun:
     Sibling of :class:`FailedRun`: the simulation neither finished nor
     diagnosed itself — it outlived its wall-clock budget and was stopped.
     When the in-process watchdog fired
-    (:class:`~repro.sim.cosim.WallClockExceededError`) the attached
+    (:class:`~repro.sim.kernel.WallClockExceededError`) the attached
     post-mortem is whatever the worker managed to flush before dying; when
     the worker was so wedged the pool had to ``SIGKILL`` it
     (``hard_kill=True``) there is none.
@@ -224,7 +224,6 @@ def run_benchmark(
     trace: TraceKnob = None,
     wall_clock_budget: Optional[float] = None,
     checkpoint=None,
-    kernel: Optional[str] = None,
 ) -> RunResult:
     """Run one benchmark on one design point.
 
@@ -245,13 +244,10 @@ def run_benchmark(
             recorded buffer is returned as ``RunResult.trace``.
         wall_clock_budget: Host seconds the simulation may consume (None =
             unbounded); overruns raise
-            :class:`~repro.sim.cosim.WallClockExceededError`.
+            :class:`~repro.sim.kernel.WallClockExceededError`.
         checkpoint: Optional :class:`~repro.sim.checkpoint.Checkpointer`
             snapshotting the machine every ``every`` cycles; ``None`` (the
             default) adds zero overhead and changes nothing.
-        kernel: Stepping-engine name (:mod:`repro.sim.kernel`); ``None``
-            defers to ``config.kernel``.  Bit-identical simulated outcome
-            either way — only ``RunStats.host_seconds`` changes.
     """
     point = get_design_point(design_point)
     benchmark_info(benchmark)  # validate the name early
@@ -267,7 +263,6 @@ def run_benchmark(
         program,
         wall_clock_budget=wall_clock_budget,
         checkpoint=checkpoint,
-        kernel=kernel,
     )
     return RunResult(
         benchmark=benchmark,
@@ -286,7 +281,6 @@ def run_benchmark_resilient(
     config: Optional[MachineConfig] = None,
     trace: TraceKnob = None,
     wall_clock_budget: Optional[float] = None,
-    kernel: Optional[str] = None,
 ) -> RunOutcome:
     """Like :func:`run_benchmark`, but a failing simulation becomes data.
 
@@ -305,7 +299,6 @@ def run_benchmark_resilient(
             config=config,
             trace=trace,
             wall_clock_budget=wall_clock_budget,
-            kernel=kernel,
         )
     except WallClockExceededError as exc:
         return TimedOutRun(
@@ -335,7 +328,6 @@ def run_single_threaded(
     trace: TraceKnob = None,
     wall_clock_budget: Optional[float] = None,
     checkpoint=None,
-    kernel: Optional[str] = None,
 ) -> RunResult:
     """Run the original (unpartitioned) loop on one core."""
     point = get_design_point("HEAVYWT")  # mechanism is unused without queues
@@ -347,7 +339,6 @@ def run_single_threaded(
         program,
         wall_clock_budget=wall_clock_budget,
         checkpoint=checkpoint,
-        kernel=kernel,
     )
     return RunResult(
         benchmark=benchmark,

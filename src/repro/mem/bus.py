@@ -22,8 +22,8 @@ request streams the co-simulator generates; per-requestor grant counters are
 kept so tests can check fairness.
 
 Grants are first-fit gaps in one busy-interval calendar per bus, an
-:class:`~repro.sim.kernel.timeline.IndexedTimeline`, whichever kernel steps
-the machine; each transfer makes exactly one reservation query.
+:class:`~repro.sim.kernel.timeline.IndexedTimeline`; each transfer makes
+exactly one reservation query.
 """
 
 from __future__ import annotations
@@ -84,9 +84,7 @@ class SharedBus:
         # interleaves unrelated transactions between the address and data
         # phases of an outstanding miss, so a transfer scheduled far in the
         # future (waiting on DRAM) must not block earlier traffic: grants
-        # are gap-filled, not appended.  Every kernel steps the machine
-        # over this one indexed calendar (repro.sim.kernel.timeline), so
-        # the kernels differ only in their stepping loop.
+        # are gap-filled, not appended (repro.sim.kernel.timeline).
         self.timeline = IndexedTimeline()
         self.transactions = 0
         self.busy_cycles = 0.0

@@ -66,8 +66,7 @@ from typing import Callable, List, Optional
 
 import time as _time
 
-from repro.sim.cosim import CoreRunner, Scheduler, _State
-from repro.sim.kernel import create_kernel
+from repro.sim.kernel.base import CoreRunner, SimKernel, _State
 from repro.sim.stats import RunStats
 
 __all__ = [
@@ -100,9 +99,11 @@ CHECKPOINT_MAGIC = b"RPROCKPT"
 #: v4: build-time bindings of each core's L2-port and OzQ entry pools and
 #: cache set tables on the memory system, of the channel table and memory
 #: access methods on the mechanisms (a v3 machine lacks them).
+#: v5: ``MachineConfig`` no longer carries a ``kernel`` name (one stepping
+#: loop remains).
 #: ``tests/sim/test_snapshot_layout.py`` records the pickled class layout of
 #: each version: a layout change fails it until the version is bumped.
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 #: Suffix of the rotated previous snapshot (the fallback generation).
 PREV_SUFFIX = ".prev"
@@ -130,7 +131,7 @@ class SnapshotCorruptError(SnapshotError):
 class PreemptionRequested(Exception):
     """A graceful preemption completed: the run checkpointed and unwound.
 
-    Not a :class:`~repro.sim.cosim.SimulationError` — the simulation is
+    Not a :class:`~repro.sim.kernel.SimulationError` — the simulation is
     healthy; the *host* asked it to stop.  Carries everything a worker needs
     to report a clean hand-off.
     """
@@ -403,7 +404,7 @@ def recover_snapshot(path: str, fs=None) -> Optional[RecoveredSnapshot]:
 # ----------------------------------------------------------------------
 
 
-def _progress_front(scheduler: Scheduler) -> float:
+def _progress_front(scheduler: SimKernel) -> float:
     """Min local time over live runners — the conservative progress bound."""
     live = [r.time for r in scheduler.runners if r.state is not _State.DONE]
     if not live:
@@ -411,7 +412,7 @@ def _progress_front(scheduler: Scheduler) -> float:
     return min(live)
 
 
-def capture_snapshot(machine, program, scheduler: Scheduler) -> MachineSnapshot:
+def capture_snapshot(machine, program, scheduler: SimKernel) -> MachineSnapshot:
     """Build a :class:`MachineSnapshot` from a machine at a global safe point.
 
     The caller must have verified safety (every live runner suspended at an
@@ -528,7 +529,7 @@ class Checkpointer:
 
     # -- scheduler hook -------------------------------------------------
 
-    def _all_safe(self, scheduler: Scheduler) -> bool:
+    def _all_safe(self, scheduler: SimKernel) -> bool:
         cores = self._machine.cores
         for r in scheduler.runners:
             if r.state is _State.DONE:
@@ -537,7 +538,7 @@ class Checkpointer:
                 return False
         return True
 
-    def on_step(self, scheduler: Scheduler) -> None:
+    def on_step(self, scheduler: SimKernel) -> None:
         """Evaluate one checkpoint opportunity (after a scheduler step)."""
         front = _progress_front(scheduler)
         if not self._preempt and front < self._next:
@@ -592,7 +593,6 @@ def resume_run(
     max_steps: int = 50_000_000,
     wall_clock_budget: Optional[float] = None,
     checkpoint: Optional[Checkpointer] = None,
-    kernel: Optional[str] = None,
     abort: Optional[Callable[[], Optional[str]]] = None,
 ) -> RunStats:
     """Continue a snapshotted run to completion; returns the full-run stats.
@@ -610,12 +610,6 @@ def resume_run(
     fingerprints are directly comparable with an uninterrupted run's.
     ``host_seconds``, by contrast, covers only the resumed segment — the
     host time the pre-crash process spent is gone with that process.
-
-    ``kernel`` names the stepping engine for the resumed segment; ``None``
-    uses the restored machine's ``config.kernel``.  Kernels may differ
-    across a kill → restore boundary without perturbing the differential
-    guarantee: the machine state — bus calendar included — is the same
-    whichever kernel stepped it, so nothing is converted on resume.
 
     A snapshot is single-use (resuming mutates its machine graph); read the
     file again — or re-decode the bytes — to resume twice.
@@ -655,8 +649,7 @@ def resume_run(
     if checkpoint is not None:
         checkpoint.attach(machine, program, from_cycle=snapshot.cycle)
     started = _time.perf_counter()
-    engine = create_kernel(
-        kernel if kernel is not None else machine.config.kernel,
+    engine = SimKernel(
         generators,
         max_steps=max_steps,
         context_probe=machine._forensics_probe,

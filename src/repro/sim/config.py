@@ -214,12 +214,6 @@ class MachineConfig:
     #: is ever constructed and every instrumentation site reduces to a single
     #: ``is None`` branch — the zero-overhead contract.
     trace: Optional[TraceConfig] = None
-    #: Simulation kernel (stepping engine) name: ``"reference"`` (the
-    #: original min-timestamp loop, the differential baseline) or ``"event"``
-    #: (event-driven fast path).  Kernels are bit-identical in simulated
-    #: outcome — RunStats fingerprints and trace streams match — so this
-    #: knob only trades host speed; see :mod:`repro.sim.kernel`.
-    kernel: str = "reference"
 
     def validate(self) -> "MachineConfig":
         """Check invariants; returns self so it chains after construction."""
@@ -244,13 +238,6 @@ class MachineConfig:
             self.faults.validate()
         if self.trace is not None:
             self.trace.validate()
-        from repro.sim.kernel import available_kernels  # registry, lazily
-
-        if self.kernel not in available_kernels():
-            raise ValueError(
-                f"unknown kernel {self.kernel!r}; "
-                f"known: {', '.join(available_kernels())}"
-            )
         return self
 
     def copy(self, **overrides) -> "MachineConfig":
@@ -306,7 +293,6 @@ class MachineConfig:
                 + ("pipelined, " if self.bus.pipelined else "non-pipelined, ")
                 + "split-transaction bus with round robin arbitration"
             ),
-            "Simulation kernel": self.kernel,
         }
 
 

@@ -292,7 +292,7 @@ class CoreModel:
     # ------------------------------------------------------------------
 
     def run(self, program: Iterable[DynInst]) -> Generator:
-        """Generator executing ``program``; yields cosim protocol messages.
+        """Generator executing ``program``; yields kernel protocol messages.
 
         The ``at_safe_point`` toggles bracket exactly the suspensions at
         which the generator's state is fully described by

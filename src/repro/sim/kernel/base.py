@@ -1,41 +1,39 @@
-"""The :class:`SimKernel` interface: pluggable co-simulation stepping engines.
+"""The co-simulation kernel: one conservative min-timestamp stepping loop.
 
-A *kernel* owns the loop that drives the per-core generators to completion.
-Everything around that loop — the yield protocol, per-runner book-keeping,
-the wall-clock watchdog, failure forensics, and the checkpoint hook — is
-shared infrastructure provided here, so every kernel exposes the identical
-contract to :class:`~repro.sim.machine.Machine`, the harness, and the
-checkpoint subsystem:
+Each core's timing model runs as a Python generator that yields control
+messages; the kernel always advances the runnable core with the smallest
+local time, which guarantees that whenever a core touches shared state
+(caches, bus, queue channels) at time *t*, every other core has either
+advanced past *t* or is blocked waiting on this core — so shared state is
+read and written in (approximately) timestamp order without any global clock
+stepping.
 
-* attach generators at construction (or restore runners from a snapshot),
-* ``run()`` to completion, raising the same :class:`SimulationError`
-  subclasses with the same structured post-mortems,
-* bit-identical :class:`~repro.sim.stats.RunStats` fingerprints and trace
-  streams regardless of which kernel stepped the run.
+Yield protocol (producer side is the core/mechanism code):
 
-Two kernels are registered:
+* ``("time", t)`` — heartbeat: the core's local clock reached ``t``.
+* ``("block", predicate, deadline)`` — the core cannot proceed until
+  ``predicate()`` (a closure over shared channel state) becomes true.  The
+  kernel resumes the generator with ``"ok"`` once the predicate holds, or
+  with ``"timeout"`` when ``deadline`` (a simulated time, or ``None``) passes
+  without the predicate holding — used by SYNCOPTI's partial-line timeout.
 
-* ``"reference"`` (:mod:`repro.sim.kernel.reference`) — the original
-  conservative min-timestamp loop, kept byte-for-byte as the trusted
-  baseline every other kernel is differentially tested against.
-* ``"event"`` (:mod:`repro.sim.kernel.event`) — an event-driven fast path:
-  a heap of next-wakeup times plus incremental runnable/blocked
-  book-keeping at the stepping level.
+A generator finishing (``StopIteration``) marks its core done.
 
-Kernels own only the stepping loop.  The machine they step is the same
-whichever kernel runs it — notably the shared bus always books grants in
-one :class:`~repro.sim.kernel.timeline.IndexedTimeline` — so a checkpoint
-taken under one kernel resumes under another with no conversion step.
+The policy, one pass over the runners per step: in core-id order, wake every
+blocked runner whose predicate holds or whose deadline has provably passed,
+and keep the runnable runner with the smallest local time (ties to the
+lowest core id); step it.  When nothing is runnable, fire the earliest
+deadline (ties to the lowest core id) or, if none can fire, raise the
+deadlock post-mortem.  Predicates are polled before every step.
 
-**Equivalence contract.**  Kernels may differ only in *host* cost.  They
-must issue the same sequence of ``generator.send`` calls with the same
-resume values, which pins the simulated outcome bit for bit.  The policy
-both implement: wake every blocked runner whose predicate holds (in core-id
-order) or whose deadline has provably passed; when nothing is runnable,
-fire the earliest deadline (ties to the lowest core id); otherwise step the
-runnable runner with the smallest local time (ties to the lowest core id).
-Block predicates must be *pure* functions of shared simulation state — the
-event kernel is free to evaluate them fewer times than the reference kernel.
+Failure forensics: when the kernel detects a deadlock (everyone blocked,
+no deadline can fire) or exhausts its step budget, it raises a
+:class:`SimulationError` subclass carrying a structured
+:class:`~repro.sim.forensics.PostMortem` (``exc.post_mortem``) built from
+its per-core book-keeping plus whatever the optional ``context_probe``
+callback supplies (queue-channel snapshots and fault-injection records from
+the owning :class:`~repro.sim.machine.Machine`).  Around the loop sit the
+wall-clock watchdog, the external abort probe and the checkpoint hook.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple, Type
+from typing import Callable, Generator, List, Optional, Sequence, Tuple, Type
 
 from repro.sim.forensics import ChannelDump, CoreDump, PostMortem
 
@@ -56,10 +54,10 @@ ContextProbe = Callable[[], Tuple[Sequence[ChannelDump], Sequence[object]]]
 #: Scheduler steps before the *first* wall-clock watchdog check.  The check
 #: cadence is time-based from then on: after each check the step interval is
 #: rescaled so successive checks land roughly :data:`WALL_CLOCK_CHECK_TARGET`
-#: host seconds apart, whatever the kernel's per-step cost.  A fast kernel
-#: therefore checks after more steps and a slow one after fewer, and
+#: host seconds apart, whatever a step costs.  Cheap steps therefore mean
+#: more steps between checks and costly ones fewer, and
 #: :class:`WallClockExceededError` fires within the same host-latency bound
-#: on every kernel.
+#: either way.
 WALL_CLOCK_CHECK_INTERVAL = 256
 
 #: Target host seconds between wall-clock watchdog checks.
@@ -151,15 +149,7 @@ class CoreRunner:
 
 
 class SimKernel:
-    """Shared machinery of every stepping engine; subclasses supply ``run``.
-
-    The constructor signature is the old ``Scheduler`` one — every caller
-    (machine, checkpoint resume, tests driving raw generators) builds a
-    kernel exactly the way it used to build a scheduler.
-    """
-
-    #: Registry name; set by :func:`register_kernel`.
-    name: str = "abstract"
+    """The stepping loop over a set of core generators."""
 
     def __init__(
         self,
@@ -203,16 +193,43 @@ class SimKernel:
         #: RunStats or the trace stream.
         self.checkpoint = checkpoint
 
-    # ------------------------------------------------------------------
-    # The engine — subclasses implement the policy loop
-    # ------------------------------------------------------------------
-
     def run(self) -> None:
-        """Drive all cores to completion."""
-        raise NotImplementedError
+        """Drive all cores to completion.
+
+        Runner state is read afresh on every pass, so a checkpoint resume
+        that restores runners after construction is stepped from there.
+        """
+        runners = self.runners
+        checkpoint = self.checkpoint
+        step = self._step
+        blocked, runnable = _State.BLOCKED, _State.RUNNABLE
+        while True:
+            best = None
+            for r in runners:
+                state = r.state
+                if state is blocked:
+                    if r.predicate is not None and r.predicate():
+                        self._wake(r, "ok")
+                    elif r.deadline is not None and self._others_past(r, r.deadline):
+                        self._wake(r, "timeout")
+                    else:
+                        continue
+                elif state is not runnable:
+                    continue
+                if best is None or r.time < best.time:
+                    best = r
+            if best is None:
+                if all(r.state is _State.DONE for r in runners):
+                    return
+                if not self._fire_timeout():
+                    self._raise_deadlock()
+                continue
+            step(best)
+            if checkpoint is not None:
+                checkpoint.on_step(self)
 
     # ------------------------------------------------------------------
-    # Shared wake / step primitives
+    # Wake / step primitives
     # ------------------------------------------------------------------
 
     def _others_past(self, runner: CoreRunner, deadline: float) -> bool:
@@ -240,6 +257,21 @@ class SimKernel:
             self.trace.emit(
                 "sched.resume", runner.time, core=runner.core_id, status=value
             )
+
+    def _fire_timeout(self) -> bool:
+        """With everyone blocked, fire the earliest deadline, if any.
+
+        Ties (equal deadlines) resolve to the lowest core id: ``min`` is
+        stable and runners are kept in core-id order, so repeated runs fire
+        the same runner first — determinism the tests pin down.
+        """
+        candidates = [
+            r for r in self.runners if r.state is _State.BLOCKED and r.deadline is not None
+        ]
+        if not candidates:
+            return False
+        self._wake(min(candidates, key=lambda r: r.deadline), "timeout")
+        return True
 
     def _step(self, runner: CoreRunner) -> None:
         steps = self.total_steps = self.total_steps + 1
@@ -380,53 +412,57 @@ class SimKernel:
 
 
 # ----------------------------------------------------------------------
-# Registry
+# Kernel names at the outside boundaries
 # ----------------------------------------------------------------------
 
-_REGISTRY: Dict[str, Type[SimKernel]] = {}
+#: The one loop's name: the ``kernel`` of every cell spec, store digest and
+#: ``repro_sim_*`` metric label.
+KERNEL = "reference"
+
+#: Names accepted where input arrives from outside (campaign cells, ledger
+#: spec records, serve queries, the CLI's ``--kernel``).  ``"event"`` named
+#: a second stepping loop that was retired; ledgers and queries that name
+#: it still resolve to the one loop.
+_ACCEPTED_NAMES = ("reference", "event")
 
 
-def register_kernel(name: str):
-    """Class decorator registering a kernel under ``name``."""
+def canonical_kernel(name: str) -> str:
+    """Map an accepted kernel name to :data:`KERNEL`; reject any other.
 
-    def decorate(cls: Type[SimKernel]) -> Type[SimKernel]:
-        if name in _REGISTRY:
-            raise ValueError(f"kernel {name!r} already registered")
-        _REGISTRY[name] = cls
-        cls.name = name
-        return cls
+    Called before a spec is hashed, so a cell spelled with either name has
+    the default cell's key and store digest.
+    """
+    if name not in _ACCEPTED_NAMES:
+        raise ValueError(
+            f"unknown kernel {name!r}; known: {', '.join(_ACCEPTED_NAMES)}"
+        )
+    return KERNEL
 
-    return decorate
+
+def available_kernels() -> Tuple[str, ...]:
+    """Names of the stepping loops (there is one).
+
+    Kept, with :func:`kernel_class`, for the benchmark's tracer, which
+    wraps the ``run`` of each loop it finds through them.
+    """
+    return (KERNEL,)
 
 
 def kernel_class(name: str) -> Type[SimKernel]:
-    """Look up a registered kernel class by name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
-        raise KeyError(f"unknown kernel {name!r}; known: {known}") from None
+    """The stepping-loop class an accepted kernel name resolves to."""
+    canonical_kernel(name)
+    return SimKernel
 
 
-def create_kernel(name: str, generators, **kwargs) -> SimKernel:
-    """Instantiate a registered kernel by name (Scheduler-compatible args)."""
-    return kernel_class(name)(generators, **kwargs)
-
-
-def available_kernels():
-    """Names of all registered kernels."""
-    return sorted(_REGISTRY)
-
-
-def observe_run(kernel_name: str, stats) -> None:
+def observe_run(stats) -> None:
     """Fold one completed run's throughput into ``repro.obs``.
 
     Called by :meth:`Machine.run` after stamping ``host_seconds`` — i.e.
     once per simulation, entirely outside the stepping loop, in whatever
     process ran the kernel (a serve pool worker, a fleet worker, the
     campaign parent).  Observes ``simulated_cycles_per_sec`` into the
-    per-kernel registry histogram and logs a ``kernel.run`` event tagged
-    with the ambient correlation ID.  When obs is disabled the entire
+    registry histogram labelled ``kernel=KERNEL`` and logs a ``kernel.run``
+    event tagged with the ambient correlation ID.  When obs is disabled the entire
     cost is the ``get_state()`` check, preserving the kernel subsystem's
     zero-overhead contract (``host_seconds`` itself stays out of
     fingerprints, so none of this perturbs determinism).
@@ -442,15 +478,15 @@ def observe_run(kernel_name: str, stats) -> None:
         "repro_sim_cycles_per_sec",
         "Simulated cycles per host second, per kernel",
         buckets=CYCLES_PER_SEC_BUCKETS,
-        kernel=kernel_name,
+        kernel=KERNEL,
     ).observe(cps)
     state.registry.counter(
-        "repro_sim_runs_total", "Completed simulation runs", kernel=kernel_name
+        "repro_sim_runs_total", "Completed simulation runs", kernel=KERNEL
     ).inc()
     state.emit(
         "kernel.run",
         cid=_obs.current_cid(),
-        kernel=kernel_name,
+        kernel=KERNEL,
         cycles=stats.cycles,
         cycles_per_sec=round(cps, 1),
         host_seconds=round(stats.host_seconds, 6),

@@ -7,8 +7,8 @@ and data phases of an outstanding miss — see :class:`repro.mem.bus.SharedBus`)
 How the busy intervals are *stored* is a pure host-speed concern, kept
 behind the small :class:`BusTimeline` interface:
 
-* :class:`IndexedTimeline` — the calendar every simulation uses, whichever
-  kernel steps it: *merged* disjoint intervals in parallel start/end
+* :class:`IndexedTimeline` — the calendar every simulation uses:
+  *merged* disjoint intervals in parallel start/end
   arrays; a ``bisect`` over the (sorted) end array jumps straight to the
   first interval that can conflict, and pruning pops whole intervals off
   the front.  O(log intervals) per call.
@@ -102,7 +102,7 @@ class LinearTimeline(BusTimeline):
 class IndexedTimeline(BusTimeline):
     """Merged disjoint intervals in parallel arrays, searched by bisect.
 
-    The calendar of :class:`repro.mem.bus.SharedBus` on every kernel.
+    The calendar of :class:`repro.mem.bus.SharedBus`.
 
     Invariants: ``starts`` is strictly increasing, ``ends[i] > starts[i]``,
     and ``starts[i+1] > ends[i]`` (a true gap between successive intervals —

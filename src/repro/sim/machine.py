@@ -31,7 +31,7 @@ from repro.mem.hierarchy import MemorySystem
 from repro.sim.config import MachineConfig
 from repro.sim.core import CoreModel
 from repro.sim.forensics import dump_channel
-from repro.sim.kernel import create_kernel, observe_run
+from repro.sim.kernel import SimKernel, observe_run
 from repro.sim.program import Program
 from repro.sim.stats import RunStats
 from repro.trace.buffer import TraceBuffer
@@ -103,7 +103,6 @@ class Machine:
         max_steps: int = 50_000_000,
         wall_clock_budget: Optional[float] = None,
         checkpoint=None,
-        kernel: Optional[str] = None,
         abort=None,
     ) -> RunStats:
         """Co-simulate ``program`` to completion; returns per-thread stats.
@@ -116,7 +115,7 @@ class Machine:
 
         ``wall_clock_budget`` bounds the *host* seconds the run may consume
         (None = unbounded): a run that outlives it raises
-        :class:`~repro.sim.cosim.WallClockExceededError` with a full
+        :class:`~repro.sim.kernel.WallClockExceededError` with a full
         post-mortem attached — the campaign watchdog's in-process layer.
 
         ``checkpoint`` takes a :class:`~repro.sim.checkpoint.Checkpointer`
@@ -124,11 +123,6 @@ class Machine:
         global safe points; ``None`` (the default) costs one branch per
         scheduler step.  Checkpointing never mutates simulation state, so
         stats and traces are identical either way.
-
-        ``kernel`` names the stepping engine (:mod:`repro.sim.kernel`);
-        ``None`` uses ``config.kernel``.  Kernels are bit-identical in
-        simulated outcome — same fingerprint, same trace stream — so the
-        choice only affects ``RunStats.host_seconds``.
         """
         if self._ran:
             raise RuntimeError(
@@ -153,8 +147,7 @@ class Machine:
         if checkpoint is not None:
             checkpoint.attach(self, program)
         started = time.perf_counter()
-        engine = create_kernel(
-            kernel if kernel is not None else self.config.kernel,
+        engine = SimKernel(
             generators,
             max_steps=max_steps,
             context_probe=self._forensics_probe,
@@ -170,9 +163,7 @@ class Machine:
         )
         # Host-side throughput observation (repro.obs): once per run,
         # outside the stepping loop, no-op unless obs is configured.
-        observe_run(
-            kernel if kernel is not None else self.config.kernel, stats
-        )
+        observe_run(stats)
         return stats
 
 
@@ -183,7 +174,6 @@ def run_program(
     max_steps: int = 50_000_000,
     wall_clock_budget: Optional[float] = None,
     checkpoint=None,
-    kernel: Optional[str] = None,
 ) -> RunStats:
     """One-shot convenience: build a Machine, run, return stats."""
     return Machine(config, mechanism=mechanism).run(
@@ -191,5 +181,4 @@ def run_program(
         max_steps=max_steps,
         wall_clock_budget=wall_clock_budget,
         checkpoint=checkpoint,
-        kernel=kernel,
     )

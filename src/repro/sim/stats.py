@@ -271,8 +271,7 @@ class RunStats:
     #: Host wall-clock seconds the run consumed (``Machine.run`` /
     #: ``resume_run`` stamp it).  Host-side observability only — excluded
     #: from :meth:`fingerprint` *and* from ``==`` (``compare=False``):
-    #: both express simulated outcome and must not vary with machine load
-    #: or the kernel choice.
+    #: both express simulated outcome and must not vary with machine load.
     host_seconds: float = field(default=0.0, compare=False)
 
     @property

@@ -1,7 +1,7 @@
 """``repro serve`` — the async batch-query front end over the result store.
 
 The design-space study as a *service*: clients ask "what is the speedup
-of design point X on kernel Y at scale Z" and the server answers from the
+of design point X on benchmark Y at scale Z" and the server answers from the
 content-addressed store (:mod:`repro.store.store`), simulating only on a
 miss.  The shape follows the ordered-streaming systems the ROADMAP names
 (Prasaad et al.; FastFlow): a single async dispatch plane absorbs heavy
@@ -31,12 +31,14 @@ Endpoints::
 
 A query names a cell the way campaign grids do::
 
-    {"benchmark": "wc", "design_point": "HEAVYWT", "kernel": "event",
-     "scale": 0.5, "speedup": true}
+    {"benchmark": "wc", "design_point": "HEAVYWT", "scale": 0.5,
+     "speedup": true}
 
-``trip_count`` pins the iteration count exactly; otherwise ``scale``
-multiplies the benchmark's experiment default — the same knob the CLI
-grids use.  ``"speedup": true`` additionally resolves the benchmark's
+An optional ``"kernel"`` of ``"reference"`` or ``"event"`` names the one
+stepping loop either way and reaches the same store entry; any other name
+answers 400.  ``trip_count`` pins the iteration count exactly; otherwise
+``scale`` multiplies the benchmark's experiment default — the same knob
+the CLI grids use.  ``"speedup": true`` additionally resolves the benchmark's
 single-threaded baseline cell (through the same store/coalescing path)
 and reports ``baseline_cycles / cycles``, the paper's Figure-9 metric.
 """

@@ -1,7 +1,7 @@
 """Content-addressed result store: simulation-as-cache.
 
 The simulator is deterministic end to end — identical (program x design
-point x config x kernel x faults) cells reproduce
+point x config x faults) cells reproduce
 :meth:`~repro.sim.stats.RunStats.fingerprint` byte for byte — so a
 completed cell's statistics are a perfect memoization target: any
 campaign, query service, or ad-hoc script that names the same cell spec

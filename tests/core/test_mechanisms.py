@@ -133,7 +133,7 @@ class TestQueueContract:
 class TestBlocking:
     def test_consumer_underflow_deadlocks(self, mechanism):
         """Consuming more than produced must be detected, not hang."""
-        from repro.sim.cosim import DeadlockError
+        from repro.sim.kernel import DeadlockError
 
         def producer():
             yield isa.ialu(1)

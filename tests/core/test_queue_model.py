@@ -1,14 +1,16 @@
 """Unit + property tests for queue layouts and visibility channels."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from repro.core.design_points import DESIGN_POINTS
 from repro.core.queue_model import (
     QUEUE_REGION_BASE,
     QUEUE_REGION_STRIDE,
     QueueChannel,
     QueueLayout,
 )
+from repro.sim.machine import Machine
 
 
 class TestLayout:
@@ -85,6 +87,72 @@ class TestLayout:
         for item in range(depth):
             per_line.setdefault(lay.line_of(item), set()).add(lay.slot_of(item))
         assert all(len(slots) == qlu for slots in per_line.values())
+
+    def test_qlu_must_divide_the_line(self):
+        """A stride of 128 // 3 = 42 would put queue line 1's first slot at
+        +0x7e, inside cache line 0."""
+        with pytest.raises(ValueError, match="divide"):
+            QueueLayout(queue_id=0, depth=24, qlu=3, item_bytes=16)
+
+    @given(
+        qlu=st.integers(1, 32),
+        lines=st.integers(1, 8),
+        item_bytes=st.integers(1, 64),
+        flag_bytes=st.sampled_from([0, 8]),
+    )
+    def test_queue_lines_never_straddle_cache_lines(self, qlu, lines, item_bytes, flag_bytes):
+        """Every accepted layout keeps each slot of queue line k inside
+        ``[line_addr(k), line_addr(k) + line_bytes)``; every rejected one
+        has a QLU that does not divide the line or overpacks it."""
+        depth = qlu * lines
+        try:
+            lay = QueueLayout(
+                queue_id=0, depth=depth, qlu=qlu, item_bytes=item_bytes, flag_bytes=flag_bytes
+            )
+        except ValueError:
+            assert 128 % qlu or qlu * (item_bytes + flag_bytes) > 128
+            return
+        _assert_lines_contained(lay)
+
+    @given(
+        point=st.sampled_from(sorted(DESIGN_POINTS)),
+        depth=st.integers(1, 64),
+        qlu=st.integers(1, 16),
+        item_bytes=st.integers(1, 64),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_layout_for_keeps_lines_whole_on_accepted_configs(
+        self, point, depth, qlu, item_bytes
+    ):
+        dp = DESIGN_POINTS[point]
+        cfg = dp.build_config()
+        cfg.queues.depth, cfg.queues.qlu, cfg.queues.item_bytes = depth, qlu, item_bytes
+        try:
+            cfg.validate()
+        except ValueError:
+            return
+        lay = Machine(cfg, mechanism=dp.mechanism).mechanism.layout_for(0)
+        assert depth % lay.qlu == 0 and lay.qlu <= qlu
+        _assert_lines_contained(lay)
+
+    def test_layout_for_skips_a_qlu_that_splits_the_line(self):
+        """SYNCOPTI, depth 40, 24-byte items: 5 slots fit a line, but a
+        stride of 128 // 5 would put slot 5 at +0x7d; the QLU falls to 4."""
+        dp = DESIGN_POINTS["SYNCOPTI"]
+        cfg = dp.build_config()
+        cfg.queues.depth, cfg.queues.item_bytes = 40, 24
+        lay = Machine(cfg.validate(), mechanism=dp.mechanism).mechanism.layout_for(0)
+        assert lay.qlu == 4
+        _assert_lines_contained(lay)
+
+
+def _assert_lines_contained(lay):
+    for item in range(lay.depth):
+        start = lay.line_addr(lay.line_of(item))
+        addr = lay.data_addr(item)
+        assert start <= addr and addr + lay.slot_bytes <= start + lay.line_bytes, (
+            f"slot {item} at +{addr - lay.base:#x} leaves queue line {lay.line_of(item)}"
+        )
 
 
 class TestChannel:

@@ -102,3 +102,32 @@ class TestStreamCacheMechanism:
         machine = Machine(baseline_config(), mechanism="syncopti_sc")
         mech = machine.mechanism
         assert mech.stream_cache(0) is not mech.stream_cache(1)
+
+
+class TestWcOverflow:
+    """Figure 12's wc: at SC+Q64 the stream cache overflows.
+
+    wc's three queues hold 96 items at depth 32 but 192 at depth 64, more
+    than the 128-entry stream cache, and ``StreamCache.fill`` drops an item
+    that arrives at a full cache; each drop becomes a consume miss on the
+    L2 path.  That is why SC+Q64 runs slower than SC on wc.  (Whether
+    drop-when-full is the paper's policy is an open fidelity question.)
+    """
+
+    @staticmethod
+    def _consumer_cache(point):
+        from repro.harness.experiments import EXPERIMENT_TRIPS
+        from repro.harness.runner import run_benchmark
+
+        result = run_benchmark("wc", point, EXPERIMENT_TRIPS["wc"])
+        return result.cycles, result.machine.mechanism.stream_cache(1)
+
+    def test_sc_drops_no_fill(self):
+        cycles, sc = self._consumer_cache("SYNCOPTI_SC")
+        assert (sc.fills, sc.fills_ignored) == (1488, 0)
+        assert cycles == 5541
+
+    def test_sc_q64_drops_303_of_1488_fills(self):
+        cycles, sc = self._consumer_cache("SYNCOPTI_SC_Q64")
+        assert (sc.fills + sc.fills_ignored, sc.fills_ignored) == (1488, 303)
+        assert cycles == 6803

@@ -1,6 +1,7 @@
 """Unit tests for the loop IR and address patterns."""
 
 import itertools
+import random
 
 import pytest
 
@@ -39,6 +40,21 @@ class TestAddressPatterns:
         pat = PointerChase(base=0, node_bytes=64, n_nodes=16, seed=1)
         addrs = take(pat.stream(), 16)
         assert len(set(addrs)) == 16  # a full tour before repeating
+
+    def test_pointer_chase_addresses_match_a_per_stream_shuffle(self):
+        """mcf's chases read one cached visit order; the addresses are the
+        ones a fresh shuffle per stream produced, across the wrap."""
+        from repro.workloads.kernels import mcf_loop
+
+        chases = [op.addr for op in mcf_loop(8).body if isinstance(op.addr, PointerChase)]
+        assert len({(p.n_nodes, p.seed) for p in chases}) == 4
+        for pat in chases:
+            order = list(range(pat.n_nodes))
+            random.Random(pat.seed).shuffle(order)
+            want = [pat.base + order[i % pat.n_nodes] * pat.node_bytes
+                    for i in range(2 * pat.n_nodes)]
+            assert take(pat.stream(), 2 * pat.n_nodes) == want
+            assert take(pat.stream(), 2 * pat.n_nodes) == want  # second stream
 
     def test_pointer_chase_cyclic(self):
         pat = PointerChase(base=0, node_bytes=64, n_nodes=8, seed=1)

@@ -39,3 +39,12 @@ class TestRun:
         # A scaled figure run completes and prints its exhibit header.
         assert main(["run", "figure9", "--scale", "0.05"]) == 0
         assert "Figure 9" in capsys.readouterr().out
+
+    def test_kernel_names_accepted_and_unknown_rejected(self, capsys):
+        assert main(["run", "table1", "--kernel", "event"]) == 0
+        assert main(["run", "table1", "--kernel", "reference"]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc_info:
+            main(["run", "table1", "--kernel", "warp"])
+        assert exc_info.value.code == 2  # argparse usage error
+        assert "--kernel" in capsys.readouterr().err

@@ -21,7 +21,6 @@ import pytest
 
 from repro.harness.campaign import CampaignCell, execute_cell
 from repro.harness.experiments import EXPERIMENT_TRIPS
-from repro.sim.kernel import available_kernels
 from repro.workloads.suite import BENCHMARK_ORDER
 
 GOLDEN_PATH = os.path.join(
@@ -42,8 +41,8 @@ def golden() -> Dict[str, Dict[str, object]]:
 def grid(scale: float, kernel: Optional[str] = None) -> Iterator[Tuple[str, CampaignCell]]:
     """``(golden key, cell)`` of each grid cell at ``scale`` x EXPERIMENT_TRIPS.
 
-    Keys are ``benchmark/POINT/trips``; ``kernel=None`` keeps the cell's
-    default kernel.
+    Keys are ``benchmark/POINT/trips``; ``kernel=None`` leaves the cell's
+    kernel name at its default.
     """
     extra = {} if kernel is None else {"kernel": kernel}
     for bench in BENCHMARK_ORDER:
@@ -77,6 +76,7 @@ def test_grid_at_experiment_trips_matches_golden(golden):
     assert_matches_golden(grid(1.0), golden)
 
 
-@pytest.mark.parametrize("kernel", available_kernels())
+@pytest.mark.parametrize("kernel", ["event", "reference"])
 def test_grid_at_tenth_scale_matches_golden_on_every_kernel(golden, kernel):
+    """Cells spelled with either accepted kernel name reach the one loop."""
     assert_matches_golden(grid(0.1, kernel), golden)

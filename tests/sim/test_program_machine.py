@@ -101,7 +101,7 @@ class TestMachine:
         assert m.channels[7].consumer_core == 1
 
     def test_max_steps_guard(self):
-        from repro.sim.cosim import SimulationLimitError
+        from repro.sim.kernel import SimulationLimitError
 
         def spammy():
             for i in range(100_000):

@@ -77,6 +77,31 @@ def test_hit_answers_without_scheduling_work(tmp_path):
     assert svc.metrics.hits == 1 and svc.metrics.misses == 0
 
 
+def test_event_kernel_query_answers_from_the_default_entry(tmp_path):
+    svc, store, executor = _service(tmp_path)
+    store.put(CELL, execute_cell(CELL))
+
+    async def main():
+        return await svc.answer_query({**QUERY, "kernel": "event"})
+
+    answer = asyncio.run(main())
+    assert answer["ok"] and answer["hit"]
+    assert answer["digest"] == cell_digest(CELL)
+    assert executor.calls == []  # nothing simulated
+
+
+def test_unknown_kernel_query_is_a_400(tmp_path):
+    svc, _store, executor = _service(tmp_path)
+
+    async def main():
+        return await svc.answer_query({**QUERY, "kernel": "warp"})
+
+    answer = asyncio.run(main())
+    assert not answer["ok"] and answer["status"] == 400
+    assert "kernel" in answer["error"]
+    assert executor.calls == []
+
+
 def test_miss_simulates_and_publishes(tmp_path):
     svc, store, executor = _service(tmp_path)
 

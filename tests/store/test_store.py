@@ -20,6 +20,7 @@ import os
 
 import pytest
 
+from repro.faults import FaultKind, FaultPlan, FaultRule
 from repro.harness.campaign import CampaignCell, execute_cell
 from repro.harness.runner import RunResult
 from repro.store.store import (
@@ -63,7 +64,14 @@ def test_digest_is_stable_and_full_width():
         CampaignCell(benchmark="fir", design_point="HEAVYWT", trip_count=48),
         CampaignCell(benchmark="wc", design_point="EXISTING", trip_count=48),
         CampaignCell(benchmark="wc", design_point="HEAVYWT", trip_count=96),
-        CampaignCell(benchmark="wc", design_point="HEAVYWT", trip_count=48, kernel="event"),
+        CampaignCell(
+            benchmark="wc",
+            design_point="HEAVYWT",
+            trip_count=48,
+            fault_plan=FaultPlan(
+                seed=1, rules=(FaultRule(kind=FaultKind.BUS_JITTER, magnitude=4),)
+            ),
+        ),
         CampaignCell(
             benchmark="wc",
             design_point="HEAVYWT",
@@ -75,6 +83,20 @@ def test_digest_is_stable_and_full_width():
 )
 def test_digest_sensitive_to_every_spec_field(other):
     assert cell_digest(other) != cell_digest(CELL)
+
+
+def test_default_cell_digest_is_pinned():
+    """Retiring the second stepping loop left every default-kernel address
+    where it was."""
+    assert CELL.key() == "wc/HEAVYWT#3f1772f6"
+    assert cell_digest(CELL) == (
+        "4b4e63336c7bc43ea01f47607be66a3a73eab997a845084a67a4b0f43aba6738"
+    )
+
+
+def test_event_kernel_name_addresses_the_default_entry():
+    alias = CampaignCell(benchmark="wc", design_point="HEAVYWT", trip_count=48, kernel="event")
+    assert cell_digest(alias) == cell_digest(CELL)
 
 
 def test_digest_hashes_the_schema_version(monkeypatch):
