@@ -233,7 +233,7 @@ async def _serve_drill(root: str) -> dict:
         if not drained:
             fail("drain did not finish in-flight work within grace")
         out["drained"] = True
-        out["metrics"] = handle.metrics.snapshot()
+        out["metrics"] = handle.service.snapshot()
         if out["metrics"]["timeouts"] < 1 or out["metrics"]["shed"] < 1:
             fail(f"metrics did not record the drill: {out['metrics']}")
         if digest and not handle.service.store.contains(digest):

@@ -41,7 +41,7 @@ Quickstart::
 
 The names below resolve on first access (PEP 562 module ``__getattr__``), so
 importing one subpackage — say ``repro.harness.campaign`` — loads only what
-it needs, not the serve stack, the store or the bench.
+it needs, not the serve stack or the store.
 """
 
 import importlib
@@ -65,7 +65,7 @@ _EXPORTS = {
     "repro.harness.experiments": ("ALL_EXPERIMENTS", "ExperimentResult", "run_all", "sweep"),
     "repro.harness.runner": (
         "FailedRun", "PreemptedRun", "RunOutcome", "RunResult", "TimedOutRun", "run_benchmark",
-        "run_benchmark_resilient", "run_single_threaded",
+        "run_single_threaded",
     ),
     "repro.pipeline": (
         "build_pipeline", "build_pipeline_partition", "lower_pipeline", "partition_loop_k",
@@ -76,7 +76,6 @@ _EXPORTS = {
         "SnapshotError", "inspect_snapshot", "quarantine_snapshot", "read_snapshot",
         "recover_snapshot", "resume_run", "write_snapshot",
     ),
-    "repro.bench": ("run_bench",),
     "repro.store": (
         "ResultStore", "StoreCorruptError", "StoreError", "WorkQueue", "cell_digest",
         "run_worker",
@@ -182,9 +181,7 @@ __all__ = [
     "recover_snapshot",
     "resume_run",
     "run_all",
-    "run_bench",
     "run_benchmark",
-    "run_benchmark_resilient",
     "run_campaign",
     "run_cells",
     "run_program",

@@ -6,7 +6,6 @@ Examples::
     python -m repro run figure7 --scale 0.25
     python -m repro run table1 pipeline_scaling
     python -m repro run all --scale 0.1 --jobs 4
-    python -m repro bench --quick --check          # simulator perf trajectory
 
     python -m repro campaign run --grid figure7 --ledger fig7.jsonl --jobs 4
     python -m repro campaign status --ledger fig7.jsonl
@@ -467,18 +466,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="suppress per-operation progress lines",
     )
-
-    bench = sub.add_parser(
-        "bench",
-        help=(
-            "measure simulated cycles/sec (the perf trajectory) "
-            "and write the BENCH json record"
-        ),
-    )
-    bench.add_argument("--quick", action="store_true")
-    bench.add_argument("--out", default=None)
-    bench.add_argument("--no-campaign", action="store_true")
-    bench.add_argument("--check", action="store_true")
     return parser
 
 
@@ -718,19 +705,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _obs_main(args)
     if args.command == "chaos":
         return _chaos_main(parser, args)
-    if args.command == "bench":
-        from repro.bench import main as bench_main
-
-        forwarded = []
-        if args.quick:
-            forwarded.append("--quick")
-        if args.out is not None:
-            forwarded += ["--out", args.out]
-        if args.no_campaign:
-            forwarded.append("--no-campaign")
-        if args.check:
-            forwarded.append("--check")
-        return bench_main(forwarded)
 
     names = list(args.experiments)
     if names == ["all"]:

@@ -60,6 +60,13 @@ class CommMechanism(abc.ABC):
     flag_bytes: int = 0
 
     def __init__(self, machine) -> None:
+        # A queue line holds whole slots, so one slot must fit in an L2 line.
+        queues, line = machine.config.queues, machine.config.l2.line_bytes
+        if queues.item_bytes + self.flag_bytes > line:
+            raise ValueError(
+                f"{self.name} queue slot ({queues.item_bytes}-byte item + "
+                f"{self.flag_bytes}-byte flag) is wider than the {line}-byte L2 line"
+            )
         self.machine = machine
         #: The machine's channel table, bound when the mechanism is built.
         #: Comm ops look their channel up here and fall back to

@@ -2,10 +2,8 @@
 
 Three layers, each building on the one below:
 
-* :mod:`repro.harness.runner` — one simulation per call.
-  :func:`run_benchmark` raises on failure; :func:`run_benchmark_resilient`
-  converts simulation failures into structured :class:`FailedRun` /
-  :class:`TimedOutRun` records instead.
+* :mod:`repro.harness.runner` — one simulation per call;
+  :func:`run_benchmark` raises on failure.
 * :mod:`repro.harness.experiments` — one function per table/figure of the
   paper, each a resilient grid over (benchmark x design point) cells.
 * :mod:`repro.harness.campaign` — the resilient campaign runner: a worker
@@ -38,7 +36,6 @@ from repro.harness.runner import (
     RunResult,
     TimedOutRun,
     run_benchmark,
-    run_benchmark_resilient,
     run_single_threaded,
 )
 
@@ -59,7 +56,6 @@ __all__ = [
     "execute_cell",
     "run_all",
     "run_benchmark",
-    "run_benchmark_resilient",
     "run_campaign",
     "run_cells",
     "run_single_threaded",

@@ -6,13 +6,14 @@ with the benchmark's iteration count scaled down uniformly so the whole
 evaluation grid runs in seconds (the paper's *relative* quantities are
 iteration-count-invariant once past warm-up).
 
-Resilience: :func:`run_benchmark_resilient` is the sweep-facing entry
-point.  A cell that deadlocks or exhausts its step budget does not abort
-the grid — it becomes a structured :class:`FailedRun` carrying the
-scheduler's :class:`~repro.sim.forensics.PostMortem`, and the caller
-renders the gap explicitly.  A cell that outlives its wall-clock budget
-becomes a :class:`TimedOutRun` — the transient sibling the campaign
-runner (:mod:`repro.harness.campaign`) retries with backoff.
+The run functions raise on failure.  Sweeps and campaigns run cells
+through :func:`repro.harness.campaign.execute_cell` instead, which turns a
+cell that deadlocks or exhausts its step budget into a structured
+:class:`FailedRun` carrying the scheduler's
+:class:`~repro.sim.forensics.PostMortem` (the caller renders the gap
+explicitly), and a cell that outlives its wall-clock budget into a
+:class:`TimedOutRun` — the transient sibling the campaign runner retries
+with backoff.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from typing import Dict, Optional, Union
 
 from repro.core.design_points import get_design_point
 from repro.sim.config import MachineConfig
-from repro.sim.kernel import SimulationError, WallClockExceededError
 from repro.sim.forensics import PostMortem
 from repro.sim.machine import Machine
 from repro.sim.stats import RunStats, ThreadStats
@@ -86,11 +86,11 @@ class RunResult:
 class FailedRun:
     """A (benchmark, design point) cell that failed instead of finishing.
 
-    Produced by :func:`run_benchmark_resilient` when the simulation raises a
-    :class:`~repro.sim.kernel.SimulationError` (deadlock or step-limit).  The
-    attached post-mortem names the blocked cores and each queue channel's
-    produce/consume counts, so a failing sweep cell is a diagnosis, not a
-    stack trace.
+    Produced by :func:`~repro.harness.campaign.execute_cell` when the
+    simulation raises a :class:`~repro.sim.kernel.SimulationError` (deadlock
+    or step-limit).  The attached post-mortem names the blocked cores and
+    each queue channel's produce/consume counts, so a failing sweep cell is
+    a diagnosis, not a stack trace.
     """
 
     benchmark: str
@@ -272,53 +272,6 @@ def run_benchmark(
         machine=machine,
         trace=machine.trace,
     )
-
-
-def run_benchmark_resilient(
-    benchmark: str,
-    design_point: str,
-    trip_count: Optional[int] = DEFAULT_TRIP_COUNT,
-    config: Optional[MachineConfig] = None,
-    trace: TraceKnob = None,
-    wall_clock_budget: Optional[float] = None,
-) -> RunOutcome:
-    """Like :func:`run_benchmark`, but a failing simulation becomes data.
-
-    Only simulation failures (deadlock, step-limit, wall-clock overrun) are
-    absorbed; genuine usage errors — unknown names, config mismatches —
-    still raise, because silently skipping those would hide bugs, not
-    hardware behavior.  A wall-clock overrun becomes a
-    :class:`TimedOutRun` (transient — retried by the campaign runner); other
-    simulation failures become deterministic :class:`FailedRun` diagnoses.
-    """
-    try:
-        return run_benchmark(
-            benchmark,
-            design_point,
-            trip_count,
-            config=config,
-            trace=trace,
-            wall_clock_budget=wall_clock_budget,
-        )
-    except WallClockExceededError as exc:
-        return TimedOutRun(
-            benchmark=benchmark,
-            design_point=design_point,
-            budget=exc.budget,
-            elapsed=exc.elapsed,
-            error=str(exc).splitlines()[0],
-            detail=str(exc),
-            post_mortem=exc.post_mortem,
-        )
-    except SimulationError as exc:
-        return FailedRun(
-            benchmark=benchmark,
-            design_point=design_point,
-            error_type=type(exc).__name__,
-            error=str(exc).splitlines()[0],
-            detail=str(exc),
-            post_mortem=exc.post_mortem,
-        )
 
 
 def run_single_threaded(

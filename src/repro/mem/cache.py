@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 from repro.sim.config import CacheConfig
 
@@ -139,10 +139,6 @@ class CacheArray:
         if line is None:
             raise KeyError(f"line {line_addr:#x} not resident in {self.name}")
         line.state = state
-
-    def resident_lines(self) -> Iterator[CacheLine]:
-        for cset in self._sets:
-            yield from cset.values()
 
     def occupancy(self) -> int:
         """Number of resident lines."""

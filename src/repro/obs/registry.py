@@ -1,10 +1,9 @@
 """Process-wide metrics registry: counters, gauges, histograms.
 
 The registry is the single metrics surface for the fleet (DESIGN.md
-§14).  Every layer — ``repro serve``'s :class:`ServeMetrics`, the
-dispatch worker loop, campaign retry accounting, kernel throughput —
-registers plain named metrics here, and two render paths read them
-back out:
+§14).  Every layer — ``repro serve``'s query service, the dispatch
+worker loop, campaign retry accounting, kernel throughput — registers
+plain named metrics here, and two render paths read them back out:
 
 * :meth:`MetricsRegistry.render_prometheus` — Prometheus text
   exposition format, served on ``GET /metrics``;
@@ -21,10 +20,6 @@ Design rules:
   lock; a snapshot taken concurrently with ``observe()`` calls always
   satisfies ``sum(bucket_counts) == count`` and ``count`` matches the
   number of observations folded into ``sum``.
-* **Int-compatible counters.**  :class:`Counter` and :class:`Gauge`
-  support ``+=``, ``==`` and ``int()`` so existing call sites (and
-  tests) that treated ``ServeMetrics`` fields as plain ints keep
-  working unchanged after the absorption into the registry.
 
 Nothing here touches simulated state: metrics are host-side
 observability and are never folded into fingerprints.
@@ -127,12 +122,7 @@ class _Metric:
 
 
 class Counter(_Metric):
-    """Monotonically increasing counter.
-
-    Behaves like an int for ``+=`` / ``==`` / ``int()`` so legacy
-    struct-style counters (``metrics.hits += 1``) can be swapped for
-    registry counters without touching every call site.
-    """
+    """Monotonically increasing counter: ``inc()`` it, read ``value``."""
 
     kind = "counter"
 
@@ -146,47 +136,9 @@ class Counter(_Metric):
         with self._lock:
             self._value += amount
 
-    def set_total(self, value: int) -> None:
-        """Absorb an externally-tracked monotonic total (scrape-time sync)."""
-        with self._lock:
-            if value > self._value:
-                self._value = value
-
     @property
     def value(self) -> int:
         return self._value
-
-    def __iadd__(self, amount: int) -> "Counter":
-        self.inc(amount)
-        return self
-
-    def __int__(self) -> int:
-        return self._value
-
-    def __index__(self) -> int:
-        return self._value
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Counter):
-            return other is self
-        if isinstance(other, (int, float)):
-            return self._value == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return id(self)
-
-    def __lt__(self, other: float) -> bool:
-        return self._value < other
-
-    def __le__(self, other: float) -> bool:
-        return self._value <= other
-
-    def __gt__(self, other: float) -> bool:
-        return self._value > other
-
-    def __ge__(self, other: float) -> bool:
-        return self._value >= other
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Counter({self.name}{self.label_suffix()}={self._value})"

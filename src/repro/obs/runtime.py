@@ -27,7 +27,7 @@ from __future__ import annotations
 import contextvars
 import threading
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.obs.events import EventLog
 from repro.obs.registry import MetricsRegistry, get_registry
@@ -149,10 +149,3 @@ def set_cid(cid: Optional[str]) -> "contextvars.Token":
 
 def reset_cid(token: "contextvars.Token") -> None:
     _CURRENT_CID.reset(token)
-
-
-def counters_snapshot() -> Dict[str, object]:
-    """Registry snapshot if active, else an empty one (CLI convenience)."""
-    state = _STATE
-    registry = state.registry if state is not None else get_registry()
-    return registry.snapshot()

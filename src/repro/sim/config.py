@@ -113,8 +113,15 @@ class QueueConfig:
     def validate(self) -> None:
         if self.n_queues <= 0 or self.depth <= 0:
             raise ValueError("queue counts must be positive")
+        if self.item_bytes <= 0 or self.qlu <= 0:
+            raise ValueError(
+                f"queue item_bytes ({self.item_bytes}) and qlu ({self.qlu}) "
+                "must be positive"
+            )
         if self.depth % self.qlu != 0:
-            raise ValueError("queue depth must be a multiple of the QLU")
+            raise ValueError(
+                f"queue depth ({self.depth}) must be a multiple of the QLU ({self.qlu})"
+            )
 
 
 @dataclass

@@ -76,10 +76,6 @@ class ChannelDump:
         """Produced items whose slots are not yet known-freed."""
         return self.n_produced - self.n_freed
 
-    @property
-    def produce_consume_delta(self) -> int:
-        return self.n_produced - self.n_consumed
-
     def suspicions(self) -> List[str]:
         """Heuristic diagnoses for why this channel may block a core."""
         out = []
@@ -131,9 +127,6 @@ class PostMortem:
 
     def blocked_cores(self) -> List[int]:
         return [c.core_id for c in self.cores if c.state == "blocked"]
-
-    def suspect_channels(self) -> List[ChannelDump]:
-        return [ch for ch in self.channels if ch.suspicions()]
 
     def render(self) -> str:
         lines = [f"post-mortem ({self.reason}, {self.total_steps} scheduler steps):"]

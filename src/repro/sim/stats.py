@@ -283,8 +283,9 @@ class RunStats:
     def simulated_cycles_per_sec(self) -> float:
         """Simulation throughput: simulated cycles per host second.
 
-        The unit of the perf trajectory (``repro.bench`` / ``BENCH_*.json``)
-        and the runner/campaign ledgers.  0.0 when timing was not captured.
+        Reported in campaign ``cell-end`` records and the
+        ``repro_sim_cycles_per_sec`` histogram.  0.0 when timing was not
+        captured.
         """
         if self.host_seconds <= 0:
             return 0.0

@@ -28,7 +28,6 @@ from repro.store.service import (
     LocalExecutor,
     QueryService,
     QueueExecutor,
-    ServeMetrics,
     start_service,
 )
 from repro.store.store import (
@@ -52,7 +51,6 @@ __all__ = [
     "QueueExecutor",
     "ResultStore",
     "SPEC_SCHEMA_VERSION",
-    "ServeMetrics",
     "StoreCorruptError",
     "StoreEntry",
     "StoreError",

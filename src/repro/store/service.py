@@ -51,9 +51,10 @@ import json
 import multiprocessing
 import signal
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.core.design_points import apply_overrides, get_design_point
 from repro.harness.campaign import CampaignCell, CampaignPolicy, CellTask
 from repro.harness.pool import WorkerPool
 from repro.harness.runner import RunResult
@@ -79,7 +80,6 @@ __all__ = [
     "QueueExecutor",
     "RETRY_AFTER_S",
     "ServeHandle",
-    "ServeMetrics",
     "executor_stats",
     "render_prometheus",
     "start_service",
@@ -105,87 +105,26 @@ class QueryError(Exception):
         self.status = status
 
 
-class ServeMetrics:
-    """Process-lifetime counters the ``/metrics`` endpoints expose.
+#: The serve counters by ``/metrics.json`` key, with their help text; each
+#: is the ``repro_serve_<key>_total`` family on ``/metrics``.
+SERVE_COUNTERS = {
+    "queries": "Queries received (all outcomes)",
+    "batches": "POST /query batches received",
+    "hits": "Queries answered straight from the store",
+    "misses": "Queries that scheduled a simulation",
+    # Attached to an already-in-flight miss instead of scheduling their own.
+    "coalesced": "Queries coalesced onto an in-flight miss",
+    "errors": "Queries answered with an error",
+    # Refused with 503 because the in-flight bound was hit.
+    "shed": "Batches shed with 503 (overload)",
+    "timeouts": "Queries that hit the 504 budget",
+    "io_errors": "Store I/O errors absorbed by retries",
+}
 
-    Since the ``repro.obs`` absorption these are registry-backed: every
-    field is a :class:`~repro.obs.registry.Counter` living in
-    ``self.registry`` (a private registry by default; ``repro serve``
-    passes the process-wide one so spans, store, dispatch, and kernel
-    metrics share a single ``/metrics`` surface).  Counters compare and
-    increment like ints, so ``metrics.hits += 1`` / ``metrics.hits == 1``
-    keep their seed-era spelling.
-
-    ``observe_latency`` additionally feeds a fixed-bucket histogram
-    (``repro_serve_query_latency_seconds``): zero-duration observations
-    land in the smallest bucket, anything beyond the largest boundary in
-    ``+Inf`` only, and a snapshot taken mid-burst is always coherent
-    (``sum(buckets) == count``).
-    """
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        reg = self.registry
-        self.queries = reg.counter(
-            "repro_serve_queries_total", "Queries received (all outcomes)"
-        )
-        self.batches = reg.counter(
-            "repro_serve_batches_total", "POST /query batches received"
-        )
-        self.hits = reg.counter(
-            "repro_serve_hits_total", "Queries answered straight from the store"
-        )
-        self.misses = reg.counter(
-            "repro_serve_misses_total", "Queries that scheduled a simulation"
-        )
-        #: Queries that attached to an already-in-flight miss instead of
-        #: scheduling their own simulation.
-        self.coalesced = reg.counter(
-            "repro_serve_coalesced_total",
-            "Queries coalesced onto an in-flight miss",
-        )
-        self.errors = reg.counter(
-            "repro_serve_errors_total", "Queries answered with an error"
-        )
-        #: Requests refused with 503 because the in-flight bound was hit.
-        self.shed = reg.counter(
-            "repro_serve_shed_total", "Batches shed with 503 (overload)"
-        )
-        #: Queries that hit their per-query wall-clock timeout (504).
-        self.timeouts = reg.counter(
-            "repro_serve_timeouts_total", "Queries that hit the 504 budget"
-        )
-        #: Store/queue I/O errors absorbed by the retry budget (degraded mode).
-        self.io_errors = reg.counter(
-            "repro_serve_io_errors_total", "Store I/O errors absorbed by retries"
-        )
-        self.latency = reg.histogram(
-            "repro_serve_query_latency_seconds",
-            "Wall-clock latency of answered queries",
-            buckets=LATENCY_BUCKETS_S,
-        )
-
-    def observe_latency(self, seconds: float) -> None:
-        self.latency.observe(seconds)
-
-    def snapshot(self) -> Dict[str, object]:
-        queries = int(self.queries)
-        latency = self.latency.snapshot()
-        avg = latency["sum"] / queries if queries else 0.0
-        return {
-            "queries": queries,
-            "batches": int(self.batches),
-            "hits": int(self.hits),
-            "misses": int(self.misses),
-            "coalesced": int(self.coalesced),
-            "errors": int(self.errors),
-            "shed": int(self.shed),
-            "timeouts": int(self.timeouts),
-            "io_errors": int(self.io_errors),
-            "latency_avg_ms": round(avg * 1e3, 3),
-            "latency_max_ms": round(latency["max"] * 1e3, 3),
-            "latency_histogram": latency,
-        }
+#: Fixed-bucket histogram of answered-query latency: zero-duration
+#: observations land in the smallest bucket, anything beyond the largest
+#: boundary in ``+Inf`` only.
+QUERY_LATENCY = "repro_serve_query_latency_seconds"
 
 
 # ----------------------------------------------------------------------
@@ -335,25 +274,30 @@ class QueueExecutor:
 
 
 def _query_cell(query: Dict[str, object]) -> CampaignCell:
-    """Build the cell a query names; :class:`QueryError` on a bad spec."""
+    """Build the cell a query names; :class:`QueryError` on a bad spec.
+
+    The names it uses are looked up and its overrides applied to the design
+    point's config here, so a query that cannot run answers 400 and never
+    reaches the executor.
+    """
     if not isinstance(query, dict):
         raise QueryError("each query must be a JSON object")
     if "benchmark" not in query:
         raise QueryError("query is missing 'benchmark'")
+    from repro.harness.experiments import EXPERIMENT_TRIPS
+
+    benchmark = str(query["benchmark"])
+    if benchmark not in EXPERIMENT_TRIPS:
+        raise QueryError(f"unknown benchmark {benchmark!r}")
     trip_count = query.get("trip_count")
     if trip_count is None:
-        from repro.harness.experiments import EXPERIMENT_TRIPS
-
-        benchmark = str(query["benchmark"])
-        if benchmark not in EXPERIMENT_TRIPS:
-            raise QueryError(f"unknown benchmark {benchmark!r}")
         scale = float(query.get("scale", 1.0))
         if scale <= 0:
             raise QueryError("'scale' must be positive")
         trip_count = max(32, int(EXPERIMENT_TRIPS[benchmark] * scale))
     try:
-        return CampaignCell(
-            benchmark=str(query["benchmark"]),
+        cell = CampaignCell(
+            benchmark=benchmark,
             design_point=str(query.get("design_point", "HEAVYWT")),
             kind=str(query.get("kind", "benchmark")),
             trip_count=int(trip_count),
@@ -361,8 +305,13 @@ def _query_cell(query: Dict[str, object]) -> CampaignCell:
             stages=query.get("stages"),
             kernel=str(query.get("kernel", "reference")),
         ).validate()
+        if cell.kind != "single":  # the baseline runs no design point
+            point = get_design_point(cell.design_point)
+            if cell.overrides:
+                apply_overrides(point.build_config(), cell.overrides)
     except (KeyError, TypeError, ValueError) as exc:
         raise QueryError(f"bad query spec: {exc}") from exc
+    return cell
 
 
 class QueryService:
@@ -384,7 +333,7 @@ class QueryService:
         self,
         store: ResultStore,
         executor,
-        metrics: Optional[ServeMetrics] = None,
+        registry: Optional[MetricsRegistry] = None,
         query_timeout: Optional[float] = None,
         max_inflight: Optional[int] = None,
     ) -> None:
@@ -392,7 +341,16 @@ class QueryService:
             raise ValueError("max_inflight must be >= 1")
         self.store = store
         self.executor = executor
-        self.metrics = metrics or ServeMetrics()
+        #: Home of the serve counters and the latency histogram: a private
+        #: registry by default; ``repro serve --obs-log`` passes the
+        #: process-wide one, so spans, store, dispatch and kernel metrics
+        #: share one ``/metrics`` surface.
+        self.registry = registry if registry is not None else MetricsRegistry()
+        for key, help_text in SERVE_COUNTERS.items():
+            self.registry.counter(f"repro_serve_{key}_total", help_text)
+        self.registry.histogram(
+            QUERY_LATENCY, "Wall-clock latency of answered queries", buckets=LATENCY_BUCKETS_S
+        )
         self.query_timeout = query_timeout
         self.max_inflight = max_inflight
         #: digest -> the one task resolving it; concurrent queries await it.
@@ -407,6 +365,25 @@ class QueryService:
         self.draining = False
         #: Why the service is degraded, or ``None`` when healthy.
         self.degraded_cause: Optional[str] = None
+
+    def count(self, key: str) -> None:
+        """Add one to the serve counter ``key`` (a :data:`SERVE_COUNTERS` key)."""
+        self.registry.counter(f"repro_serve_{key}_total").inc()
+
+    def snapshot(self) -> Dict[str, object]:
+        """The ``serve`` section of ``GET /metrics.json``: every counter by
+        key, plus the latency histogram and its mean and maximum."""
+        out: Dict[str, object] = {
+            key: self.registry.counter(f"repro_serve_{key}_total").value
+            for key in SERVE_COUNTERS
+        }
+        latency = self.registry.histogram(QUERY_LATENCY).snapshot()
+        queries = out["queries"]
+        avg = latency["sum"] / queries if queries else 0.0
+        out["latency_avg_ms"] = round(avg * 1e3, 3)
+        out["latency_max_ms"] = round(latency["max"] * 1e3, 3)
+        out["latency_histogram"] = latency
+        return out
 
     def state(self) -> Tuple[str, Optional[str]]:
         """``(ok|degraded|draining, cause)`` for ``/healthz``."""
@@ -430,7 +407,7 @@ class QueryService:
                     entry = self.store.get(digest)
                 except (OSError, StoreError) as exc:
                     last = exc
-                    self.metrics.io_errors += 1
+                    self.count("io_errors")
                     self.degraded_cause = f"store I/O failing: {exc}"
                     await asyncio.sleep(IO_RETRY_BASE * (2**attempt))
                     continue
@@ -448,13 +425,13 @@ class QueryService:
         digest = cell_digest(cell)
         entry = await self._store_get(digest, cid=cid)
         if entry is not None:
-            self.metrics.hits += 1
+            self.count("hits")
             if _obs.active():
                 _obs.emit("store.hit", cid=cid, digest=digest)
             return entry, True, False
         task = self.inflight.get(digest)
         if task is not None:
-            self.metrics.coalesced += 1
+            self.count("coalesced")
             if _obs.active():
                 _obs.emit(
                     "serve.coalesce",
@@ -464,7 +441,7 @@ class QueryService:
                 )
             entry = await asyncio.shield(task)
             return entry, False, True
-        self.metrics.misses += 1
+        self.count("misses")
         if _obs.active():
             _obs.emit("serve.miss", cid=cid, digest=digest)
             # The ContextVar rides into the task the executor runs under
@@ -543,7 +520,7 @@ class QueryService:
         answer carries it back to the client (``"cid"``) so ``repro obs
         tail --cid`` starts from the HTTP response in hand.
         """
-        self.metrics.queries += 1
+        self.count("queries")
         self.active += 1
         cid = new_cid() if _obs.active() else None
         started = time.monotonic()
@@ -566,16 +543,16 @@ class QueryService:
                         # The in-flight task keeps running under its shield:
                         # a later retry can still coalesce onto (or hit) its
                         # result.
-                        self.metrics.timeouts += 1
+                        self.count("timeouts")
                         raise QueryError(
                             f"query exceeded the {self.query_timeout:g}s budget",
                             status=504,
                         ) from None
             except QueryError as exc:
-                self.metrics.errors += 1
+                self.count("errors")
                 answer = {"ok": False, "error": str(exc), "status": exc.status}
             except Exception as exc:  # noqa: BLE001 - a query must never kill the server
-                self.metrics.errors += 1
+                self.count("errors")
                 answer = {
                     "ok": False,
                     "error": f"{type(exc).__name__}: {exc}",
@@ -583,7 +560,7 @@ class QueryService:
                 }
             finally:
                 self.active -= 1
-                self.metrics.observe_latency(time.monotonic() - started)
+                self.registry.histogram(QUERY_LATENCY).observe(time.monotonic() - started)
             if cid is not None:
                 answer["cid"] = cid
                 sp.note(
@@ -595,7 +572,7 @@ class QueryService:
 
     async def answer_batch(self, queries: List[Dict[str, object]]) -> List[Dict[str, object]]:
         """Answer a batch concurrently — duplicates coalesce inside the batch."""
-        self.metrics.batches += 1
+        self.count("batches")
         return list(await asyncio.gather(*(self.answer_query(q) for q in queries)))
 
 
@@ -620,7 +597,7 @@ def sync_gauges(service: QueryService) -> None:
     the present — load shedding is visible as depth/active climbing
     toward the bound *before* the first 503.
     """
-    reg = service.metrics.registry
+    reg = service.registry
     reg.gauge(
         "repro_serve_inflight_misses",
         "Distinct digests currently being simulated for queries",
@@ -655,7 +632,7 @@ def sync_gauges(service: QueryService) -> None:
 def render_prometheus(service: QueryService) -> str:
     """The ``GET /metrics`` body: registry state in Prometheus text format."""
     sync_gauges(service)
-    return service.metrics.registry.render_prometheus()
+    return service.registry.render_prometheus()
 
 
 # ----------------------------------------------------------------------
@@ -735,7 +712,6 @@ class ServeHandle:
     service: QueryService
     host: str
     port: int
-    metrics: ServeMetrics = field(default_factory=ServeMetrics)
 
     async def drain(self, grace: float = 30.0) -> bool:
         """Graceful shutdown: refuse new work, finish in-flight, close.
@@ -805,12 +781,12 @@ async def _handle_client(
                     200,
                     {
                         "ok": True,
-                        "serve": service.metrics.snapshot(),
+                        "serve": service.snapshot(),
                         "store": service.store.stats(),
                         "executor": executor_stats(service.executor),
                         "inflight": len(service.inflight),
                         "active": service.active,
-                        "registry": service.metrics.registry.snapshot(),
+                        "registry": service.registry.snapshot(),
                     },
                 )
             )
@@ -850,7 +826,7 @@ async def _handle_client(
             ):
                 # Load shedding: refuse the whole batch now, cheaply, with
                 # a back-off hint — never queue unboundedly and never hang.
-                service.metrics.shed += 1
+                service.count("shed")
                 writer.write(
                     _http_response(
                         503,
@@ -891,22 +867,21 @@ async def start_service(
     port: int = 0,
     query_timeout: Optional[float] = None,
     max_inflight: Optional[int] = None,
-    metrics: Optional[ServeMetrics] = None,
+    registry: Optional[MetricsRegistry] = None,
 ) -> ServeHandle:
     """Start the HTTP front end; ``port=0`` picks a free port.
 
     Returns a :class:`ServeHandle` whose ``port`` is the bound port and
     whose :meth:`~ServeHandle.close` stops the server and the executor.
     ``query_timeout`` / ``max_inflight`` arm the degradation knobs
-    (:class:`QueryService`); both default off.  ``metrics`` lets the
-    caller supply registry-shared counters (``repro serve`` passes ones
-    bound to the process-wide obs registry).
+    (:class:`QueryService`); both default off.  ``registry`` is where the
+    service records its metrics (``repro serve --obs-log`` passes the
+    process-wide obs registry); ``None`` gives it a private one.
     """
-    metrics = metrics if metrics is not None else ServeMetrics()
     service = QueryService(
         store,
         executor,
-        metrics,
+        registry,
         query_timeout=query_timeout,
         max_inflight=max_inflight,
     )
@@ -916,9 +891,7 @@ async def start_service(
 
     server = await asyncio.start_server(handler, host=host, port=port)
     bound_port = server.sockets[0].getsockname()[1]
-    return ServeHandle(
-        server=server, service=service, host=host, port=bound_port, metrics=metrics
-    )
+    return ServeHandle(server=server, service=service, host=host, port=bound_port)
 
 
 async def serve_forever(
@@ -942,15 +915,15 @@ async def serve_forever(
     to finish, new ones are shed with 503 — never a mid-response cut.
 
     ``obs_log`` (the ``--obs-log`` flag) arms ``repro.obs``: correlated
-    events/spans append to that shared JSONL path, and ``ServeMetrics``
-    binds to the process-wide registry so ``GET /metrics`` covers spans
-    and everything else the process observes.  Left ``None``, nothing is
-    recorded and the serve path keeps its zero-overhead shape.
+    events/spans append to that shared JSONL path, and the service records
+    its metrics in the process-wide registry so ``GET /metrics`` covers
+    spans and everything else the process observes.  Left ``None``, nothing
+    is recorded and the serve path keeps its zero-overhead shape.
     """
-    metrics: Optional[ServeMetrics] = None
+    registry: Optional[MetricsRegistry] = None
     if obs_log is not None:
         state = _obs.configure(log_path=obs_log)
-        metrics = ServeMetrics(registry=state.registry)
+        registry = state.registry
         state.emit("serve.start", host=host, port=port, store=store_root)
     store = ResultStore(store_root)
     if queue_root is not None:
@@ -966,7 +939,7 @@ async def serve_forever(
         port=port,
         query_timeout=query_timeout,
         max_inflight=max_inflight,
-        metrics=metrics,
+        registry=registry,
     )
     if ready is not None:
         ready(handle)
@@ -985,4 +958,4 @@ async def serve_forever(
             loop.remove_signal_handler(signal.SIGTERM)
         await handle.close()
         if _obs.active():
-            _obs.emit("serve.stop", queries=int(metrics.queries) if metrics else None)
+            _obs.emit("serve.stop", queries=handle.service.snapshot()["queries"])

@@ -493,10 +493,6 @@ class ResultStore:
             self.hits += 1
         return entry
 
-    def get_cell(self, cell: CampaignCell) -> Optional[StoreEntry]:
-        """Convenience: :meth:`get` keyed by the cell itself."""
-        return self.get(cell_digest(cell))
-
     def contains(self, digest: str) -> bool:
         """Existence probe that counts neither hit nor miss.
 

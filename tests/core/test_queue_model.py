@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.design_points import DESIGN_POINTS
+from repro.core.mechanism import available_mechanisms
 from repro.core.queue_model import (
     QUEUE_REGION_BASE,
     QUEUE_REGION_STRIDE,
     QueueChannel,
     QueueLayout,
 )
+from repro.sim.config import baseline_config
 from repro.sim.machine import Machine
 
 
@@ -144,6 +146,23 @@ class TestLayout:
         lay = Machine(cfg.validate(), mechanism=dp.mechanism).mechanism.layout_for(0)
         assert lay.qlu == 4
         _assert_lines_contained(lay)
+
+    @pytest.mark.parametrize("mechanism", available_mechanisms())
+    def test_slot_wider_than_a_line_is_a_config_error(self, mechanism):
+        """A slot (item plus the mechanism's flag bytes) must fit one L2 line:
+        the widest that fits lays out one slot per line, and one byte more
+        fails when the machine is built, not with a division by zero at the
+        first channel."""
+        line = baseline_config().l2.line_bytes
+        flag = Machine(baseline_config(), mechanism=mechanism).mechanism.flag_bytes
+        fits = baseline_config()
+        fits.queues.item_bytes = line - flag
+        assert Machine(fits, mechanism=mechanism).channel(0).layout.qlu == 1
+        for item_bytes in (line - flag + 1, 2 * line):
+            wide = baseline_config()
+            wide.queues.item_bytes = item_bytes
+            with pytest.raises(ValueError, match=rf"\({item_bytes}-byte item \+ {flag}-byte flag\)"):
+                Machine(wide, mechanism=mechanism)
 
 
 def _assert_lines_contained(lay):

@@ -7,13 +7,9 @@ import pytest
 from repro.core.design_points import DesignPointConfigError, get_design_point
 from repro.faults import FaultKind, FaultPlan, FaultRule
 from repro.harness import experiments
+from repro.harness.campaign import CampaignCell, execute_cell
 from repro.harness.experiments import GAP, sweep
-from repro.harness.runner import (
-    FailedRun,
-    RunResult,
-    run_benchmark,
-    run_benchmark_resilient,
-)
+from repro.harness.runner import FailedRun, RunResult, run_benchmark
 
 
 def _wedge_plan():
@@ -25,22 +21,18 @@ def _wedge_plan():
     )
 
 
-def _wedged_config(point_name):
-    cfg = get_design_point(point_name).build_config()
-    cfg.faults = _wedge_plan()
-    return cfg.validate()
-
-
 class TestRunBenchmarkResilient:
+    """:func:`execute_cell` runs one benchmark cell resiliently: a failing
+    simulation becomes a :class:`FailedRun`, a usage error still raises."""
+
     def test_success_returns_run_result(self):
-        out = run_benchmark_resilient("fir", "HEAVYWT", 64)
+        out = execute_cell(CampaignCell("fir", "HEAVYWT", trip_count=64))
         assert isinstance(out, RunResult) and out.ok
         assert out.machine is not None
 
     def test_simulation_failure_becomes_failed_run(self):
-        out = run_benchmark_resilient(
-            "wc", "EXISTING", 64, config=_wedged_config("EXISTING")
-        )
+        cell = CampaignCell("wc", "EXISTING", trip_count=64, fault_plan=_wedge_plan())
+        out = execute_cell(cell)
         assert isinstance(out, FailedRun) and not out.ok
         assert out.error_type == "DeadlockError"
         assert out.post_mortem is not None
@@ -48,9 +40,9 @@ class TestRunBenchmarkResilient:
 
     def test_usage_errors_still_raise(self):
         with pytest.raises(KeyError):
-            run_benchmark_resilient("fir", "NO_SUCH_POINT", 64)
+            execute_cell(CampaignCell("fir", "NO_SUCH_POINT", trip_count=64))
         with pytest.raises(KeyError):
-            run_benchmark_resilient("no_such_benchmark", "HEAVYWT", 64)
+            execute_cell(CampaignCell("no_such_benchmark", "HEAVYWT", trip_count=64))
 
 
 class TestConfigPairing:
@@ -63,11 +55,6 @@ class TestConfigPairing:
         plain = get_design_point("SYNCOPTI").build_config()
         with pytest.raises(DesignPointConfigError, match="stream_cache"):
             run_benchmark("fir", "SYNCOPTI_SC", 64, config=plain)
-
-    def test_resilient_wrapper_does_not_absorb_config_errors(self):
-        sc_cfg = get_design_point("SYNCOPTI_SC").build_config()
-        with pytest.raises(DesignPointConfigError):
-            run_benchmark_resilient("fir", "SYNCOPTI", 64, config=sc_cfg)
 
     def test_sensitivity_overrides_still_accepted(self):
         cfg = get_design_point("HEAVYWT").build_config()

@@ -1,9 +1,9 @@
 """The package root resolves its public names on first access (PEP 562).
 
 Importing one subpackage must not pay for the rest: a campaign process
-never needs the serve stack (asyncio, http), the store service or the
-bench.  Each check runs in a fresh interpreter, where ``sys.modules``
-shows exactly what an import pulled in.
+never needs the serve stack (asyncio, http) or the store service.  Each
+check runs in a fresh interpreter, where ``sys.modules`` shows exactly
+what an import pulled in.
 """
 
 import json
@@ -33,7 +33,7 @@ def test_campaign_import_leaves_the_serve_stack_unloaded():
     loaded = _fresh(
         "import json, sys\n"
         "import repro.harness.campaign\n"
-        "heavy = ('asyncio', 'repro.store.service', 'repro.bench')\n"
+        "heavy = ('asyncio', 'repro.store.service')\n"
         "print(json.dumps([m for m in heavy if m in sys.modules]))\n"
     )
     assert loaded == []

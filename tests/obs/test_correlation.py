@@ -17,7 +17,7 @@ from repro.obs.events import events_for_cid, list_cids, read_events
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import spans_from_events
 from repro.store.dispatch import WorkQueue, run_worker
-from repro.store.service import QueryService, ServeMetrics
+from repro.store.service import QueryService
 from repro.store.store import ResultStore, cell_digest
 
 CELL = CampaignCell(benchmark="wc", design_point="HEAVYWT", trip_count=48)
@@ -58,7 +58,7 @@ class InProcessExecutor:
 def _service(tmp_path, registry):
     store = ResultStore(str(tmp_path / "store"))
     executor = InProcessExecutor(store)
-    return QueryService(store, executor, ServeMetrics(registry=registry)), store
+    return QueryService(store, executor, registry), store
 
 
 def test_miss_query_story_under_one_cid(obs, tmp_path):

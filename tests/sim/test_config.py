@@ -80,6 +80,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             config.validate()
 
+    @pytest.mark.parametrize(
+        "field, value", [("qlu", 0), ("qlu", -8), ("item_bytes", 0), ("item_bytes", -8)]
+    )
+    def test_queue_geometry_must_be_positive(self, config, field, value):
+        setattr(config.queues, field, value)
+        with pytest.raises(ValueError, match=rf"{field} \({value}\)"):
+            config.validate()
+
     def test_l2_l3_line_sizes_must_match(self, config):
         config.l3 = dataclasses.replace(config.l3, line_bytes=64)
         with pytest.raises(ValueError):

@@ -42,11 +42,15 @@ class TestWriteAtomic:
         # target never stomp each other's in-progress bytes.
         path = str(tmp_path / "f")
         names = {}
+        # Both writers are inside open() at once, so they are both alive and
+        # their thread ids differ (a finished thread's id can be reused).
+        both_open = threading.Barrier(2, timeout=10)
 
         class Spy(RealFS):
             @staticmethod
             def open(p, flags, mode=0o777):
                 names[threading.get_ident()] = p
+                both_open.wait()
                 return os.open(p, flags, mode)
 
         def writer():

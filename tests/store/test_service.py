@@ -22,9 +22,9 @@ import signal
 
 from repro.harness.campaign import CampaignCell, execute_cell
 from repro.store.service import (
+    QUERY_LATENCY,
     LocalExecutor,
     QueryService,
-    ServeMetrics,
     start_service,
 )
 from repro.store.store import ResultStore, cell_digest
@@ -56,7 +56,7 @@ class CountingExecutor:
 def _service(tmp_path, **kwargs):
     store = ResultStore(str(tmp_path / "store"))
     executor = CountingExecutor(store, **kwargs)
-    return QueryService(store, executor, ServeMetrics()), store, executor
+    return QueryService(store, executor), store, executor
 
 
 # ----------------------------------------------------------------------
@@ -74,7 +74,8 @@ def test_hit_answers_without_scheduling_work(tmp_path):
     answer = asyncio.run(main())
     assert answer["ok"] and answer["hit"] and not answer["coalesced"]
     assert executor.calls == []  # the store answered; nothing scheduled
-    assert svc.metrics.hits == 1 and svc.metrics.misses == 0
+    counts = svc.snapshot()
+    assert counts["hits"] == 1 and counts["misses"] == 0
 
 
 def test_event_kernel_query_answers_from_the_default_entry(tmp_path):
@@ -129,7 +130,8 @@ def test_duplicate_concurrent_misses_coalesce_to_one_simulation(tmp_path):
     assert len(executor.calls) == 1  # exactly one simulation
     assert sum(1 for a in answers if a["coalesced"]) == 4
     assert len({a["fingerprint"] for a in answers}) == 1
-    assert svc.metrics.misses == 1 and svc.metrics.coalesced == 4
+    counts = svc.snapshot()
+    assert counts["misses"] == 1 and counts["coalesced"] == 4
 
 
 def test_batch_mixing_hits_and_misses(tmp_path):
@@ -143,7 +145,8 @@ def test_batch_mixing_hits_and_misses(tmp_path):
     answers = asyncio.run(main())
     assert answers[0]["hit"] and not answers[1]["hit"]
     assert len(executor.calls) == 1
-    assert svc.metrics.hits == 1 and svc.metrics.misses == 1
+    counts = svc.snapshot()
+    assert counts["hits"] == 1 and counts["misses"] == 1
 
 
 def test_speedup_query_resolves_single_baseline(tmp_path):
@@ -177,23 +180,29 @@ def test_scale_query_uses_experiment_trips(tmp_path):
 
 
 def test_bad_queries_become_per_query_errors(tmp_path):
+    """A query that cannot run answers 400 and never reaches the executor."""
     svc, _store, executor = _service(tmp_path)
+    bad = [
+        {"design_point": "HEAVYWT"},  # missing benchmark
+        {"benchmark": "no-such", "scale": 1.0},  # unknown
+        {"benchmark": "wc", "design_point": "HEAVYWT", "scale": -1},
+        {**QUERY, "design_point": "NO_SUCH_POINT"},
+        {**QUERY, "benchmark": "no-such"},  # unknown, with a trip count
+        {**QUERY, "overrides": {"nope": 1}},  # unknown knob
+        {**QUERY, "overrides": {"queue_depth": 7}},  # not a multiple of the QLU
+    ]
 
     async def main():
-        return await svc.answer_batch(
-            [
-                {"design_point": "HEAVYWT"},  # missing benchmark
-                {"benchmark": "no-such", "scale": 1.0},  # unknown
-                {"benchmark": "wc", "design_point": "HEAVYWT", "scale": -1},
-                dict(QUERY),  # a good one rides along unharmed
-            ]
-        )
+        return await svc.answer_batch(bad)
 
     answers = asyncio.run(main())
-    assert [a["ok"] for a in answers] == [False, False, False, True]
-    assert all(a["status"] == 400 for a in answers[:3])
-    assert svc.metrics.errors == 3
-    assert executor.calls == [cell_digest(CELL)]
+    assert [a["ok"] for a in answers] == [False] * len(bad)
+    assert all(a["status"] == 400 for a in answers), answers
+    assert svc.snapshot()["errors"] == len(bad)
+    assert executor.calls == []
+    # A good query rides along unharmed.
+    answer = asyncio.run(svc.answer_query(dict(QUERY)))
+    assert answer["ok"] and executor.calls == [cell_digest(CELL)]
 
 
 # ----------------------------------------------------------------------
@@ -369,12 +378,13 @@ def test_local_executor_answers_deterministic_failures_at_once(tmp_path):
 
         async def main():
             svc = QueryService(store, executor)
-            return await svc.answer_query(dict(QUERY, overrides={"no_such_knob": 1}))
+            # wc condenses to 11 SCCs: 16 stages fail on the worker, every time.
+            return await svc.answer_query(dict(QUERY, kind="pipeline", stages=16))
 
         answer = asyncio.run(main())
     finally:
         executor.close()
-    assert answer["status"] == 502 and "KeyError" in answer["error"]
+    assert answer["status"] == 502 and "PartitionError" in answer["error"]
     assert attempts == [1]  # deterministic: never retried
 
 
@@ -471,7 +481,7 @@ def test_query_timeout_answers_504_and_keeps_the_miss_running(tmp_path):
     second = asyncio.run(main())
     assert second["ok"] and second["hit"]
     assert executor.calls == [digest]  # exactly one simulation despite the 504
-    assert svc.metrics.timeouts == 1
+    assert svc.snapshot()["timeouts"] == 1
 
 
 def test_draining_service_refuses_queries_with_503(tmp_path):
@@ -498,7 +508,7 @@ def test_flaky_store_reads_ride_the_retry_budget(tmp_path):
 
     answer = asyncio.run(main())
     assert answer["ok"] and answer["hit"]
-    assert svc.metrics.io_errors == 2
+    assert svc.snapshot()["io_errors"] == 2
     assert svc.degraded_cause is None  # the clean read cleared it
     assert svc.state()[0] == "ok"
 
@@ -546,7 +556,7 @@ def test_http_overload_sheds_with_503_and_retry_after(tmp_path):
             assert status == 503
             assert doc["retry_after_s"] == 1
             assert "overloaded" in doc["error"]
-            assert handle.metrics.shed == 1
+            assert handle.service.snapshot()["shed"] == 1
             executor.release.set()
             status, doc = await blocker
             assert status == 200 and doc["answers"][0]["ok"]
@@ -696,20 +706,49 @@ def test_http_metrics_prometheus_text(tmp_path):
     assert asyncio.run(run(scenario))
 
 
-def test_observe_latency_zero_duration_lands_in_first_bucket():
-    metrics = ServeMetrics()
-    metrics.observe_latency(0.0)
-    snap = metrics.latency.snapshot()
-    assert snap["count"] == 1
-    assert snap["buckets"][0]["count"] == 1  # cumulative: first holds it
-    assert snap["max"] == 0.0
-    assert metrics.snapshot()["latency_max_ms"] == 0.0
+def test_metrics_surface_names_are_pinned(tmp_path):
+    """The ``serve`` keys of ``/metrics.json`` and the serve families of
+    ``/metrics``: dashboards, ``scripts/obs_smoke.py`` and the serve
+    benchmark read these names, so they change only on purpose."""
+    run, _executor = _serve(tmp_path)
+
+    async def scenario(handle):
+        _, doc = await _request(handle, "GET", "/metrics.json")
+        _, _, body = await _request_text(handle, "GET", "/metrics")
+        return doc, body
+
+    doc, body = asyncio.run(run(scenario))
+    assert set(doc["serve"]) == {
+        "queries", "batches", "hits", "misses", "coalesced", "errors", "shed",
+        "timeouts", "io_errors", "latency_avg_ms", "latency_max_ms", "latency_histogram",
+    }
+    families = {
+        ln.split()[2] for ln in body.splitlines() if ln.startswith("# TYPE repro_serve_")
+    }
+    assert families == {
+        "repro_serve_queries_total", "repro_serve_batches_total", "repro_serve_hits_total",
+        "repro_serve_misses_total", "repro_serve_coalesced_total", "repro_serve_errors_total",
+        "repro_serve_shed_total", "repro_serve_timeouts_total", "repro_serve_io_errors_total",
+        "repro_serve_query_latency_seconds", "repro_serve_inflight_misses",
+        "repro_serve_active_queries", "repro_serve_draining", "repro_serve_degraded",
+    }
 
 
-def test_observe_latency_beyond_largest_bucket_is_inf_only():
-    metrics = ServeMetrics()
-    metrics.observe_latency(1e6)  # way past the 30s top bucket
-    snap = metrics.latency.snapshot()
+def test_observe_latency_zero_duration_lands_in_first_bucket(tmp_path):
+    svc, _store, _executor = _service(tmp_path)
+    svc.registry.histogram(QUERY_LATENCY).observe(0.0)
+    snap = svc.snapshot()
+    latency = snap["latency_histogram"]
+    assert latency["count"] == 1
+    assert latency["buckets"][0]["count"] == 1  # cumulative: first holds it
+    assert latency["max"] == 0.0
+    assert snap["latency_max_ms"] == 0.0
+
+
+def test_observe_latency_beyond_largest_bucket_is_inf_only(tmp_path):
+    svc, _store, _executor = _service(tmp_path)
+    svc.registry.histogram(QUERY_LATENCY).observe(1e6)  # way past the 30s top bucket
+    snap = svc.snapshot()["latency_histogram"]
     finite = snap["buckets"][:-1]
     inf = snap["buckets"][-1]
     assert all(b["count"] == 0 for b in finite)
@@ -717,21 +756,22 @@ def test_observe_latency_beyond_largest_bucket_is_inf_only():
     assert snap["sum"] == 1e6 and snap["max"] == 1e6
 
 
-def test_latency_snapshot_stable_under_concurrent_updates():
+def test_latency_snapshot_stable_under_concurrent_updates(tmp_path):
     import threading
 
-    metrics = ServeMetrics()
+    svc, _store, _executor = _service(tmp_path)
+    latency = svc.registry.histogram(QUERY_LATENCY)
     threads, per_thread = 8, 500
     stop = threading.Event()
     bad = []
 
     def hammer():
         for i in range(per_thread):
-            metrics.observe_latency((i % 40) * 0.01)
+            latency.observe((i % 40) * 0.01)
 
     def scrape():
         while not stop.is_set():
-            snap = metrics.latency.snapshot()
+            snap = svc.snapshot()["latency_histogram"]
             counts = [b["count"] for b in snap["buckets"]]
             # Each snapshot must be internally consistent even mid-update:
             # buckets cumulative, +Inf bucket equal to the total count.
@@ -749,7 +789,7 @@ def test_latency_snapshot_stable_under_concurrent_updates():
     stop.set()
     scraper.join()
     assert not bad
-    snap = metrics.latency.snapshot()
-    assert snap["count"] == threads * per_thread
-    assert snap["buckets"][-1]["count"] == threads * per_thread
-    assert int(metrics.queries) == 0  # counters untouched by latency path
+    snap = svc.snapshot()
+    assert snap["latency_histogram"]["count"] == threads * per_thread
+    assert snap["latency_histogram"]["buckets"][-1]["count"] == threads * per_thread
+    assert snap["queries"] == 0  # counters untouched by latency path
