@@ -79,6 +79,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from repro.core.design_points import apply_overrides, get_design_point, with_n_cores
 from repro.faults.classify import FailureClass, classify_outcome
 from repro.faults.plan import FaultKind, FaultPlan, FaultRule
+from repro.harness.programs import lowered_program
 from repro.harness.runner import (
     FailedRun,
     PreemptedRun,
@@ -98,6 +99,7 @@ from repro.sim.kernel import SimulationError, WallClockExceededError, canonical_
 from repro.sim.machine import Machine
 from repro.sim.program import Program
 from repro.sim.stats import RunStats
+from repro.trace.buffer import TraceConfig
 
 __all__ = [
     "CampaignCell",
@@ -110,6 +112,7 @@ __all__ = [
     "LEDGER_SCHEMA_VERSION",
     "campaign_status",
     "cell_checkpoint_path",
+    "cell_config",
     "execute_cell",
     "fault_plan_from_spec",
     "render_status",
@@ -123,15 +126,21 @@ LEDGER_DETAIL_LIMIT = 8000
 
 #: Schema version of ledger records *and* of the cell-spec dialect inside
 #: them.  v1 (implicit, pre-kernel) specs had no ``kernel`` field; v2 specs
-#: always carry one.  ``campaign-start`` and ``cell-start`` records stamp
-#: this version on write, and :meth:`CampaignCell.from_spec` warns (once
-#: per process) when upgrading a legacy record — the content-addressed
-#: result store hashes this version into every digest, so two dialects of
-#: "the same" spec can never alias one store entry.  ``cell-end`` records
-#: no longer copy ``cycles``/``fingerprint``/``kernel`` from the result;
-#: dropping fields needs no bump, and replay still reads an older record's
-#: ``fingerprint`` as the golden value of a cell that has to re-run.
-LEDGER_SCHEMA_VERSION = 2
+#: always carry one; v3 specs hash no design point for a single-threaded
+#: cell, and v3 cells run every field they hash (v2 single-threaded and
+#: pipeline cells ignored some).  ``campaign-start`` and ``cell-start``
+#: records stamp this version on write, and :meth:`CampaignCell.from_spec`
+#: warns (once per process) when upgrading a v1 record — the
+#: content-addressed result store hashes this version into every digest,
+#: so two dialects of "the same" spec can never alias one store entry.  A
+#: ledger written under an older version resumes by re-running its cells:
+#: replay ignores the store digests its records name (see
+#: :meth:`CampaignLedger.replay`).  ``cell-end``
+#: records no longer copy ``cycles``/``fingerprint``/``kernel`` from the
+#: result; dropping fields needs no bump, and replay still reads an older
+#: record's ``fingerprint`` as the golden value of a benchmark cell that
+#: has to re-run.
+LEDGER_SCHEMA_VERSION = 3
 
 #: Cell kinds the worker-side executor understands.
 CELL_KINDS = ("benchmark", "single", "pipeline")
@@ -209,13 +218,14 @@ class CampaignCell:
     """
 
     benchmark: str
+    #: Unused, and not hashed, by ``"single"`` cells.
     design_point: str = "HEAVYWT"
     kind: str = "benchmark"
     trip_count: Optional[int] = None
     #: Declarative config deltas, applied via OVERRIDE_KNOBS in fixed order.
     overrides: Dict[str, int] = field(default_factory=dict)
     fault_plan: Optional[FaultPlan] = field(default=None, repr=False)
-    #: Pipeline depth for ``kind="pipeline"`` cells.
+    #: Pipeline depth of ``kind="pipeline"`` cells; no other kind takes one.
     stages: Optional[int] = None
     #: Kernel name as given: ``"reference"`` or ``"event"``, which both name
     #: the one stepping loop (:mod:`repro.sim.kernel`).  Construction maps
@@ -229,8 +239,15 @@ class CampaignCell:
     def validate(self) -> "CampaignCell":
         if self.kind not in CELL_KINDS:
             raise ValueError(f"unknown cell kind {self.kind!r}; known: {CELL_KINDS}")
-        if self.kind == "pipeline" and (self.stages is None or self.stages < 2):
-            raise ValueError("pipeline cells need stages >= 2")
+        if self.kind == "pipeline":
+            if self.stages is None or self.stages < 2:
+                raise ValueError("pipeline cells need stages >= 2")
+            if "n_cores" in self.overrides:
+                raise ValueError(
+                    "a pipeline cell runs one core per stage; it takes no n_cores override"
+                )
+        elif self.stages is not None:
+            raise ValueError(f"stages is a pipeline depth; a {self.kind!r} cell takes none")
         if self.trip_count is not None and self.trip_count <= 0:
             raise ValueError("trip_count must be positive (or None for default)")
         return self
@@ -239,7 +256,8 @@ class CampaignCell:
         """Canonical plain-data identity (what :meth:`key` hashes)."""
         return {
             "benchmark": self.benchmark,
-            "design_point": self.design_point,
+            # The single-threaded baseline runs no design point.
+            "design_point": None if self.kind == "single" else self.design_point,
             "kind": self.kind,
             "trip_count": self.trip_count,
             "overrides": dict(sorted(self.overrides.items())),
@@ -283,7 +301,7 @@ class CampaignCell:
             )
         return cls(
             benchmark=spec["benchmark"],
-            design_point=spec["design_point"],
+            design_point=spec["design_point"] or "HEAVYWT",
             kind=spec.get("kind", "benchmark"),
             trip_count=spec.get("trip_count"),
             overrides=dict(spec.get("overrides") or {}),
@@ -298,97 +316,44 @@ class CampaignCell:
 # ----------------------------------------------------------------------
 
 
-def _build_config(cell: CampaignCell):
-    """The cell's machine config, or None to use the design point's own."""
-    if not cell.overrides and cell.fault_plan is None:
-        return None
-    cfg = get_design_point(cell.design_point).build_config()
-    cfg = apply_overrides(cfg, cell.overrides)
+def cell_config(cell: CampaignCell):
+    """The machine config a cell runs on, and the design point it runs.
+
+    One order for every kind: the design point's config (HEAVYWT's for a
+    single-threaded cell, whose one thread touches no queue), then the
+    overrides, then one core per stage for a pipeline cell (with the comm
+    trace its hop delays are folded from), then the fault plan, then
+    ``validate``.  So every field a cell's digest hashes reaches the
+    machine it runs on.
+    """
+    point = get_design_point("HEAVYWT" if cell.kind == "single" else cell.design_point)
+    cfg = apply_overrides(point.build_config(), cell.overrides)
+    if cell.kind == "pipeline":
+        cfg = with_n_cores(cfg, cell.stages).copy(
+            trace=TraceConfig(capacity=1 << 20, categories=("comm",)),
+        )
     if cell.fault_plan is not None:
         cfg.faults = cell.fault_plan
-    return cfg.validate()
+    point.validate_config(cfg)
+    return cfg.validate(), point
 
 
 @dataclass
 class CellPlan:
     """Everything needed to run — or *resume* — one cell, precomputed: a
-    machine config, a mechanism, a deterministic program builder (called
-    again on resume to replay instruction streams up to the snapshot
-    cursors), and an ``extras`` hook deriving kind-specific results (the
-    pipeline kind computes per-hop delays from the restored trace buffer).
+    machine config, a mechanism, its lowered program (shared through
+    :mod:`repro.harness.programs`; a resume replays its streams up to the
+    snapshot cursors), and an ``extras`` hook deriving kind-specific results
+    (the pipeline kind computes per-hop delays from the restored trace
+    buffer).
     """
 
     #: Design-point label used in failure records (e.g. ``EXISTING/K=4``).
     design_label: str
     config: object
     mechanism: str
-    build_program: Callable[[], Program]
+    program: Program
     extras: Optional[Callable[[Machine, RunStats], Dict[str, object]]] = None
-
-
-def _plan_benchmark(cell: CampaignCell) -> CellPlan:
-    from repro.workloads.suite import benchmark_info, build_pipelined
-
-    point = get_design_point(cell.design_point)
-    benchmark_info(cell.benchmark)  # validate the name early
-    cfg = _build_config(cell)
-    if cfg is not None:
-        point.validate_config(cfg)
-    else:
-        cfg = point.build_config()
-    return CellPlan(
-        design_label=cell.design_point,
-        config=cfg,
-        mechanism=point.mechanism,
-        build_program=lambda: build_pipelined(cell.benchmark, cell.trip_count),
-    )
-
-
-def _plan_single(cell: CampaignCell) -> CellPlan:
-    from repro.workloads.suite import build_single_threaded
-
-    point = get_design_point("HEAVYWT")  # mechanism is unused without queues
-    return CellPlan(
-        design_label="SINGLE",
-        config=point.build_config(),
-        mechanism=point.mechanism,
-        build_program=lambda: build_single_threaded(
-            cell.benchmark, cell.trip_count
-        ),
-    )
-
-
-def _plan_pipeline(cell: CampaignCell) -> CellPlan:
-    # Imported lazily: repro.pipeline.scaling reaches back into the harness,
-    # and the pipeline modules are only needed for pipeline-kind cells.
-    from repro.pipeline.codegen import lower_pipeline, plan_queue_hops
-    from repro.pipeline.scaling import _per_hop_delay, build_pipeline_partition
-    from repro.trace.buffer import TraceConfig
-
-    partition = build_pipeline_partition(cell.benchmark, cell.stages, cell.trip_count)
-    dp = get_design_point(cell.design_point)
-    cfg = with_n_cores(dp.build_config(), cell.stages).copy(
-        trace=TraceConfig(capacity=1 << 20, categories=("comm",)),
-    )
-    if cell.fault_plan is not None:
-        cfg.faults = cell.fault_plan
-        cfg.validate()
-    hop_of_queue = {qid: src for (_, src), qid in plan_queue_hops(partition).items()}
-
-    def extras(machine: Machine, stats: RunStats) -> Dict[str, object]:
-        return {
-            "stages": cell.stages,
-            "hop_delays": _per_hop_delay(machine.trace, hop_of_queue),
-            "bus_utilization": machine.mem.bus.utilization(stats.cycles),
-        }
-
-    return CellPlan(
-        design_label=f"{cell.design_point}/K={cell.stages}",
-        config=cfg,
-        mechanism=dp.mechanism,
-        build_program=lambda: lower_pipeline(partition),
-        extras=extras,
-    )
 
 
 def _plan_cell(cell: CampaignCell):
@@ -400,20 +365,40 @@ def _plan_cell(cell: CampaignCell):
     """
     from repro.dswp.partition import PartitionError
 
+    label = cell.design_point
     if cell.kind == "single":
-        return _plan_single(cell)
+        label = "SINGLE"
+    elif cell.kind == "pipeline":
+        label = f"{cell.design_point}/K={cell.stages}"
+    try:
+        lowered = lowered_program(cell.kind, cell.benchmark, cell.trip_count, cell.stages)
+    except PartitionError as exc:
+        return FailedRun(
+            benchmark=cell.benchmark,
+            design_point=label,
+            error_type=type(exc).__name__,
+            error=str(exc).splitlines()[0],
+            detail=str(exc),
+        )
+    cfg, point = cell_config(cell)
+    extras = None
     if cell.kind == "pipeline":
-        try:
-            return _plan_pipeline(cell)
-        except PartitionError as exc:
-            return FailedRun(
-                benchmark=cell.benchmark,
-                design_point=f"{cell.design_point}/K={cell.stages}",
-                error_type=type(exc).__name__,
-                error=str(exc).splitlines()[0],
-                detail=str(exc),
-            )
-    return _plan_benchmark(cell)
+        extras = functools.partial(_pipeline_extras, cell.stages, lowered.hop_of_queue)
+    return CellPlan(label, cfg, point.mechanism, lowered.program, extras)
+
+
+def _pipeline_extras(
+    stages: int, hop_of_queue: Dict[int, int], machine: Machine, stats: RunStats
+) -> Dict[str, object]:
+    """A pipeline cell's per-hop COMM-OP delays and bus utilization."""
+    # Imported lazily: repro.pipeline.scaling reaches back into the harness.
+    from repro.pipeline.scaling import _per_hop_delay
+
+    return {
+        "stages": stages,
+        "hop_delays": _per_hop_delay(machine.trace, hop_of_queue),
+        "bus_utilization": machine.mem.bus.utilization(stats.cycles),
+    }
 
 
 def execute_cell(
@@ -446,8 +431,8 @@ def execute_cell(
     plan = _plan_cell(cell)
     if isinstance(plan, FailedRun):
         return plan
+    program = plan.program
     try:
-        program = plan.build_program()
         if resume_from is not None:
             machine = resume_from.machine
             stats = resume_run(
@@ -571,7 +556,7 @@ class CellHistory:
     #: Fingerprint of the first done record written before results moved to
     #: the store: the golden value if the cell has to re-run.
     fingerprint: Optional[str] = None
-    #: Store digest the latest done attempt committed.
+    #: Store digest the latest done attempt of this schema committed.
     store_digest: Optional[str] = None
     spec: Optional[Dict[str, object]] = None
     #: Latest checkpointed simulated cycle (``cell-ckpt`` events and
@@ -722,13 +707,27 @@ class CampaignLedger:
 
     @staticmethod
     def replay(path: str) -> Dict[str, CellHistory]:
-        """Fold a ledger into per-cell state keyed by cell key."""
+        """Fold a ledger into per-cell state keyed by cell key.
+
+        Records of a campaign whose ``campaign-start`` names an older
+        :data:`LEDGER_SCHEMA_VERSION` name no store digest: their entries
+        were addressed under the older spec dialect, so their cells re-run.
+        Their histories are filed under today's keys (a v2 key hashed a
+        single-threaded cell's design point).
+        """
         histories: Dict[str, CellHistory] = {}
+        schema = LEDGER_SCHEMA_VERSION
+        rekey: Dict[str, str] = {}
         for rec in CampaignLedger.read(path):
             event = rec.get("event")
+            if event == "campaign-start":
+                schema = rec.get("schema", 1)
             if event not in ("cell-start", "cell-end", "cell-ckpt"):
                 continue
             key = rec["cell"]
+            if schema != LEDGER_SCHEMA_VERSION and event == "cell-start" and rec.get("spec"):
+                rekey[key] = CampaignCell.from_spec(rec["spec"]).key()
+            key = rekey.get(key, key)
             hist = histories.setdefault(key, CellHistory(key=key))
             if event == "cell-ckpt":
                 hist.checkpoints += 1
@@ -757,8 +756,12 @@ class CampaignLedger:
                     hist.terminal = True
                     hist.status = rec.get("status")
                 if rec.get("status") == "done":
-                    hist.store_digest = rec.get("store_digest", hist.store_digest)
-                    if hist.fingerprint is None:
+                    if schema == LEDGER_SCHEMA_VERSION:
+                        hist.store_digest = rec.get("store_digest", hist.store_digest)
+                    # Only pre-v3 records carry a fingerprint, and v3 changed
+                    # what single-threaded and pipeline cells run.
+                    kind = (hist.spec or {}).get("kind", "benchmark")
+                    if hist.fingerprint is None and kind == "benchmark":
                         hist.fingerprint = rec.get("fingerprint")
         return histories
 

@@ -22,16 +22,12 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Union
 
 from repro.core.design_points import get_design_point
+from repro.harness.programs import lowered_program
 from repro.sim.config import MachineConfig
 from repro.sim.forensics import PostMortem
 from repro.sim.machine import Machine
 from repro.sim.stats import RunStats, ThreadStats
 from repro.trace.buffer import TraceBuffer, TraceConfig
-from repro.workloads.suite import (
-    benchmark_info,
-    build_pipelined,
-    build_single_threaded,
-)
 
 #: The ``trace`` knob accepted by the run entry points: ``None``/``False``
 #: (off), ``True`` (trace with defaults), or a full :class:`TraceConfig`.
@@ -250,14 +246,13 @@ def run_benchmark(
             default) adds zero overhead and changes nothing.
     """
     point = get_design_point(design_point)
-    benchmark_info(benchmark)  # validate the name early
+    program = lowered_program("benchmark", benchmark, trip_count).program
     if config is not None:
         point.validate_config(config)
         cfg = config
     else:
         cfg = point.build_config()
     cfg = _apply_trace(cfg, trace)
-    program = build_pipelined(benchmark, trip_count)
     machine = Machine(cfg, mechanism=point.mechanism)
     stats = machine.run(
         program,
@@ -286,7 +281,7 @@ def run_single_threaded(
     point = get_design_point("HEAVYWT")  # mechanism is unused without queues
     cfg = config if config is not None else point.build_config()
     cfg = _apply_trace(cfg, trace)
-    program = build_single_threaded(benchmark, trip_count)
+    program = lowered_program("single", benchmark, trip_count).program
     machine = Machine(cfg, mechanism=point.mechanism)
     stats = machine.run(
         program,

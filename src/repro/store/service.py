@@ -54,8 +54,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.design_points import apply_overrides, get_design_point
-from repro.harness.campaign import CampaignCell, CampaignPolicy, CellTask
+from repro.core.design_points import get_design_point
+from repro.harness.campaign import CampaignCell, CampaignPolicy, CellTask, cell_config
 from repro.harness.pool import WorkerPool
 from repro.harness.runner import RunResult
 from repro.obs import runtime as _obs
@@ -276,9 +276,11 @@ class QueueExecutor:
 def _query_cell(query: Dict[str, object]) -> CampaignCell:
     """Build the cell a query names; :class:`QueryError` on a bad spec.
 
-    The names it uses are looked up and its overrides applied to the design
-    point's config here, so a query that cannot run answers 400 and never
-    reaches the executor.
+    The names it uses are looked up here, and a query with overrides has
+    its machine config built (:func:`~repro.harness.campaign.cell_config`),
+    so a query that cannot run answers 400 and never reaches the executor.
+    Without overrides a cell runs its design point's own config, which is
+    valid.
     """
     if not isinstance(query, dict):
         raise QueryError("each query must be a JSON object")
@@ -305,10 +307,10 @@ def _query_cell(query: Dict[str, object]) -> CampaignCell:
             stages=query.get("stages"),
             kernel=str(query.get("kernel", "reference")),
         ).validate()
-        if cell.kind != "single":  # the baseline runs no design point
-            point = get_design_point(cell.design_point)
-            if cell.overrides:
-                apply_overrides(point.build_config(), cell.overrides)
+        if cell.overrides:
+            cell_config(cell)
+        elif cell.kind != "single":  # the baseline runs no design point
+            get_design_point(cell.design_point)
     except (KeyError, TypeError, ValueError) as exc:
         raise QueryError(f"bad query spec: {exc}") from exc
     return cell

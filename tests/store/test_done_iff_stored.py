@@ -9,6 +9,7 @@ the journal closed as failed stays failed, even when its digest is stored.
 """
 
 import errno
+import hashlib
 import json
 import os
 
@@ -24,7 +25,13 @@ from repro.harness.campaign import (
     execute_cell,
     run_campaign,
 )
-from repro.store.store import ResultStore, cell_digest
+from repro.store.store import (
+    ResultStore,
+    StoreEntry,
+    _encode_entry,
+    cell_digest,
+    stats_to_payload,
+)
 
 
 def _cells(n=2):
@@ -206,6 +213,65 @@ def test_pre_change_ledger_with_tampered_fingerprint_fails(tmp_path):
     store = ResultStore(ledger + ".store")
     assert not store.contains(cell_digest(cells[0]))  # never published
     assert campaign_status(ledger)["by_status"] == {"fingerprint-mismatch": 1, "done": 1}
+
+
+# ----------------------------------------------------------------------
+# Ledgers written under an older spec schema
+# ----------------------------------------------------------------------
+
+
+def _v2_address(cell):
+    """``(key, digest, spec)`` a schema-v2 ledger gave ``cell``: v2 hashed
+    a single-threaded cell's design point, and stamped 2 into digests."""
+    spec = {**cell.spec(), "design_point": cell.design_point}
+    text = json.dumps(spec, sort_keys=True, separators=(",", ":"))
+    point = "SINGLE" if cell.kind == "single" else cell.design_point
+    label = f"{cell.benchmark}/{point}"
+    key = f"{label}#{hashlib.sha256(text.encode()).hexdigest()[:8]}"
+    preimage = json.dumps({"schema": 2, "spec": spec}, sort_keys=True, separators=(",", ":"))
+    return key, hashlib.sha256(preimage.encode()).hexdigest(), spec
+
+
+def test_older_schema_ledger_reruns_its_cells(tmp_path):
+    """A finished v2 campaign resumes by re-running every cell.  Its entries
+    are addressed under the v2 dialect, so status counts the cells unstored
+    and resume answers none from them; the v2 entries stay on disk."""
+    cells = [
+        CampaignCell(benchmark="wc", design_point="EXISTING", trip_count=48),
+        CampaignCell(benchmark="wc", design_point="EXISTING", kind="single", trip_count=48),
+    ]
+    ledger = str(tmp_path / "v2.jsonl")
+    store = ResultStore(ledger + ".store")
+    records = [{"event": "campaign-start", "schema": 2, "time": 0.0, "resume": False,
+                "n_cells": len(cells), "store": store.root}]
+    fresh, old_digests = [], []
+    for cell in cells:
+        key, digest, spec = _v2_address(cell)
+        outcome = execute_cell(cell)
+        fresh.append(outcome.fingerprint())
+        old_digests.append(digest)
+        store._write_atomic(store.entry_path(digest), _encode_entry(StoreEntry(
+            digest=digest, spec=spec, fingerprint=outcome.fingerprint(),
+            cycles=outcome.cycles, stats=stats_to_payload(outcome.stats), schema=2)))
+        records.append({"event": "cell-start", "cell": key, "attempt": 1, "time": 0.0,
+                        "schema": 2, "spec": spec})
+        records.append({"event": "cell-end", "cell": key, "attempt": 1, "time": 0.0,
+                        "terminal": True, "status": "done", "store_digest": digest})
+    records.append({"event": "campaign-end", "time": 0.0, "complete": True})
+    with open(ledger, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(r) + "\n" for r in records)
+
+    assert campaign_status(ledger)["by_status"] == {"unstored": 2}
+    report = run_campaign(cells, ledger_path=ledger, resume=True)
+    assert report.store_hits == [] and report.n_done == 2
+    # Replay files the baseline's v2 history under its v3 key, so both
+    # cells keep their attempt counts.
+    assert _v2_address(cells[1])[0] != cells[1].key()
+    assert report.attempts == {cells[0].key(): 2, cells[1].key(): 2}
+    assert [store.get(cell_digest(c)).fingerprint for c in cells] == fresh
+    assert all(store.contains(d) for d in old_digests)
+    status = campaign_status(ledger)
+    assert status["complete"] and status["by_status"] == {"done": 2}
 
 
 # ----------------------------------------------------------------------

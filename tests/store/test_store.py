@@ -86,12 +86,35 @@ def test_digest_sensitive_to_every_spec_field(other):
 
 
 def test_default_cell_digest_is_pinned():
-    """Retiring the second stepping loop left every default-kernel address
-    where it was."""
+    """Schema v3 moved every address (v2 single-threaded and pipeline cells
+    were filed under fields their runs ignored); a two-stage cell's key,
+    which hashes its spec alone, stayed where it was."""
     assert CELL.key() == "wc/HEAVYWT#3f1772f6"
     assert cell_digest(CELL) == (
-        "4b4e63336c7bc43ea01f47607be66a3a73eab997a845084a67a4b0f43aba6738"
+        "f87d64110c95b3e70c7422f1100073904fca9d43ebc1ce99858a40d0d0d38801"
     )
+
+
+def test_single_threaded_digest_names_no_design_point():
+    """The baseline runs no design point, so its spelling cannot split the
+    one run into two entries."""
+    cells = [
+        CampaignCell(benchmark="wc", design_point=point, kind="single", trip_count=48)
+        for point in ("HEAVYWT", "EXISTING", "SYNCOPTI")
+    ]
+    assert len({cell_digest(c) for c in cells}) == 1
+    assert len({c.key() for c in cells}) == 1
+    assert cells[1].spec()["design_point"] is None
+    assert CampaignCell.from_spec(cells[1].spec()) == cells[0]
+
+
+@pytest.mark.parametrize("kind", ["benchmark", "single"])
+def test_stages_on_a_non_pipeline_cell_is_rejected(kind):
+    """A two-stage or single-threaded cell ignores ``stages``; hashing it
+    would file one run under two digests."""
+    cell = CampaignCell(benchmark="wc", kind=kind, trip_count=64, stages=3)
+    with pytest.raises(ValueError, match="stages"):
+        cell_digest(cell)
 
 
 def test_event_kernel_name_addresses_the_default_entry():
