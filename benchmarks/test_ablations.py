@@ -3,11 +3,10 @@
 Not a paper exhibit: isolates the contribution of individual SYNCOPTI /
 model ingredients so downstream users can see what each mechanism ingredient
 buys (write-forwarding, the stream cache, queue depth, OzQ capacity).
+Each ablation turns one override knob of a design point
+(:data:`repro.core.design_points.OVERRIDE_KNOBS`).
 """
 
-import dataclasses
-
-from repro.core.design_points import get_design_point, with_queue_depth
 from repro.harness.runner import run_benchmark
 from repro.sim.stats import geomean
 
@@ -15,66 +14,41 @@ BENCHES = ("wc", "adpcmdec", "fir")
 TRIPS = {"wc": 400, "adpcmdec": 300, "fir": 300}
 
 
-def _gm(point, config_of=None):
-    vals = []
-    for b in BENCHES:
-        cfg = None if config_of is None else config_of()
-        vals.append(run_benchmark(b, point, TRIPS[b], config=cfg).cycles)
-    return geomean(vals)
+def _sweep(point, knob, values):
+    """Geomean cycles over BENCHES at each value of one knob."""
+    return {
+        value: geomean(
+            run_benchmark(b, point, TRIPS[b], overrides={knob: value}).cycles for b in BENCHES
+        )
+        for value in values
+    }
 
 
 def test_queue_depth_ablation(benchmark):
     """Deeper queues monotonically help (more decoupling slack)."""
-
-    def sweep():
-        out = {}
-        for depth in (8, 16, 32, 64):
-            point = get_design_point("HEAVYWT")
-            cfg = with_queue_depth(point.build_config(), depth)
-            out[depth] = geomean(
-                run_benchmark(b, "HEAVYWT", TRIPS[b], config=cfg).cycles
-                for b in BENCHES
-            )
-        return out
-
-    out = benchmark.pedantic(sweep, iterations=1, rounds=1)
+    out = benchmark.pedantic(
+        _sweep, args=("HEAVYWT", "queue_depth", (8, 16, 32, 64)), iterations=1, rounds=1
+    )
     print("\nHEAVYWT geomean cycles by queue depth:", {k: round(v) for k, v in out.items()})
     assert out[8] >= out[32] * 0.99  # shallow queues never faster
 
+
 def test_stream_cache_size_ablation(benchmark):
     """A tiny SC loses hits; the 1 KB default captures nearly all of them."""
-
-    def sweep():
-        out = {}
-        for size in (64, 256, 1024):
-            point = get_design_point("SYNCOPTI_SC")
-            cfg = point.build_config()
-            cfg.stream_cache = dataclasses.replace(cfg.stream_cache, size_bytes=size)
-            out[size] = geomean(
-                run_benchmark(b, "SYNCOPTI_SC", TRIPS[b], config=cfg.validate()).cycles
-                for b in BENCHES
-            )
-        return out
-
-    out = benchmark.pedantic(sweep, iterations=1, rounds=1)
+    out = benchmark.pedantic(
+        _sweep,
+        args=("SYNCOPTI_SC", "stream_cache_bytes", (64, 256, 1024)),
+        iterations=1,
+        rounds=1,
+    )
     print("\nSYNCOPTI_SC geomean cycles by SC size:", {k: round(v) for k, v in out.items()})
     assert out[1024] <= out[64] * 1.02
 
 
 def test_ozq_depth_ablation(benchmark):
     """Fewer outstanding transactions throttles the memory-backed designs."""
-
-    def sweep():
-        out = {}
-        for depth in (4, 16):
-            point = get_design_point("SYNCOPTI")
-            cfg = point.build_config().copy(ozq_depth=depth)
-            out[depth] = geomean(
-                run_benchmark(b, "SYNCOPTI", TRIPS[b], config=cfg.validate()).cycles
-                for b in BENCHES
-            )
-        return out
-
-    out = benchmark.pedantic(sweep, iterations=1, rounds=1)
+    out = benchmark.pedantic(
+        _sweep, args=("SYNCOPTI", "ozq_depth", (4, 16)), iterations=1, rounds=1
+    )
     print("\nSYNCOPTI geomean cycles by OzQ depth:", {k: round(v) for k, v in out.items()})
     assert out[4] >= out[16] * 0.99

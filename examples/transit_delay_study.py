@@ -10,7 +10,6 @@ whose outer-loop queue cannot be pipelined — and that a deeper queue buys
 the slack back.
 """
 
-from repro import get_design_point, with_queue_depth, with_transit_delay
 from repro.harness.runner import run_benchmark
 
 BENCHES = ("wc", "adpcmdec", "fir", "bzip2")
@@ -19,20 +18,21 @@ TRIPS = {"wc": 400, "adpcmdec": 300, "fir": 300, "bzip2": 320}
 
 
 def main() -> None:
-    point = get_design_point("HEAVYWT")
     print("HEAVYWT normalized execution time vs interconnect transit delay\n")
     print(f"{'benchmark':10s} " + " ".join(f"{t:>7d}c" for t in TRANSITS) + "   64-entry@10c")
     for bench in BENCHES:
         base = None
         cells = []
         for transit in TRANSITS:
-            cfg = with_transit_delay(point.build_config(), transit)
-            cycles = run_benchmark(bench, "HEAVYWT", TRIPS[bench], config=cfg).cycles
+            cycles = run_benchmark(
+                bench, "HEAVYWT", TRIPS[bench], overrides={"transit_delay": transit}
+            ).cycles
             if base is None:
                 base = cycles
             cells.append(cycles / base)
-        deep = with_queue_depth(with_transit_delay(point.build_config(), 10), 64)
-        deep_cycles = run_benchmark(bench, "HEAVYWT", TRIPS[bench], config=deep).cycles
+        deep_cycles = run_benchmark(
+            bench, "HEAVYWT", TRIPS[bench], overrides={"transit_delay": 10, "queue_depth": 64}
+        ).cycles
         print(
             f"{bench:10s} "
             + " ".join(f"{v:8.2f}" for v in cells)

@@ -86,7 +86,7 @@ _EXPORTS = {
         "DeadlockError", "SimKernel", "SimulationError", "SimulationLimitError",
         "WallClockExceededError",
     ),
-    "repro.sim.machine": ("Machine", "run_program"),
+    "repro.sim.machine": ("Machine",),
     "repro.sim.program": ("Program", "ThreadProgram"),
     "repro.sim.stats": ("RunStats", "ThreadStats", "geomean"),
     "repro.trace": (
@@ -184,7 +184,6 @@ __all__ = [
     "run_benchmark",
     "run_campaign",
     "run_cells",
-    "run_program",
     "run_single_threaded",
     "run_worker",
     "sweep",

@@ -57,28 +57,25 @@ def _campaign_grid(name: str, scale: float):
     """Build the named grid's campaign cells."""
     from repro.core.design_points import FIGURE7_ORDER, FIGURE12_ORDER
     from repro.harness.campaign import CampaignCell
-    from repro.harness.experiments import EXPERIMENT_TRIPS
+    from repro.harness.experiments import experiment_trips
     from repro.pipeline.scaling import PIPELINE_BENCHMARKS, SCALING_POINTS
     from repro.workloads.suite import BENCHMARK_ORDER
 
-    def trips(bench: str) -> int:
-        return max(32, int(EXPERIMENT_TRIPS[bench] * scale))
-
     if name == "figure7":
         return [
-            CampaignCell(benchmark=b, design_point=p, trip_count=trips(b))
+            CampaignCell(benchmark=b, design_point=p, trip_count=experiment_trips(b, scale))
             for b in BENCHMARK_ORDER
             for p in FIGURE7_ORDER
         ]
     if name == "figure12":
         return [
-            CampaignCell(benchmark=b, design_point=p, trip_count=trips(b))
+            CampaignCell(benchmark=b, design_point=p, trip_count=experiment_trips(b, scale))
             for b in BENCHMARK_ORDER
             for p in FIGURE12_ORDER
         ]
     if name == "pipeline":
         cells = [
-            CampaignCell(benchmark=b, kind="single", trip_count=trips(b))
+            CampaignCell(benchmark=b, kind="single", trip_count=experiment_trips(b, scale))
             for b in PIPELINE_BENCHMARKS
         ]
         cells += [
@@ -87,7 +84,7 @@ def _campaign_grid(name: str, scale: float):
                 design_point=p,
                 kind="pipeline",
                 stages=k,
-                trip_count=trips(b),
+                trip_count=experiment_trips(b, scale),
             )
             for b in PIPELINE_BENCHMARKS
             for k in (2, 4)

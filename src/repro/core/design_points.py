@@ -3,9 +3,11 @@
 A design point is a (communication mechanism, machine-configuration delta)
 pair.  The four Section 4 points — EXISTING, MEMOPTI, SYNCOPTI, HEAVYWT —
 plus the three Section 5 SYNCOPTI optimizations — Q64, SC, SC+Q64 — are
-registered here, along with helpers to apply the sensitivity-study overrides
-of Figures 6, 10 and 11 (interconnect transit delay, bus latency, bus width,
-queue depth).
+registered here, along with the override knobs a campaign cell names
+(:data:`OVERRIDE_KNOBS`): the sensitivity studies of Figures 6, 10 and 11
+(interconnect transit delay, queue depth, bus latency, bus width), the
+pipeline study's core count, and the OzQ depth and stream-cache size the
+ablations turn.  Every run's config is a design point's plus these knobs.
 """
 
 from __future__ import annotations
@@ -15,14 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from repro.sim.config import MachineConfig, baseline_config
-
-
-class DesignPointConfigError(ValueError):
-    """A caller-supplied config contradicts the design point it runs under."""
-
-
-#: Mechanisms that read the stream-cache configuration.
-_STREAM_CACHE_MECHANISMS = frozenset({"syncopti_sc"})
 
 
 @dataclass(frozen=True)
@@ -40,35 +34,6 @@ class DesignPoint:
         if self.configure is not None:
             self.configure(config)
         return config.validate()
-
-    def validate_config(self, config: MachineConfig) -> MachineConfig:
-        """Check that a caller-supplied config can pair with this point.
-
-        Contract: configs handed to :func:`repro.harness.runner.run_benchmark`
-        must be derived from this point's :meth:`build_config` (sensitivity
-        overrides — bus latency/width, queue depth, transit delay, fault
-        plans — are fine).  What is *not* fine is a config whose
-        mechanism-identity knobs contradict the design point, e.g. a
-        stream-cache-enabled config run under plain SYNCOPTI: silently, the
-        mechanism would ignore the stream cache and the cell would be
-        labeled with the wrong design point.  Raises
-        :class:`DesignPointConfigError` on such a mismatch.
-        """
-        wants_sc = self.mechanism in _STREAM_CACHE_MECHANISMS
-        if wants_sc and not config.stream_cache.enabled:
-            raise DesignPointConfigError(
-                f"design point {self.name!r} ({self.mechanism}) needs "
-                "config.stream_cache.enabled=True; build the config with "
-                f"get_design_point({self.name!r}).build_config()"
-            )
-        if not wants_sc and config.stream_cache.enabled:
-            raise DesignPointConfigError(
-                f"config has stream_cache.enabled=True but design point "
-                f"{self.name!r} runs mechanism {self.mechanism!r}, which "
-                "ignores the stream cache — the cell would be mislabeled. "
-                "Use an SC design point or a config built for this one."
-            )
-        return config
 
 
 def _q64(config: MachineConfig) -> None:
@@ -204,6 +169,23 @@ def with_n_cores(config: MachineConfig, n_cores: int) -> MachineConfig:
     return out.validate()
 
 
+def with_ozq_depth(config: MachineConfig, depth: int) -> MachineConfig:
+    """Ablation override: maximum outstanding L2 transactions (Table 2: 16)."""
+    out = config.copy(ozq_depth=depth)
+    return out.validate()
+
+
+def with_stream_cache_bytes(config: MachineConfig, size_bytes: int) -> MachineConfig:
+    """Section 5 ablation: stream-cache capacity, a whole number of items.
+
+    Points without the stream cache accept it and run unchanged, as
+    non-HEAVYWT points do ``transit_delay``.
+    """
+    out = config.copy()
+    out.stream_cache = dataclasses.replace(out.stream_cache, size_bytes=size_bytes)
+    return out.validate()
+
+
 #: The declarative override vocabulary: name -> config transform.  Campaign
 #: cells carry plain ``{name: value}`` dicts (JSON-serializable, picklable
 #: across worker processes, hashable into cell keys) instead of closures;
@@ -215,6 +197,8 @@ OVERRIDE_KNOBS = {
     "bus_latency": with_bus_latency,
     "bus_width": with_bus_width,
     "n_cores": with_n_cores,
+    "ozq_depth": with_ozq_depth,
+    "stream_cache_bytes": with_stream_cache_bytes,
 }
 
 

@@ -2,8 +2,8 @@
 
 Three layers, each building on the one below:
 
-* :mod:`repro.harness.runner` — one simulation per call;
-  :func:`run_benchmark` raises on failure.
+* :mod:`repro.harness.runner` — run outcomes, and one simulation per
+  call: :func:`run_benchmark` runs a campaign cell and raises on failure.
 * :mod:`repro.harness.experiments` — one function per table/figure of the
   paper, each a resilient grid over (benchmark x design point) cells.
 * :mod:`repro.harness.campaign` — the resilient campaign runner: a worker

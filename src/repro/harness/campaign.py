@@ -77,6 +77,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.design_points import apply_overrides, get_design_point, with_n_cores
+from repro.dswp.partition import PartitionError
 from repro.faults.classify import FailureClass, classify_outcome
 from repro.faults.plan import FaultKind, FaultPlan, FaultRule
 from repro.harness.programs import lowered_program
@@ -86,6 +87,7 @@ from repro.harness.runner import (
     RunOutcome,
     RunResult,
     TimedOutRun,
+    TraceKnob,
 )
 from repro.obs import runtime as _obs
 from repro.obs.events import new_cid
@@ -97,9 +99,9 @@ from repro.sim.checkpoint import (
 )
 from repro.sim.kernel import SimulationError, WallClockExceededError, canonical_kernel
 from repro.sim.machine import Machine
-from repro.sim.program import Program
 from repro.sim.stats import RunStats
 from repro.trace.buffer import TraceConfig
+from repro.workloads.suite import benchmark_info
 
 __all__ = [
     "CampaignCell",
@@ -117,6 +119,7 @@ __all__ = [
     "fault_plan_from_spec",
     "render_status",
     "run_campaign",
+    "run_cell",
     "run_cells",
 ]
 
@@ -214,7 +217,7 @@ class CampaignCell:
       the scaling study's comm-trace instrumentation; per-hop delays and
       bus utilization come back in ``RunResult.extras``.
 
-    Every kind runs through :func:`execute_cell`.
+    Every kind runs through :func:`run_cell`.
     """
 
     benchmark: str
@@ -245,6 +248,10 @@ class CampaignCell:
             if "n_cores" in self.overrides:
                 raise ValueError(
                     "a pipeline cell runs one core per stage; it takes no n_cores override"
+                )
+            if benchmark_info(self.benchmark).partition_mode == "nested":
+                raise ValueError(
+                    f"{self.benchmark} is a loop nest; a pipeline cell needs a single-level loop"
                 )
         elif self.stages is not None:
             raise ValueError(f"stages is a pipeline depth; a {self.kind!r} cell takes none")
@@ -334,57 +341,7 @@ def cell_config(cell: CampaignCell):
         )
     if cell.fault_plan is not None:
         cfg.faults = cell.fault_plan
-    point.validate_config(cfg)
     return cfg.validate(), point
-
-
-@dataclass
-class CellPlan:
-    """Everything needed to run — or *resume* — one cell, precomputed: a
-    machine config, a mechanism, its lowered program (shared through
-    :mod:`repro.harness.programs`; a resume replays its streams up to the
-    snapshot cursors), and an ``extras`` hook deriving kind-specific results
-    (the pipeline kind computes per-hop delays from the restored trace
-    buffer).
-    """
-
-    #: Design-point label used in failure records (e.g. ``EXISTING/K=4``).
-    design_label: str
-    config: object
-    mechanism: str
-    program: Program
-    extras: Optional[Callable[[Machine, RunStats], Dict[str, object]]] = None
-
-
-def _plan_cell(cell: CampaignCell):
-    """Build the cell's :class:`CellPlan`, or a :class:`FailedRun`.
-
-    Only *expected, deterministic* planning failures (an unpartitionable
-    loop) become data here; usage errors still raise — the worker's
-    catch-all turns those into diagnoses with a full traceback.
-    """
-    from repro.dswp.partition import PartitionError
-
-    label = cell.design_point
-    if cell.kind == "single":
-        label = "SINGLE"
-    elif cell.kind == "pipeline":
-        label = f"{cell.design_point}/K={cell.stages}"
-    try:
-        lowered = lowered_program(cell.kind, cell.benchmark, cell.trip_count, cell.stages)
-    except PartitionError as exc:
-        return FailedRun(
-            benchmark=cell.benchmark,
-            design_point=label,
-            error_type=type(exc).__name__,
-            error=str(exc).splitlines()[0],
-            detail=str(exc),
-        )
-    cfg, point = cell_config(cell)
-    extras = None
-    if cell.kind == "pipeline":
-        extras = functools.partial(_pipeline_extras, cell.stages, lowered.hop_of_queue)
-    return CellPlan(label, cfg, point.mechanism, lowered.program, extras)
 
 
 def _pipeline_extras(
@@ -401,80 +358,59 @@ def _pipeline_extras(
     }
 
 
-def execute_cell(
+def run_cell(
     cell: CampaignCell,
+    trace: TraceKnob = None,
     wall_clock_budget: Optional[float] = None,
     checkpoint: Optional[Checkpointer] = None,
     resume_from: Optional[MachineSnapshot] = None,
     abort: Optional[Callable[[], Optional[str]]] = None,
-) -> RunOutcome:
-    """Run one cell in this process; the single executor every path shares.
+) -> RunResult:
+    """Run one cell in this process and return its result: the one executor.
 
-    The serial fallback calls this directly; pool and queue workers call
-    it inside :func:`repro.harness.pool.run_attempt`.  One code path is
-    what makes pooled, queued and serial cycle counts and fingerprints
-    bit-identical.
+    :func:`execute_cell` (so serial sweeps, pool and queue workers and
+    serve misses), :func:`~repro.harness.runner.run_benchmark` and
+    :func:`~repro.harness.runner.run_single_threaded` all run through it.
 
-    ``checkpoint`` snapshots the machine periodically; ``resume_from``
-    continues a previously snapshotted run instead of starting at cycle 0
-    (the worker recovers the snapshot from the cell's checkpoint file).
-    Either way the outcome — stats, fingerprint, trace — is identical to an
-    uninterrupted run.  A SIGTERM-driven preemption surfaces as a
-    :class:`~repro.harness.runner.PreemptedRun`.
+    ``trace`` is ``True`` (default settings) or a :class:`TraceConfig`; the
+    buffer comes back as ``RunResult.trace``.  Tracing is not part of the
+    cell's identity.  A pipeline cell takes none: its hop delays are folded
+    from its own comm trace, which a dropping or filtering trace would cut.  ``checkpoint`` snapshots the machine periodically;
+    ``resume_from`` continues a snapshotted run instead of starting at
+    cycle 0, with the same stats, fingerprint and trace as an
+    uninterrupted run.  ``abort`` is an external-cancellation probe
+    (returns a reason string to stop, ``None`` to keep going) checked at
+    the kernel's wall-clock cadence; queue workers pass their heartbeat
+    fence here so a zombie stops simulating soon after losing its lease.
 
-    ``abort`` is an external-cancellation probe (returns a reason string to
-    stop, ``None`` to keep going) checked at the kernel's wall-clock
-    cadence; queue workers pass their heartbeat fence here so a zombie
-    stops simulating soon after losing its lease.
+    Raises :class:`~repro.dswp.partition.PartitionError` for a loop that
+    cannot be split into the cell's stages, the
+    :class:`~repro.sim.kernel.SimulationError` subclasses, and
+    :class:`~repro.sim.checkpoint.PreemptionRequested`.
     """
     cell.validate()
-    plan = _plan_cell(cell)
-    if isinstance(plan, FailedRun):
-        return plan
-    program = plan.program
-    try:
-        if resume_from is not None:
-            machine = resume_from.machine
-            stats = resume_run(
-                resume_from,
-                program,
-                wall_clock_budget=wall_clock_budget,
-                checkpoint=checkpoint,
-                abort=abort,
-            )
-        else:
-            machine = Machine(plan.config, mechanism=plan.mechanism)
-            stats = machine.run(
-                program,
-                wall_clock_budget=wall_clock_budget,
-                checkpoint=checkpoint,
-                abort=abort,
-            )
-    except PreemptionRequested as exc:
-        return PreemptedRun(
-            benchmark=cell.benchmark,
-            design_point=plan.design_label,
-            cycle=exc.cycle,
-            snapshot_path=exc.path,
+    lowered = lowered_program(cell.kind, cell.benchmark, cell.trip_count, cell.stages)
+    cfg, point = cell_config(cell)
+    if trace:
+        if cell.kind == "pipeline":
+            raise ValueError("a pipeline cell's hop delays come from its own comm trace")
+        cfg = cfg.copy(trace=TraceConfig() if trace is True else trace)
+    if resume_from is not None:
+        machine = resume_from.machine
+        stats = resume_run(
+            resume_from,
+            lowered.program,
+            wall_clock_budget=wall_clock_budget,
+            checkpoint=checkpoint,
+            abort=abort,
         )
-    except WallClockExceededError as exc:
-        return TimedOutRun(
-            benchmark=cell.benchmark,
-            design_point=plan.design_label,
-            budget=exc.budget,
-            elapsed=exc.elapsed,
-            error=str(exc).splitlines()[0],
-            detail=str(exc),
-            post_mortem=exc.post_mortem,
-        )
-    except SimulationError as exc:
-        return FailedRun(
-            benchmark=cell.benchmark,
-            design_point=plan.design_label,
-            error_type=type(exc).__name__,
-            error=str(exc).splitlines()[0],
-            detail=str(exc),
-            post_mortem=exc.post_mortem,
+    else:
+        machine = Machine(cfg, mechanism=point.mechanism)
+        stats = machine.run(
+            lowered.program,
+            wall_clock_budget=wall_clock_budget,
+            checkpoint=checkpoint,
+            abort=abort,
         )
     result = RunResult(
         benchmark=cell.benchmark,
@@ -483,13 +419,76 @@ def execute_cell(
         stats=stats,
         machine=machine,
         trace=machine.trace,
-        extras=plan.extras(machine, stats) if plan.extras is not None else {},
     )
+    if cell.kind == "pipeline":
+        result.extras.update(_pipeline_extras(cell.stages, lowered.hop_of_queue, machine, stats))
     if resume_from is not None:
         result.extras["resumed_from_cycle"] = resume_from.cycle
     if checkpoint is not None:
         result.extras["checkpoints_taken"] = checkpoint.snapshots_taken
     return result
+
+
+def execute_cell(
+    cell: CampaignCell,
+    wall_clock_budget: Optional[float] = None,
+    checkpoint: Optional[Checkpointer] = None,
+    resume_from: Optional[MachineSnapshot] = None,
+    abort: Optional[Callable[[], Optional[str]]] = None,
+) -> RunOutcome:
+    """:func:`run_cell`, with its expected failures recorded as outcomes.
+
+    The serial fallback calls this directly; pool and queue workers call
+    it inside :func:`repro.harness.pool.run_attempt`.  One code path is
+    what makes pooled, queued and serial cycle counts and fingerprints
+    bit-identical.
+
+    An unpartitionable loop and a simulation error (deadlock, step limit)
+    become a :class:`~repro.harness.runner.FailedRun`, a wall-clock overrun
+    a :class:`~repro.harness.runner.TimedOutRun`, and a SIGTERM-driven
+    preemption a :class:`~repro.harness.runner.PreemptedRun`.  Usage errors
+    still raise — the worker's catch-all turns those into diagnoses with a
+    full traceback.
+    """
+    label = cell.design_point
+    if cell.kind == "single":
+        label = "SINGLE"
+    elif cell.kind == "pipeline":
+        label = f"{cell.design_point}/K={cell.stages}"
+    try:
+        return run_cell(
+            cell,
+            wall_clock_budget=wall_clock_budget,
+            checkpoint=checkpoint,
+            resume_from=resume_from,
+            abort=abort,
+        )
+    except PreemptionRequested as exc:
+        return PreemptedRun(
+            benchmark=cell.benchmark,
+            design_point=label,
+            cycle=exc.cycle,
+            snapshot_path=exc.path,
+        )
+    except WallClockExceededError as exc:
+        return TimedOutRun(
+            benchmark=cell.benchmark,
+            design_point=label,
+            budget=exc.budget,
+            elapsed=exc.elapsed,
+            error=str(exc).splitlines()[0],
+            detail=str(exc),
+            post_mortem=exc.post_mortem,
+        )
+    except (PartitionError, SimulationError) as exc:
+        return FailedRun(
+            benchmark=cell.benchmark,
+            design_point=label,
+            error_type=type(exc).__name__,
+            error=str(exc).splitlines()[0],
+            detail=str(exc),
+            post_mortem=getattr(exc, "post_mortem", None),
+        )
 
 
 # ----------------------------------------------------------------------
@@ -1342,9 +1341,10 @@ def run_cells(
     :func:`execute_cell`, with no pool, no ledger, and no retry machinery —
     the exact fallback the figure functions always had.  ``jobs > 1``
     dispatches through :func:`run_campaign`.  Both paths run the same
-    executor, so cycles and fingerprints are identical either way.
+    executor, so cycles and fingerprints are identical either way.  Both
+    reject an invalid cell before any cell runs.
     """
-    cells = list(cells)
+    cells = [cell.validate() for cell in cells]
     if jobs <= 1 and ledger_path is None:
         return {cell.key(): execute_cell(cell) for cell in cells}
     pool_policy = policy or CampaignPolicy()

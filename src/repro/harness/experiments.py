@@ -74,7 +74,9 @@ class ExperimentResult:
         return self.text
 
 
-def _trips(benchmark: str, scale: float = 1.0) -> int:
+def experiment_trips(benchmark: str, scale: float = 1.0) -> int:
+    """The benchmark's experiment trip count at ``scale``, at least 32: the
+    one rule of every scaled grid, CLI campaign and serve query."""
     return max(32, int(EXPERIMENT_TRIPS[benchmark] * scale))
 
 
@@ -118,7 +120,7 @@ def sweep(
     layout: List[tuple] = []
     cells: List[CampaignCell] = []
     for bench in benchmarks:
-        trips = trip_count if trip_count is not None else _trips(bench, scale)
+        trips = trip_count if trip_count is not None else experiment_trips(bench, scale)
         for name in design_points:
             cell = CampaignCell(
                 benchmark=bench,
@@ -237,7 +239,7 @@ def figure6(scale: float = 1.0, jobs: int = 1) -> ExperimentResult:
             cell = CampaignCell(
                 benchmark=bench,
                 design_point="HEAVYWT",
-                trip_count=_trips(bench, scale),
+                trip_count=experiment_trips(bench, scale),
                 overrides=dict(ov),
             )
             layout.append((bench, label, cell.key()))
@@ -405,7 +407,7 @@ def figure8(scale: float = 1.0, jobs: int = 1) -> ExperimentResult:
         bench: CampaignCell(
             benchmark=bench,
             design_point="HEAVYWT",
-            trip_count=_trips(bench, scale),
+            trip_count=experiment_trips(bench, scale),
         )
         for bench in BENCHMARK_ORDER
     }
@@ -470,7 +472,7 @@ def figure9(scale: float = 1.0, jobs: int = 1) -> ExperimentResult:
     mt_cells: Dict[str, CampaignCell] = {}
     st_cells: Dict[str, CampaignCell] = {}
     for bench in BENCHMARK_ORDER:
-        trips = _trips(bench, scale)
+        trips = experiment_trips(bench, scale)
         mt_cells[bench] = CampaignCell(
             benchmark=bench, design_point="HEAVYWT", trip_count=trips
         )

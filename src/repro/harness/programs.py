@@ -7,9 +7,10 @@ variants runs one benchmark's cells back to back.  So
 materializes each thread's instruction stream into a tuple, and hands every
 later cell of that program the same :class:`~repro.sim.program.Program`,
 whose builders replay the tuples — whatever the cell's design point,
-overrides or fault plan.  Every run path reaches it: the campaign's cell
-planner (and through it serial runs, pool and queue workers and serve
-misses) and :func:`~repro.harness.runner.run_benchmark` /
+overrides or fault plan.  Every run path reaches it through the one
+executor, :func:`~repro.harness.campaign.run_cell`: serial runs, pool and
+queue workers, serve misses, and
+:func:`~repro.harness.runner.run_benchmark` /
 :func:`~repro.harness.runner.run_single_threaded`.
 
 * **Key**: ``(kind, benchmark, trip count, stages)``.  A pipeline entry

@@ -1,4 +1,4 @@
-"""Single-run driver: (benchmark x design point x overrides) -> RunResult.
+"""Run outcomes, and the two one-run entry points.
 
 Everything the experiment layer needs from one simulation: wall-clock
 cycles, per-thread component breakdowns, and communication statistics —
@@ -6,10 +6,13 @@ with the benchmark's iteration count scaled down uniformly so the whole
 evaluation grid runs in seconds (the paper's *relative* quantities are
 iteration-count-invariant once past warm-up).
 
-The run functions raise on failure.  Sweeps and campaigns run cells
-through :func:`repro.harness.campaign.execute_cell` instead, which turns a
-cell that deadlocks or exhausts its step budget into a structured
-:class:`FailedRun` carrying the scheduler's
+:func:`run_benchmark` and :func:`run_single_threaded` build a
+:class:`~repro.harness.campaign.CampaignCell` and run it through
+:func:`~repro.harness.campaign.run_cell`, the one executor, so each run
+is a cell the result store can name; they raise on failure.  Sweeps and
+campaigns run cells through :func:`~repro.harness.campaign.execute_cell`
+instead, which turns a cell that deadlocks or exhausts its step budget
+into a structured :class:`FailedRun` carrying the scheduler's
 :class:`~repro.sim.forensics.PostMortem` (the caller renders the gap
 explicitly), and a cell that outlives its wall-clock budget into a
 :class:`TimedOutRun` — the transient sibling the campaign runner retries
@@ -21,16 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Union
 
-from repro.core.design_points import get_design_point
-from repro.harness.programs import lowered_program
-from repro.sim.config import MachineConfig
 from repro.sim.forensics import PostMortem
 from repro.sim.machine import Machine
 from repro.sim.stats import RunStats, ThreadStats
 from repro.trace.buffer import TraceBuffer, TraceConfig
 
-#: The ``trace`` knob accepted by the run entry points: ``None``/``False``
-#: (off), ``True`` (trace with defaults), or a full :class:`TraceConfig`.
+#: The ``trace`` knob accepted by :func:`run_benchmark` and ``run_cell``:
+#: ``None``/``False`` (off), ``True`` (trace with defaults), or a full
+#: :class:`TraceConfig`.
 TraceKnob = Union[None, bool, TraceConfig]
 
 #: Default iteration count for experiment runs: enough to wash out cold-start
@@ -48,7 +49,8 @@ class RunResult:
     stats: RunStats
     machine: Optional[Machine] = field(repr=False, default=None)
     #: The run's :class:`~repro.trace.buffer.TraceBuffer` when tracing was
-    #: requested (via the ``trace=`` knob or ``config.trace``), else ``None``.
+    #: requested (the ``trace=`` knob, or a pipeline cell's comm trace),
+    #: else ``None``.
     trace: Optional[TraceBuffer] = field(repr=False, default=None)
     #: Small derived payloads a campaign worker computed in-process before
     #: the heavyweight ``machine``/``trace`` were stripped at the process
@@ -204,95 +206,39 @@ class PreemptedRun:
 RunOutcome = Union[RunResult, FailedRun, TimedOutRun, PreemptedRun]
 
 
-def _apply_trace(cfg: MachineConfig, trace: TraceKnob) -> MachineConfig:
-    """Resolve the ``trace`` knob into a config (copied if it changes)."""
-    if trace is None or trace is False:
-        return cfg
-    tc = TraceConfig() if trace is True else trace
-    return cfg.copy(trace=tc)
-
-
 def run_benchmark(
     benchmark: str,
     design_point: str,
     trip_count: Optional[int] = DEFAULT_TRIP_COUNT,
-    config: Optional[MachineConfig] = None,
+    overrides: Optional[Dict[str, int]] = None,
     trace: TraceKnob = None,
-    wall_clock_budget: Optional[float] = None,
-    checkpoint=None,
 ) -> RunResult:
-    """Run one benchmark on one design point.
+    """Run one benchmark on one design point; raise if the run fails.
 
     Args:
         benchmark: Suite benchmark name (see ``BENCHMARK_ORDER``).
         design_point: Name in ``DESIGN_POINTS``.
         trip_count: Loop iterations (None = the benchmark's default).
-        config: Optional pre-built machine configuration.  Must be derived
-            from this design point's ``build_config()`` — sensitivity
-            overrides (bus, queue depth, transit delay, fault plans) are
-            fine, but mechanism-identity knobs are checked via
-            :meth:`DesignPoint.validate_config` and a mismatch (e.g. a
-            stream-cache config under plain SYNCOPTI) raises
-            :class:`~repro.core.design_points.DesignPointConfigError`.
+        overrides: Declarative ``{knob: value}`` config deltas (see
+            :data:`repro.core.design_points.OVERRIDE_KNOBS`).
         trace: ``True`` to record an event trace with default settings, a
             :class:`TraceConfig` for capacity/category control, or ``None``
-            to leave tracing off (or governed by ``config.trace``).  The
-            recorded buffer is returned as ``RunResult.trace``.
-        wall_clock_budget: Host seconds the simulation may consume (None =
-            unbounded); overruns raise
-            :class:`~repro.sim.kernel.WallClockExceededError`.
-        checkpoint: Optional :class:`~repro.sim.checkpoint.Checkpointer`
-            snapshotting the machine every ``every`` cycles; ``None`` (the
-            default) adds zero overhead and changes nothing.
+            to leave tracing off.  The recorded buffer is returned as
+            ``RunResult.trace``.
     """
-    point = get_design_point(design_point)
-    program = lowered_program("benchmark", benchmark, trip_count).program
-    if config is not None:
-        point.validate_config(config)
-        cfg = config
-    else:
-        cfg = point.build_config()
-    cfg = _apply_trace(cfg, trace)
-    machine = Machine(cfg, mechanism=point.mechanism)
-    stats = machine.run(
-        program,
-        wall_clock_budget=wall_clock_budget,
-        checkpoint=checkpoint,
+    # Imported lazily: the campaign module imports this one's outcome types.
+    from repro.harness.campaign import CampaignCell, run_cell
+
+    cell = CampaignCell(
+        benchmark, design_point, trip_count=trip_count, overrides=dict(overrides or {})
     )
-    return RunResult(
-        benchmark=benchmark,
-        design_point=design_point,
-        cycles=stats.cycles,
-        stats=stats,
-        machine=machine,
-        trace=machine.trace,
-    )
+    return run_cell(cell, trace=trace)
 
 
 def run_single_threaded(
-    benchmark: str,
-    trip_count: Optional[int] = DEFAULT_TRIP_COUNT,
-    config: Optional[MachineConfig] = None,
-    trace: TraceKnob = None,
-    wall_clock_budget: Optional[float] = None,
-    checkpoint=None,
+    benchmark: str, trip_count: Optional[int] = DEFAULT_TRIP_COUNT
 ) -> RunResult:
-    """Run the original (unpartitioned) loop on one core."""
-    point = get_design_point("HEAVYWT")  # mechanism is unused without queues
-    cfg = config if config is not None else point.build_config()
-    cfg = _apply_trace(cfg, trace)
-    program = lowered_program("single", benchmark, trip_count).program
-    machine = Machine(cfg, mechanism=point.mechanism)
-    stats = machine.run(
-        program,
-        wall_clock_budget=wall_clock_budget,
-        checkpoint=checkpoint,
-    )
-    return RunResult(
-        benchmark=benchmark,
-        design_point="SINGLE",
-        cycles=stats.cycles,
-        stats=stats,
-        machine=machine,
-        trace=machine.trace,
-    )
+    """Run the original (unpartitioned) loop on one core; raise if it fails."""
+    from repro.harness.campaign import CampaignCell, run_cell
+
+    return run_cell(CampaignCell(benchmark, kind="single", trip_count=trip_count))

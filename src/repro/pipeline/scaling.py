@@ -24,9 +24,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.dswp.partition import Partition, PartitionError
+from repro.dswp.partition import Partition
 from repro.harness.campaign import CampaignCell, run_cells
-from repro.harness.runner import FailedRun, RunOutcome
+from repro.harness.runner import RunOutcome
 from repro.pipeline.codegen import lower_pipeline
 from repro.pipeline.partition import partition_loop_k
 from repro.sim.program import Program
@@ -113,7 +113,7 @@ def pipeline_scaling(
     """
     # Imported lazily: the harness's experiment registry imports this module,
     # so a top-level import of repro.harness.experiments would cycle.
-    from repro.harness.experiments import EXPERIMENT_TRIPS, ExperimentResult
+    from repro.harness.experiments import ExperimentResult, experiment_trips
     from repro.harness.reporting import format_table
 
     benchmarks = tuple(benchmarks)
@@ -131,32 +131,7 @@ def pipeline_scaling(
         p: {b: {} for b in benchmarks} for p in design_points
     }
 
-    # Partition feasibility is checked once per (benchmark, K) up front —
-    # a kernel without enough recurrences for K stages fails every design
-    # point identically, so it gets one FailedRun, not four.
-    trips: Dict[str, int] = {
-        b: max(32, int(EXPERIMENT_TRIPS[b] * scale)) for b in benchmarks
-    }
-    buildable: Dict[Tuple[str, int], bool] = {}
-    for bench in benchmarks:
-        for k in stage_counts:
-            try:
-                build_pipeline_partition(bench, k, trips[bench])
-                buildable[(bench, k)] = True
-            except PartitionError as exc:
-                buildable[(bench, k)] = False
-                failures.append(
-                    FailedRun(
-                        benchmark=bench,
-                        design_point=f"K={k}",
-                        error_type=type(exc).__name__,
-                        error=str(exc).splitlines()[0],
-                    )
-                )
-                for point in design_points:
-                    speedup[point][bench][k] = None
-                    bus_util[point][bench][k] = None
-
+    trips: Dict[str, int] = {b: experiment_trips(b, scale) for b in benchmarks}
     single_cells = {
         bench: CampaignCell(benchmark=bench, kind="single", trip_count=trips[bench])
         for bench in benchmarks
@@ -171,7 +146,6 @@ def pipeline_scaling(
         )
         for bench in benchmarks
         for k in stage_counts
-        if buildable[(bench, k)]
         for point in design_points
     }
     outcomes = run_cells(

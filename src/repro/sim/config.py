@@ -141,6 +141,11 @@ class StreamCacheConfig:
     def validate(self) -> None:
         if self.size_bytes <= 0 or self.item_bytes <= 0:
             raise ValueError("stream cache sizes must be positive")
+        if self.size_bytes % self.item_bytes != 0:
+            raise ValueError(
+                f"stream cache size ({self.size_bytes} B) must be a whole number "
+                f"of {self.item_bytes}-byte items"
+            )
 
 
 @dataclass

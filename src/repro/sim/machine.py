@@ -165,20 +165,3 @@ class Machine:
         # outside the stepping loop, no-op unless obs is configured.
         observe_run(stats)
         return stats
-
-
-def run_program(
-    config: MachineConfig,
-    mechanism: str,
-    program: Program,
-    max_steps: int = 50_000_000,
-    wall_clock_budget: Optional[float] = None,
-    checkpoint=None,
-) -> RunStats:
-    """One-shot convenience: build a Machine, run, return stats."""
-    return Machine(config, mechanism=mechanism).run(
-        program,
-        max_steps=max_steps,
-        wall_clock_budget=wall_clock_budget,
-        checkpoint=checkpoint,
-    )

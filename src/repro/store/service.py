@@ -286,7 +286,7 @@ def _query_cell(query: Dict[str, object]) -> CampaignCell:
         raise QueryError("each query must be a JSON object")
     if "benchmark" not in query:
         raise QueryError("query is missing 'benchmark'")
-    from repro.harness.experiments import EXPERIMENT_TRIPS
+    from repro.harness.experiments import EXPERIMENT_TRIPS, experiment_trips
 
     benchmark = str(query["benchmark"])
     if benchmark not in EXPERIMENT_TRIPS:
@@ -296,7 +296,7 @@ def _query_cell(query: Dict[str, object]) -> CampaignCell:
         scale = float(query.get("scale", 1.0))
         if scale <= 0:
             raise QueryError("'scale' must be positive")
-        trip_count = max(32, int(EXPERIMENT_TRIPS[benchmark] * scale))
+        trip_count = experiment_trips(benchmark, scale)
     try:
         cell = CampaignCell(
             benchmark=benchmark,

@@ -19,8 +19,9 @@ from hypothesis import strategies as st
 
 from repro.core.design_points import OVERRIDE_KNOBS, apply_overrides, get_design_point, with_n_cores
 from repro.faults.plan import FaultKind, FaultPlan, FaultRule
-from repro.harness.campaign import CampaignCell, execute_cell
+from repro.harness.campaign import CampaignCell, cell_config, execute_cell
 from repro.pipeline.scaling import build_pipeline
+from repro.sim.config import StreamCacheConfig
 from repro.sim.machine import Machine
 from repro.workloads.suite import build_pipelined, build_single_threaded
 
@@ -36,6 +37,9 @@ KNOB_VALUES = {
     "bus_latency": st.sampled_from([0, 1, 4, 8]),
     "bus_width": st.sampled_from([0, 8, 32, 64]),
     "n_cores": st.sampled_from([0, 1, 2, 4]),
+    "ozq_depth": st.sampled_from([0, 4, 8, 32]),
+    # 100 B is not a whole number of 8-byte items.
+    "stream_cache_bytes": st.sampled_from([0, 64, 100, 256]),
 }
 assert set(KNOB_VALUES) == set(OVERRIDE_KNOBS)
 
@@ -48,7 +52,7 @@ def cells(draw):
     knob = draw(st.sampled_from(sorted(OVERRIDE_KNOBS)))
     return CampaignCell(
         benchmark="wc" if kind == "pipeline" else draw(st.sampled_from(["wc", "mcf"])),
-        design_point=draw(st.sampled_from(["EXISTING", "SYNCOPTI", "HEAVYWT"])),
+        design_point=draw(st.sampled_from(["EXISTING", "SYNCOPTI", "SYNCOPTI_SC", "HEAVYWT"])),
         kind=kind,
         trip_count=draw(st.integers(min_value=32, max_value=64)),
         overrides={knob: draw(KNOB_VALUES[knob])},
@@ -106,3 +110,30 @@ def test_pipeline_cell_rejects_an_n_cores_override():
                         trip_count=48, overrides={"n_cores": 4})
     with pytest.raises(ValueError, match="n_cores"):
         cell.validate()
+
+
+def test_pipeline_cell_rejects_a_loop_nest(monkeypatch):
+    """bzip2's nest has no single-level loop to split into stages; a grid
+    holding such a cell is rejected before any of its cells runs."""
+    from repro.harness import campaign
+
+    nest = CampaignCell(benchmark="bzip2", design_point="HEAVYWT", kind="pipeline", stages=3,
+                        trip_count=48)
+    with pytest.raises(ValueError, match="loop nest"):
+        nest.validate()
+    ran = []
+    monkeypatch.setattr(campaign, "run_cell", lambda cell, **kwargs: ran.append(cell))
+    with pytest.raises(ValueError, match="loop nest"):
+        campaign.run_cells([CampaignCell(benchmark="wc", trip_count=48), nest])
+    assert ran == []
+
+
+def test_a_stream_cache_of_part_items_is_a_config_error():
+    """A size that is not a whole number of items would run as the next
+    smaller multiple, under a digest of its own."""
+    with pytest.raises(ValueError, match="whole number"):
+        StreamCacheConfig(size_bytes=100).validate()
+    cell = CampaignCell(benchmark="wc", design_point="SYNCOPTI_SC", trip_count=48,
+                        overrides={"stream_cache_bytes": 100})
+    with pytest.raises(ValueError, match="whole number"):
+        cell_config(cell)

@@ -4,12 +4,13 @@ import math
 
 import pytest
 
-from repro.core.design_points import DesignPointConfigError, get_design_point
+from repro.dswp.partition import PartitionError
 from repro.faults import FaultKind, FaultPlan, FaultRule
 from repro.harness import experiments
-from repro.harness.campaign import CampaignCell, execute_cell
+from repro.harness.campaign import CampaignCell, execute_cell, run_cell
 from repro.harness.experiments import GAP, sweep
-from repro.harness.runner import FailedRun, RunResult, run_benchmark
+from repro.harness.runner import FailedRun, RunResult, run_benchmark, run_single_threaded
+from repro.sim.kernel import DeadlockError
 
 
 def _wedge_plan():
@@ -45,21 +46,49 @@ class TestRunBenchmarkResilient:
             execute_cell(CampaignCell("no_such_benchmark", "HEAVYWT", trip_count=64))
 
 
+class TestRunCellRaises:
+    """:func:`run_cell` raises what :func:`execute_cell` records, and the
+    two run functions are thin wrappers over it."""
+
+    def test_wedged_cell_raises_the_deadlock_execute_cell_records(self):
+        cell = CampaignCell("wc", "EXISTING", trip_count=64, fault_plan=_wedge_plan())
+        with pytest.raises(DeadlockError) as excinfo:
+            run_cell(cell)
+        recorded = execute_cell(cell)
+        assert isinstance(recorded, FailedRun)
+        assert excinfo.value.post_mortem.render() == recorded.post_mortem.render()
+
+    def test_unpartitionable_pipeline_raises_and_is_recorded(self):
+        # fir condenses to 5 SCCs, too few for six stages.
+        cell = CampaignCell("fir", "HEAVYWT", kind="pipeline", stages=6, trip_count=40)
+        with pytest.raises(PartitionError):
+            run_cell(cell)
+        recorded = execute_cell(cell)
+        assert isinstance(recorded, FailedRun)
+        assert recorded.error_type == "PartitionError"
+        assert recorded.design_point == "HEAVYWT/K=6"
+
+    def test_pipeline_cell_takes_no_trace(self):
+        # A default trace drops events and a filtered one loses the comm
+        # events the cell's hop delays are folded from.
+        cell = CampaignCell("wc", "EXISTING", kind="pipeline", stages=3, trip_count=48)
+        with pytest.raises(ValueError, match="comm trace"):
+            run_cell(cell, trace=True)
+
+    @pytest.mark.parametrize("bench", ["wc", "mcf"])
+    @pytest.mark.parametrize("point", ["EXISTING", "SYNCOPTI_SC"])
+    def test_run_benchmark_is_the_cell_run(self, bench, point):
+        cell = CampaignCell(bench, point, trip_count=48)
+        assert run_benchmark(bench, point, 48).fingerprint() == execute_cell(cell).fingerprint()
+
+    def test_run_single_threaded_is_the_cell_run(self):
+        cell = CampaignCell("wc", kind="single", trip_count=48)
+        assert run_single_threaded("wc", 48).fingerprint() == execute_cell(cell).fingerprint()
+
+
 class TestConfigPairing:
-    def test_stream_cache_config_rejected_by_plain_syncopti(self):
-        sc_cfg = get_design_point("SYNCOPTI_SC").build_config()
-        with pytest.raises(DesignPointConfigError, match="mislabeled"):
-            run_benchmark("fir", "SYNCOPTI", 64, config=sc_cfg)
-
-    def test_plain_config_rejected_by_stream_cache_point(self):
-        plain = get_design_point("SYNCOPTI").build_config()
-        with pytest.raises(DesignPointConfigError, match="stream_cache"):
-            run_benchmark("fir", "SYNCOPTI_SC", 64, config=plain)
-
     def test_sensitivity_overrides_still_accepted(self):
-        cfg = get_design_point("HEAVYWT").build_config()
-        cfg.queues.depth = 64
-        assert run_benchmark("fir", "HEAVYWT", 64, config=cfg).ok
+        assert run_benchmark("fir", "HEAVYWT", 64, overrides={"queue_depth": 64}).ok
 
 
 class TestSweepIsolation:
@@ -97,25 +126,18 @@ class TestSweepIsolation:
 
 class TestFigureGapMarkers:
     def test_figure_renders_gap_for_failed_cell(self, monkeypatch):
-        # Figures dispatch per-cell through campaign.execute_cell, so the
-        # injection seam is the campaign module's cell planner (which may
-        # legitimately return a FailedRun, e.g. for unpartitionable loops).
+        # Figures dispatch per-cell through campaign.execute_cell, which
+        # records what campaign.run_cell raises: that is the injection seam.
         from repro.harness import campaign
 
-        real = campaign._plan_cell
+        real = campaign.run_cell
 
-        def flaky(cell):
+        def flaky(cell, **kwargs):
             if cell.benchmark == "wc":
-                return FailedRun(
-                    benchmark=cell.benchmark,
-                    design_point=cell.design_point,
-                    error_type="DeadlockError",
-                    error="injected for test",
-                    post_mortem=None,
-                )
-            return real(cell)
+                raise DeadlockError("injected for test")
+            return real(cell, **kwargs)
 
-        monkeypatch.setattr(campaign, "_plan_cell", flaky)
+        monkeypatch.setattr(campaign, "run_cell", flaky)
         result = experiments.figure8(scale=0.1)
         assert result.failures and result.failures[0].benchmark == "wc"
         assert result.data["ratios"]["wc"]["producer"] is None

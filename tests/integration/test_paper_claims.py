@@ -9,7 +9,6 @@ records the full-scale numbers.
 
 import pytest
 
-from repro.core.design_points import get_design_point, with_transit_delay
 from repro.harness.runner import run_benchmark, run_single_threaded
 from repro.sim.stats import geomean
 from repro.workloads.suite import BENCHMARK_ORDER
@@ -119,47 +118,29 @@ class TestSection5Claims:
 class TestFigure6Claims:
     def test_transit_delay_tolerated(self):
         """Figure 6: 1-cycle vs 10-cycle HEAVYWT interconnect ~equal."""
-        point = get_design_point("HEAVYWT")
         for bench in ("wc", "adpcmdec", "fir"):
             c1 = run_benchmark(
-                bench,
-                "HEAVYWT",
-                TRIPS[bench],
-                config=with_transit_delay(point.build_config(), 1),
+                bench, "HEAVYWT", TRIPS[bench], overrides={"transit_delay": 1}
             ).cycles
             c10 = run_benchmark(
-                bench,
-                "HEAVYWT",
-                TRIPS[bench],
-                config=with_transit_delay(point.build_config(), 10),
+                bench, "HEAVYWT", TRIPS[bench], overrides={"transit_delay": 10}
             ).cycles
             assert c10 / c1 < 1.10, bench
 
     def test_bzip2_outer_loop_sensitivity(self):
         """Figure 6: bzip2's outer queue cannot be pipelined; it alone
         slows at 10-cycle transit, and the 64-entry queue recovers it."""
-        point = get_design_point("HEAVYWT")
-        from repro.core.design_points import with_queue_depth
-
         base = run_benchmark(
-            "bzip2",
-            "HEAVYWT",
-            TRIPS["bzip2"],
-            config=with_transit_delay(point.build_config(), 1),
+            "bzip2", "HEAVYWT", TRIPS["bzip2"], overrides={"transit_delay": 1}
         ).cycles
         slow = run_benchmark(
-            "bzip2",
-            "HEAVYWT",
-            TRIPS["bzip2"],
-            config=with_transit_delay(point.build_config(), 10),
+            "bzip2", "HEAVYWT", TRIPS["bzip2"], overrides={"transit_delay": 10}
         ).cycles
         wide = run_benchmark(
             "bzip2",
             "HEAVYWT",
             TRIPS["bzip2"],
-            config=with_queue_depth(
-                with_transit_delay(point.build_config(), 10), 64
-            ),
+            overrides={"transit_delay": 10, "queue_depth": 64},
         ).cycles
         assert slow > base  # exposed round trip
         assert wide < slow  # bigger queue restores decoupling

@@ -82,3 +82,50 @@ class TestPaperTrend:
         """Per-op software-queue cost does not shrink as hops multiply."""
         delays = trend.data["comm_op_delay"]
         assert delays["EXISTING"][8] > delays["HEAVYWT"][8] * 10
+
+
+
+class TestUnbuildablePairs:
+    """A (benchmark, K) the partitioner cannot build fails per cell, and
+    each buildable pair is partitioned once."""
+
+    def test_each_pair_partitions_once_and_gaps_render_per_point(self, monkeypatch):
+        from repro.harness import programs
+        from repro.harness.campaign import CampaignCell, execute_cell
+        from repro.harness.experiments import experiment_trips
+        from repro.pipeline import scaling
+
+        calls = []
+        real = scaling.partition_loop_k
+
+        def counting(loop, n_stages):
+            calls.append(n_stages)
+            return real(loop, n_stages)
+
+        monkeypatch.setattr(scaling, "partition_loop_k", counting)
+        programs.clear()
+        points = ("EXISTING", "HEAVYWT")
+        result = pipeline_scaling(
+            scale=0.1, benchmarks=("fir", "wc"), stage_counts=(2, 3, 4, 6), design_points=points
+        )
+        # K=2 is the paper's own partition.  fir condenses to 5 SCCs, so its
+        # K=6 fails once per point; every other (benchmark, K) lowers once.
+        assert len(calls) == 7
+        assert sorted((f.benchmark, f.design_point, f.error_type) for f in result.failures) == [
+            ("fir", "EXISTING/K=6", "PartitionError"),
+            ("fir", "HEAVYWT/K=6", "PartitionError"),
+        ]
+
+        def cycles(bench, **fields):
+            cell = CampaignCell(bench, trip_count=experiment_trips(bench, 0.1), **fields)
+            return execute_cell(cell).cycles
+
+        speedup = result.data["speedup"]
+        for point in points:
+            for bench in ("fir", "wc"):
+                for k in (2, 3, 4, 6):
+                    if (bench, k) == ("fir", 6):
+                        assert speedup[point][bench][k] is None
+                        continue
+                    pipe = cycles(bench, design_point=point, kind="pipeline", stages=k)
+                    assert speedup[point][bench][k] == cycles(bench, kind="single") / pipe

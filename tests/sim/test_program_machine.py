@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim import isa
 from repro.sim.config import baseline_config
-from repro.sim.machine import Machine, run_program
+from repro.sim.machine import Machine
 from repro.sim.program import Program, ThreadProgram
 
 
@@ -59,7 +59,7 @@ class TestMachine:
 
     def test_run_program_helper(self):
         prog = Program("p", [ThreadProgram("t", lambda: iter([isa.ialu(1)]))])
-        stats = run_program(baseline_config(), "heavywt", prog)
+        stats = Machine(baseline_config(), mechanism="heavywt").run(prog)
         assert stats.threads[0].app_instructions == 1
 
     def test_too_many_threads_error_names_program_and_fix(self):

@@ -193,6 +193,7 @@ def test_bad_queries_become_per_query_errors(tmp_path):
         {**QUERY, "stages": 3},  # a pipeline depth on a two-stage cell
         {**QUERY, "kind": "pipeline", "stages": 3, "overrides": {"n_cores": 4}},
         {**QUERY, "kind": "single", "overrides": {"queue_depth": 7}},  # the baseline too
+        {"benchmark": "bzip2", "kind": "pipeline", "stages": 3},  # a loop nest
     ]
 
     async def main():

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.design_points import get_design_point
 from repro.faults.plan import FaultKind, FaultPlan, FaultRule
-from repro.harness.runner import run_benchmark
+from repro.harness.campaign import CampaignCell, run_cell
 from repro.trace.buffer import TraceConfig
 from repro.trace.timeline import (
     check_occupancy,
@@ -27,12 +26,8 @@ DESIGN_POINTS = ("EXISTING", "MEMOPTI", "SYNCOPTI", "HEAVYWT")
 
 
 def _traced_run(point: str, faults: FaultPlan = None, benchmark: str = "wc"):
-    dp = get_design_point(point)
-    cfg = dp.build_config().copy(
-        trace=TraceConfig(capacity=1 << 20),
-        **({"faults": faults} if faults is not None else {}),
-    )
-    return run_benchmark(benchmark, point, trip_count=200, config=cfg)
+    cell = CampaignCell(benchmark, point, trip_count=200, fault_plan=faults)
+    return run_cell(cell, trace=TraceConfig(capacity=1 << 20))
 
 
 def _stall_plan() -> FaultPlan:
