@@ -12,9 +12,9 @@ consumer stage), and write the mapped pixels out.
 """
 
 from repro import baseline_config
-from repro.dswp.codegen import lower_partition, lower_single_threaded
+from repro.dswp.codegen import lower_pipeline, lower_single_threaded
 from repro.dswp.ir import Loop, Op, OpKind, Sequential, Strided
-from repro.dswp.partition import partition_loop
+from repro.dswp.partition import partition_loop, plan_queue_hops
 from repro.sim.machine import Machine
 
 MB = 1 << 20
@@ -54,11 +54,12 @@ def main() -> None:
     for stage in (0, 1):
         ops = ", ".join(op.op_id for op in partition.ops_in_stage(stage))
         print(f"  stage {stage} (weight {partition.stage_weight(stage):5.1f}): {ops}")
-    print(f"  crossing values -> queues: {partition.crossing_values}")
+    queues = {value: qid for (value, _), qid in plan_queue_hops(partition).items()}
+    print(f"  crossing values -> queues: {queues}")
     print(f"  comm ops per iteration: {partition.comm_ops_per_iteration()}\n")
 
     single = lower_single_threaded(loop)
-    pipelined = lower_partition(partition)
+    pipelined = lower_pipeline(partition)
 
     st = Machine(baseline_config(), mechanism="heavywt").run(single)
     print(f"single-threaded: {st.cycles:8d} cycles")

@@ -67,10 +67,7 @@ _EXPORTS = {
         "FailedRun", "PreemptedRun", "RunOutcome", "RunResult", "TimedOutRun", "run_benchmark",
         "run_single_threaded",
     ),
-    "repro.pipeline": (
-        "build_pipeline", "build_pipeline_partition", "lower_pipeline", "partition_loop_k",
-        "pipeline_scaling",
-    ),
+    "repro.pipeline": ("lower_pipeline", "partition_loop_k", "pipeline_scaling"),
     "repro.sim.checkpoint": (
         "Checkpointer", "MachineSnapshot", "PreemptionRequested", "SnapshotCorruptError",
         "SnapshotError", "inspect_snapshot", "quarantine_snapshot", "read_snapshot",
@@ -157,8 +154,6 @@ __all__ = [
     "campaign_status",
     "classify_outcome",
     "build_partition",
-    "build_pipeline",
-    "build_pipeline_partition",
     "build_pipelined",
     "build_single_threaded",
     "bus_utilization",

@@ -42,15 +42,6 @@ def _q64(config: MachineConfig) -> None:
     config.queues.qlu = 16
 
 
-def _sc(config: MachineConfig) -> None:
-    config.stream_cache.enabled = True
-
-
-def _sc_q64(config: MachineConfig) -> None:
-    _q64(config)
-    _sc(config)
-
-
 DESIGN_POINTS: Dict[str, DesignPoint] = {
     point.name: point
     for point in (
@@ -89,13 +80,12 @@ DESIGN_POINTS: Dict[str, DesignPoint] = {
             name="SYNCOPTI_SC",
             mechanism="syncopti_sc",
             description="SYNCOPTI with the 1 KB fully-associative stream cache",
-            configure=_sc,
         ),
         DesignPoint(
             name="SYNCOPTI_SC_Q64",
             mechanism="syncopti_sc",
             description="SYNCOPTI with both the stream cache and Q64 (the paper's pick)",
-            configure=_sc_q64,
+            configure=_q64,
         ),
         DesignPoint(
             name="HEAVYWT",

@@ -31,9 +31,21 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: space, far above any workload data region.
 QUEUE_REGION_BASE = 0x8000_0000
 
-#: Bytes reserved per queue in the backing region (large enough for the
-#: biggest configuration: 64 entries x 16-byte software-queue slots).
+#: Bytes reserved per queue in the backing region.  A layout spans
+#: ``depth x (line_bytes // qlu)`` bytes and must fit, or its last slots
+#: would share lines with the next queue's.
 QUEUE_REGION_STRIDE = 0x1_0000
+
+
+def check_queue_region(depth: int, line_bytes: int, qlu: int) -> None:
+    """Reject a queue whose ``depth`` slots, ``qlu`` to a line, overrun its
+    :data:`QUEUE_REGION_STRIDE`-byte backing region."""
+    span = depth * (line_bytes // qlu)
+    if span > QUEUE_REGION_STRIDE:
+        raise ValueError(
+            f"queue depth {depth} at QLU {qlu} spans {span} bytes, more than "
+            f"the {QUEUE_REGION_STRIDE}-byte backing region of one queue"
+        )
 
 
 def queue_of_addr(addr: int) -> Optional[int]:
@@ -86,6 +98,7 @@ class QueueLayout:
                 f"QLU {self.qlu} x slot {self.slot_bytes}B exceeds a "
                 f"{self.line_bytes}B line"
             )
+        check_queue_region(self.depth, self.line_bytes, self.qlu)
         #: Per-slot payload and flag addresses (``flag_addrs`` is ``None``
         #: without per-slot flags): the tables behind :meth:`data_addr`
         #: and :meth:`flag_addr`, indexed by ``item % depth``.

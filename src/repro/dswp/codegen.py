@@ -1,29 +1,33 @@
 """Lowering DSWP partitions (and unpartitioned loops) to simulator programs.
 
-The code generator turns a :class:`~repro.dswp.partition.Partition` into a
-two-thread :class:`~repro.sim.program.Program`:
+The code generator turns a :class:`~repro.dswp.partition.Partition` of any
+stage count into a K-thread :class:`~repro.sim.program.Program`:
 
-* stage-0 ops run on thread 0, stage-1 ops on thread 1, in body order;
-* every crossing value gets one architectural queue; the producer thread
-  emits a PRODUCE right after the defining op's body position, the consumer
-  thread emits the matching CONSUME at the top of its iteration (the DSWP
-  convention);
-* loop control (induction update + backward branch) is replicated into both
-  threads, exactly as DSWP emits it;
+* stage-``t`` ops run on thread ``t``, in body order;
+* queues connect adjacent stages only: every (value, boundary) hop gets one
+  architectural queue (:func:`~repro.dswp.partition.plan_queue_hops`).  The
+  defining thread emits a PRODUCE right after the defining op's body
+  position; each downstream thread emits the matching CONSUME at the top of
+  its iteration (the DSWP convention), and a middle stage the value passes
+  through re-PRODUCEs it into the next hop's queue right away (a *relay*),
+  so every queue's endpoints are an adjacent core pair — the traffic
+  pattern each mechanism's per-channel machinery was built for;
+* loop control (induction update + backward branch) is replicated into
+  every thread, exactly as DSWP emits it;
 * pure streaming loads (no register inputs) are **modulo-scheduled**: each is
   hoisted ``hoist_depth`` iterations ahead using rotating registers, the
   software pipelining an EPIC compiler (the paper's OpenIMPACT/Itanium
   toolchain) applies to overlap cache misses across iterations.  Dependent
   loads (pointer chases, gathers) cannot be hoisted and stay in place.
 
-How PRODUCE/CONSUME macro-ops are *realized* — one instruction or a
-ten-instruction software-queue sequence — is the communication mechanism's
-business, not the code generator's: the same lowered program runs unchanged
-on every design point, which is what makes the paper's comparisons
-apples-to-apples.
+The paper's dual-core programs are the two-stage case.  How PRODUCE/CONSUME
+macro-ops are *realized* — one instruction or a ten-instruction
+software-queue sequence — is the communication mechanism's business, not
+the code generator's: the same lowered program runs unchanged on every
+design point, which is what makes the paper's comparisons apples-to-apples.
 
 ``lower_single_threaded`` emits the original, unpartitioned loop (with the
-same load hoisting) for the Figure 9 speedup baseline.
+same load hoisting, and no queues) for the Figure 9 speedup baseline.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.dswp.ir import Loop, Op, OpKind
-from repro.dswp.partition import Partition
+from repro.dswp.partition import Hop, Partition, plan_queue_hops
 from repro.sim import isa
 from repro.sim.isa import DynInst
 from repro.sim.program import Program, ThreadProgram
@@ -70,14 +74,13 @@ def hoistable_ops(loop: Loop) -> Set[str]:
 
 
 class _StageEmitter:
-    """Emits one thread's dynamic instruction stream for a partitioned loop.
+    """Emits one stage's dynamic instruction stream for a partitioned loop.
 
-    The emission skeleton (modulo-scheduled hoisting, consumes at the top of
-    the iteration, body walk in program order, replicated loop control) is
-    shared with the K-stage emitter in :mod:`repro.pipeline.codegen`, which
-    overrides only the ``_consumes`` / ``_produces_after`` hooks.  Keeping
-    one skeleton is what makes a two-stage pipeline lowered through either
-    path instruction-for-instruction identical.
+    The emission skeleton: modulo-scheduled hoisting, consumes (and relays)
+    at the top of the iteration, the body walk in program order with each
+    produce after its defining op, and replicated loop control.  ``hops``
+    is the partition's queue plan; an empty plan emits the unpartitioned
+    loop.
 
     **Lowered once per rotation residue.**  An iteration's registers depend
     on its index only through ``iteration % (hoist_depth + 1)`` (the
@@ -102,13 +105,13 @@ class _StageEmitter:
         loop: Loop,
         stage_of: Dict[str, int],
         stage: int,
-        queue_of: Dict[str, int],
+        hops: Dict[Hop, int],
         hoist_depth: int,
     ) -> None:
         self.loop = loop
         self.stage_of = stage_of
         self.stage = stage
-        self.queue_of = queue_of
+        self.hops = hops
         self.hoist_depth = hoist_depth
         self.base_reg = {op.op_id: i * _REG_STRIDE for i, op in enumerate(loop.body)}
         # Rotation applies only to hoisted loads owned by this thread.
@@ -117,9 +120,19 @@ class _StageEmitter:
             for op_id in hoistable_ops(loop)
             if stage_of[op_id] == stage and hoist_depth > 0
         }
-        self.crossing_in = [
-            v for v in queue_of if stage_of[v] == 0 and stage == 1
-        ]
+        #: value -> queue id consumed at the top of this stage's iteration
+        #: (insertion order = body order of the defining op).
+        self.consume_from: Dict[str, int] = {}
+        #: value -> next hop's queue id, for values relayed downstream.
+        self.relay_to: Dict[str, int] = {}
+        for op in loop.body:
+            incoming = hops.get((op.op_id, stage - 1))
+            if incoming is None:
+                continue
+            self.consume_from[op.op_id] = incoming
+            onward = hops.get((op.op_id, stage))
+            if onward is not None:
+                self.relay_to[op.op_id] = onward
 
     def reg(self, op_id: str, iteration: int) -> int:
         base = self.base_reg[op_id]
@@ -145,21 +158,24 @@ class _StageEmitter:
         return [(inst, None)] * op.repeat
 
     def _consumes(self, residue: int) -> Iterator[DynInst]:
-        """CONSUMEs emitted at the top of one iteration (DSWP convention)."""
-        for value in self.crossing_in:
+        """CONSUMEs (and relays) emitted at the top of one iteration."""
+        for value, qid in self.consume_from.items():
             op = self.loop.op(value)
             for _ in range(op.repeat):
-                yield isa.consume(self.reg(value, residue), self.queue_of[value])
+                yield isa.consume(self.reg(value, residue), qid)
+            onward = self.relay_to.get(value)
+            if onward is not None:
+                # Relay: forward the value to the next stage right away so
+                # downstream stages see minimal extra latency per hop.
+                for _ in range(op.repeat):
+                    yield isa.produce(onward, self.reg(value, residue))
 
     def _produces_after(self, op: Op, residue: int) -> Iterator[DynInst]:
         """PRODUCEs emitted right after ``op``'s body position."""
-        if (
-            self.stage == 0
-            and op.op_id in self.queue_of
-            and self.stage_of[op.op_id] == 0
-        ):
+        qid = self.hops.get((op.op_id, self.stage))
+        if qid is not None and self.stage_of[op.op_id] == self.stage:
             for _ in range(op.repeat):
-                yield isa.produce(self.queue_of[op.op_id], self.reg(op.op_id, residue))
+                yield isa.produce(qid, self.reg(op.op_id, residue))
 
     def _body_template(self, residue: int, streams) -> List[_Entry]:
         """One iteration minus its hoisted loads: consumes, body, control."""
@@ -264,33 +280,34 @@ def _split_runs(entries: List[_Entry]) -> _Split:
     return tuple(lead), [(proto, addresses, tuple(run)) for proto, addresses, run in tail]
 
 
-def lower_partition(
-    partition: Partition,
-    queue_base: int = 0,
-    hoist_depth: int = DEFAULT_HOIST_DEPTH,
+def lower_pipeline(
+    partition: Partition, hoist_depth: int = DEFAULT_HOIST_DEPTH
 ) -> Program:
-    """Emit the two-thread pipelined program for ``partition``."""
+    """Emit the K-thread pipelined program for ``partition``.
+
+    Thread ``t`` runs stage ``t``; every queue connects thread ``t`` to
+    thread ``t + 1`` (see :func:`~repro.dswp.partition.plan_queue_hops`).
+    """
     loop = partition.loop
-    queue_of = {
-        value: queue_base + i for i, value in enumerate(partition.crossing_values)
-    }
+    n_stages = partition.n_stages
+    hops = plan_queue_hops(partition)
 
     def builder(stage: int):
         def build() -> Iterator[DynInst]:
             emitter = _StageEmitter(
-                loop, partition.stage_of, stage, queue_of, hoist_depth
+                loop, partition.stage_of, stage, hops, hoist_depth
             )
             return emitter.instructions()
 
         return build
 
     return Program(
-        name=f"{loop.name}-dswp",
+        name=f"{loop.name}-pipe{n_stages}",
         threads=[
-            ThreadProgram(f"{loop.name}-stage0", builder(0)),
-            ThreadProgram(f"{loop.name}-stage1", builder(1)),
+            ThreadProgram(f"{loop.name}-stage{t}", builder(t))
+            for t in range(n_stages)
         ],
-        queue_endpoints={qid: (0, 1) for qid in queue_of.values()},
+        queue_endpoints={qid: (src, src + 1) for (_, src), qid in hops.items()},
     )
 
 

@@ -99,8 +99,10 @@ from repro.sim.checkpoint import (
 )
 from repro.sim.kernel import SimulationError, WallClockExceededError, canonical_kernel
 from repro.sim.machine import Machine
+from repro.sim.program import Program
 from repro.sim.stats import RunStats
 from repro.trace.buffer import TraceConfig
+from repro.trace.profiler import measure_hop_delays
 from repro.workloads.suite import benchmark_info
 
 __all__ = [
@@ -345,15 +347,14 @@ def cell_config(cell: CampaignCell):
 
 
 def _pipeline_extras(
-    stages: int, hop_of_queue: Dict[int, int], machine: Machine, stats: RunStats
+    cell: CampaignCell, program: Program, machine: Machine, stats: RunStats
 ) -> Dict[str, object]:
     """A pipeline cell's per-hop COMM-OP delays and bus utilization."""
-    # Imported lazily: repro.pipeline.scaling reaches back into the harness.
-    from repro.pipeline.scaling import _per_hop_delay
-
     return {
-        "stages": stages,
-        "hop_delays": _per_hop_delay(machine.trace, hop_of_queue),
+        "stages": cell.stages,
+        "hop_delays": measure_hop_delays(
+            machine.trace, program.queue_endpoints, cell.benchmark, cell.design_point
+        ),
         "bus_utilization": machine.mem.bus.utilization(stats.cycles),
     }
 
@@ -421,7 +422,7 @@ def run_cell(
         trace=machine.trace,
     )
     if cell.kind == "pipeline":
-        result.extras.update(_pipeline_extras(cell.stages, lowered.hop_of_queue, machine, stats))
+        result.extras.update(_pipeline_extras(cell, lowered.program, machine, stats))
     if resume_from is not None:
         result.extras["resumed_from_cycle"] = resume_from.cycle
     if checkpoint is not None:

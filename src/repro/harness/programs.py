@@ -13,8 +13,11 @@ queue workers, serve misses, and
 :func:`~repro.harness.runner.run_benchmark` /
 :func:`~repro.harness.runner.run_single_threaded`.
 
-* **Key**: ``(kind, benchmark, trip count, stages)``.  A pipeline entry
-  also holds its hop table, derived from the same K-stage partition.
+* **Key**: ``(kind, benchmark, trip count, stages)``.  Both pipelined
+  kinds lower through :func:`~repro.workloads.suite.build_pipelined` (a
+  ``"benchmark"`` cell is its two-stage program); a pipeline cell reads
+  each hop's source stage off its queue's producer in
+  ``Program.queue_endpoints``.
 * **Exact**: nothing assigns to an emitted
   :class:`~repro.sim.isa.DynInst` — the core, the mechanisms and the memory
   system only read instructions — so a replayed stream is the stream the
@@ -40,7 +43,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import islice
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.sim.program import Program, ThreadProgram
 from repro.workloads.suite import build_pipelined, build_single_threaded
@@ -58,11 +61,9 @@ Key = Tuple[str, str, Optional[int], Optional[int]]
 
 @dataclass(frozen=True)
 class LoweredProgram:
-    """A lowered program and what the planners derive from its lowering."""
+    """A lowered program and the instructions the cache holds for it."""
 
     program: Program
-    #: Pipeline programs: queue id -> source stage of the hop it carries.
-    hop_of_queue: Optional[Dict[int, int]] = None
     #: Instructions the cache holds for this program (0: not cached).
     size: int = 0
 
@@ -89,7 +90,7 @@ def lowered_program(
         if entry is not None:
             _entries.move_to_end(key)
             return entry
-    entry = _materialized(*_lower(*key), CACHE_BUDGET)
+    entry = _materialized(_lower(*key), CACHE_BUDGET)
     if entry.size == 0:
         return entry
     with _lock:
@@ -110,22 +111,16 @@ def clear() -> None:
         _held = 0
 
 
-def _lower(kind: str, benchmark: str, trip_count: Optional[int], stages: Optional[int]):
-    """``(program, hop_of_queue)`` straight from the partitioner and codegen."""
+def _lower(
+    kind: str, benchmark: str, trip_count: Optional[int], stages: Optional[int]
+) -> Program:
+    """The program straight from the partitioner and codegen."""
     if kind == "single":
-        return build_single_threaded(benchmark, trip_count), None
-    if kind == "pipeline":
-        # Imported lazily: repro.pipeline.scaling reaches back into the harness.
-        from repro.pipeline.codegen import lower_pipeline, plan_queue_hops
-        from repro.pipeline.scaling import build_pipeline_partition
-
-        partition = build_pipeline_partition(benchmark, stages, trip_count)
-        hops = {qid: src for (_, src), qid in plan_queue_hops(partition).items()}
-        return lower_pipeline(partition), hops
-    return build_pipelined(benchmark, trip_count), None
+        return build_single_threaded(benchmark, trip_count)
+    return build_pipelined(benchmark, trip_count, stages or 2)
 
 
-def _materialized(program: Program, hop_of_queue, budget: int) -> LoweredProgram:
+def _materialized(program: Program, budget: int) -> LoweredProgram:
     """``program`` replaying tuples of its threads' streams, or ``program``
     itself (size 0) when they hold more than ``budget`` instructions."""
     streams = []
@@ -134,11 +129,11 @@ def _materialized(program: Program, hop_of_queue, budget: int) -> LoweredProgram
         stream = tuple(islice(thread.builder(), budget - size + 1))
         size += len(stream)
         if size > budget:
-            return LoweredProgram(program, hop_of_queue)
+            return LoweredProgram(program)
         streams.append(stream)
     threads = [
         ThreadProgram(thread.name, functools.partial(iter, stream))
         for thread, stream in zip(program.threads, streams)
     ]
     replayed = Program(program.name, threads, program.queue_endpoints)
-    return LoweredProgram(replayed, hop_of_queue, size)
+    return LoweredProgram(replayed, size)

@@ -3,32 +3,27 @@
 The paper evaluates its communication design points on a dual-core machine,
 but frames synchronization scalability — distributed occupancy counters vs.
 memory flags, a shared bus vs. a dedicated interconnect — as the axis that
-decides how streaming support extends beyond two cores.  This package makes
-the n > 2 regime reachable:
+decides how streaming support extends beyond two cores.  This package holds
+the study that makes the n > 2 regime reachable,
+:mod:`repro.pipeline.scaling`: the ``pipeline_scaling`` experiment sweeps
+stage counts across the four design points and reports speedup, per-hop
+COMM-OP delay, and shared-bus utilization.
 
-* :mod:`repro.pipeline.partition` — :func:`partition_loop_k` chain-decomposes
-  the dependence DAG into K balanced stages (generalizing the two-stage cut
-  of :mod:`repro.dswp.partition`);
-* :mod:`repro.pipeline.codegen` — :func:`lower_pipeline` emits one thread per
-  stage, connected by per-adjacent-pair queues with relay forwarding for
-  values used more than one stage downstream;
-* :mod:`repro.pipeline.scaling` — the ``pipeline_scaling`` experiment sweeps
-  stage counts across the four design points and reports speedup, per-hop
-  COMM-OP delay, and shared-bus utilization.
-
-A two-stage pipeline lowered through this package is instruction-for-
-instruction identical to :func:`repro.dswp.codegen.lower_partition`'s
-output, so every existing dual-core exhibit is unchanged.
+Partitioning and lowering are :mod:`repro.dswp`'s for every stage count —
+:func:`partition_loop_k` chain-decomposes the dependence DAG into K
+balanced stages, :func:`plan_queue_hops` assigns one queue per
+adjacent-stage hop, and :func:`lower_pipeline` emits one thread per stage
+with relay forwarding for values used more than one stage downstream — and
+are re-exported here.  The paper's dual-core programs are the K=2 case of
+the same lowering.
 """
 
-from repro.pipeline.codegen import lower_pipeline, plan_queue_hops
-from repro.pipeline.partition import partition_loop_k
+from repro.dswp.codegen import lower_pipeline
+from repro.dswp.partition import partition_loop_k, plan_queue_hops
 from repro.pipeline.scaling import (
     PIPELINE_BENCHMARKS,
     SCALING_POINTS,
     STAGE_COUNTS,
-    build_pipeline,
-    build_pipeline_partition,
     pipeline_scaling,
 )
 
@@ -36,8 +31,6 @@ __all__ = [
     "PIPELINE_BENCHMARKS",
     "SCALING_POINTS",
     "STAGE_COUNTS",
-    "build_pipeline",
-    "build_pipeline_partition",
     "lower_pipeline",
     "partition_loop_k",
     "pipeline_scaling",

@@ -8,7 +8,8 @@ For every cell it reports:
   convention, extended along the K axis);
 * **per-hop COMM-OP delay** — the paper's Section 3 quantity, folded from
   ``comm.produce`` / ``comm.consume`` trace events and grouped by the hop
-  (adjacent-stage queue) each op targeted;
+  (adjacent-stage queue) each op targeted
+  (:func:`repro.trace.profiler.measure_hop_delays`);
 * **bus utilization** — the shared L3 bus's busy fraction over the run,
   from the bus model's own occupancy counter.
 
@@ -24,14 +25,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.dswp.partition import Partition
 from repro.harness.campaign import CampaignCell, run_cells
 from repro.harness.runner import RunOutcome
-from repro.pipeline.codegen import lower_pipeline
-from repro.pipeline.partition import partition_loop_k
-from repro.sim.program import Program
 from repro.sim.stats import geomean
-from repro.workloads.suite import build_loop, build_partition
 
 #: Kernels with enough recurrences (SCCs) to fill eight pipeline stages.
 PIPELINE_BENCHMARKS: Tuple[str, ...] = ("wc", "adpcmdec", "equake", "fft2")
@@ -41,50 +37,6 @@ STAGE_COUNTS: Tuple[int, ...] = (2, 3, 4, 6, 8)
 
 #: The Section 4 design points, in scaling order.
 SCALING_POINTS: Tuple[str, ...] = ("EXISTING", "MEMOPTI", "SYNCOPTI", "HEAVYWT")
-
-
-def build_pipeline_partition(
-    name: str, n_stages: int, trip_count: Optional[int] = None
-) -> Partition:
-    """The K-stage partition of a non-nested benchmark.
-
-    ``n_stages == 2`` returns the paper's own partition (DSWP-compiled or
-    hand-partitioned, via :func:`repro.workloads.suite.build_partition`) so
-    the two-stage column of the study is the existing dual-core path;
-    deeper pipelines come from :func:`repro.pipeline.partition.partition_loop_k`.
-    """
-    if n_stages == 2:
-        return build_partition(name, trip_count)
-    return partition_loop_k(build_loop(name, trip_count), n_stages)
-
-
-def build_pipeline(
-    name: str, n_stages: int, trip_count: Optional[int] = None
-) -> Program:
-    """The K-thread pipelined program of a non-nested benchmark."""
-    return lower_pipeline(build_pipeline_partition(name, n_stages, trip_count))
-
-
-def _per_hop_delay(trace, hop_of_queue: Dict[int, int]) -> Dict[int, float]:
-    """Mean COMM-OP delay per hop, from one traced run's ``comm.*`` events.
-
-    Same measured quantity as :mod:`repro.trace.profiler`:
-    ``max(0, dur - stall - feed)`` per op — queue blocking and operand feed
-    are load balance and application dataflow, not operation cost.
-    """
-    totals: Dict[int, float] = {}
-    counts: Dict[int, int] = {}
-    for ev in trace:
-        if ev.kind not in ("comm.produce", "comm.consume"):
-            continue
-        hop = hop_of_queue.get(ev.queue)
-        if hop is None:
-            continue
-        stall = float(ev.args.get("stall", 0.0))
-        feed = float(ev.args.get("feed", 0.0))
-        totals[hop] = totals.get(hop, 0.0) + max(0.0, ev.dur - stall - feed)
-        counts[hop] = counts.get(hop, 0) + 1
-    return {hop: totals[hop] / counts[hop] for hop in totals}
 
 
 def pipeline_scaling(

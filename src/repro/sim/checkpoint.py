@@ -101,9 +101,11 @@ CHECKPOINT_MAGIC = b"RPROCKPT"
 #: access methods on the mechanisms (a v3 machine lacks them).
 #: v5: ``MachineConfig`` no longer carries a ``kernel`` name (one stepping
 #: loop remains).
+#: v6: ``StreamCacheConfig`` and ``TraceConfig`` no longer carry an
+#: ``enabled`` flag.
 #: ``tests/sim/test_snapshot_layout.py`` records the pickled class layout of
 #: each version: a layout change fails it until the version is bumped.
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 #: Suffix of the rotated previous snapshot (the fallback generation).
 PREV_SUFFIX = ".prev"

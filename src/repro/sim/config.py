@@ -23,6 +23,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+from repro.core.queue_model import check_queue_region
 from repro.faults.plan import FaultPlan
 from repro.trace.buffer import TraceConfig
 
@@ -128,7 +129,6 @@ class QueueConfig:
 class StreamCacheConfig:
     """The 1 KB fully-associative stream cache of Section 5 (SC variants)."""
 
-    enabled: bool = False
     size_bytes: int = 1024
     item_bytes: int = 8
     #: Consume-to-use latency on a stream-cache hit.
@@ -246,6 +246,8 @@ class MachineConfig:
             raise ValueError("OzQ depth must be positive")
         if self.l2.line_bytes != self.l3.line_bytes:
             raise ValueError("L2 and L3 line sizes must match in this model")
+        # At the configured QLU, which every design point's layout keeps.
+        check_queue_region(self.queues.depth, self.l2.line_bytes, self.queues.qlu)
         if self.faults is not None:
             self.faults.validate()
         if self.trace is not None:

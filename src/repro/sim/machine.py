@@ -53,11 +53,7 @@ class Machine:
             self.faults.reset()
         #: Trace sink shared with every instrumented component, or ``None``
         #: when tracing is off — each hook is then one ``is None`` branch.
-        self.trace = (
-            TraceBuffer(config.trace)
-            if config.trace is not None and config.trace.enabled
-            else None
-        )
+        self.trace = TraceBuffer(config.trace) if config.trace is not None else None
         if self.faults is not None:
             self.faults.trace = self.trace
         self.mem = MemorySystem(config, trace=self.trace)

@@ -2,11 +2,10 @@
 
 **Overhead contract.**  Tracing is keyed by ``MachineConfig.trace`` exactly
 the way fault injection is keyed by ``MachineConfig.faults``: when the knob
-is ``None`` (or ``TraceConfig.enabled`` is false) the
-:class:`~repro.sim.machine.Machine` never constructs a :class:`TraceBuffer`
-and every component's trace handle is ``None``.  Each instrumentation site
-is then exactly one ``if trace is not None`` branch — no event object is
-allocated, no method is called, nothing is appended.  The micro-benchmark
+is ``None`` the :class:`~repro.sim.machine.Machine` never constructs a
+:class:`TraceBuffer` and every component's trace handle is ``None``.  Each
+instrumentation site is then exactly one ``if trace is not None`` branch —
+no event object is allocated, no method is called, nothing is appended.  The micro-benchmark
 in ``tests/trace/test_overhead.py`` pins this contract: the guarded branch
 adds well under the 3% wall-clock budget on a representative workload, and
 a disabled run allocates zero trace state.
@@ -35,14 +34,12 @@ class TraceConfig:
     """Tracing knob attached to :class:`~repro.sim.config.MachineConfig`.
 
     Args:
-        enabled: Master switch; ``False`` behaves exactly like ``trace=None``.
         capacity: Ring-buffer bound (events).  Oldest events are dropped
             once exceeded; derived timelines require the run to fit.
         categories: Restrict recording to these event categories (kind
             prefixes, e.g. ``("queue", "bus")``).  ``None`` records all.
     """
 
-    enabled: bool = True
     capacity: int = 1 << 16
     categories: Optional[Tuple[str, ...]] = None
 

@@ -47,7 +47,7 @@ instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: The Section 3/4 comparison order, worst to best COMM-OP delay.
 COMM_OP_POINTS = ("EXISTING", "MEMOPTI", "SYNCOPTI", "HEAVYWT")
@@ -164,6 +164,27 @@ def measure_comm_ops(trace, benchmark: str, design_point: str) -> CommOpStats:
         stall = float(ev.args.get("stall", 0.0))
         stats.add_op(ev.kind, ev.dur, stall, ev.args)
     return stats
+
+
+def measure_hop_delays(
+    trace, queue_endpoints: Dict[int, Tuple[int, int]], benchmark: str, design_point: str
+) -> Dict[int, float]:
+    """Mean COMM-OP delay per pipeline hop, from one traced run.
+
+    A hop is keyed by its source stage: the producer, in
+    ``queue_endpoints``, of the queue an op targeted.  Each hop's ops are
+    folded by :func:`measure_comm_ops`, so a hop's delay is the quantity
+    the profiler measures.
+    """
+    source = {qid: producer for qid, (producer, _) in queue_endpoints.items()}
+    ops: Dict[int, list] = {}
+    for ev in trace:
+        if ev.kind in ("comm.produce", "comm.consume") and ev.queue in source:
+            ops.setdefault(source[ev.queue], []).append(ev)
+    return {
+        hop: measure_comm_ops(events, benchmark, design_point).mean_delay
+        for hop, events in ops.items()
+    }
 
 
 @dataclass

@@ -1,9 +1,12 @@
 """The benchmark suite registry (Table 1 + StreamIt).
 
-Single entry point for building every benchmark's pipelined (two-thread)
-and single-threaded programs, with the partitioning mode the paper used for
-each: DSWP-compiled for the SPEC/Mediabench/utility loops, hand-partitioned
-for the StreamIt kernels and the bzip2 loop nest.
+Single entry point for building every benchmark's pipelined and
+single-threaded programs, with the partitioning mode the paper used for
+each at two stages: DSWP-compiled for the SPEC/Mediabench/utility loops,
+hand-partitioned for the StreamIt kernels and the bzip2 loop nest.  Deeper
+pipelines (the scaling study) chain-decompose the same loops with
+:func:`~repro.dswp.partition.partition_loop_k`; bzip2's hand-written nest
+exists only at two stages.
 """
 
 from __future__ import annotations
@@ -11,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.dswp.codegen import lower_partition, lower_single_threaded
+from repro.dswp.codegen import lower_pipeline, lower_single_threaded
 from repro.dswp.ir import Loop
-from repro.dswp.partition import Partition, partition_loop
+from repro.dswp.partition import Partition, partition_loop, partition_loop_k
 from repro.sim.program import Program
 from repro.workloads import nested
 from repro.workloads.kernels import HAND_PARTITIONS, LOOP_BUILDERS
@@ -81,35 +84,33 @@ def build_loop(name: str, trip_count: Optional[int] = None) -> Loop:
     return LOOP_BUILDERS[name](trips)
 
 
-def build_partition(name: str, trip_count: Optional[int] = None) -> Partition:
-    """The two-stage partition of a non-nested benchmark."""
+def build_partition(
+    name: str, trip_count: Optional[int] = None, stages: int = 2
+) -> Partition:
+    """The ``stages``-stage partition of a non-nested benchmark: the paper's
+    own at two stages, :func:`~repro.dswp.partition.partition_loop_k`'s
+    beyond."""
     info = benchmark_info(name)
     loop = build_loop(name, trip_count)
+    if stages != 2:
+        return partition_loop_k(loop, stages)
     if info.partition_mode == "hand":
-        stage_of = HAND_PARTITIONS[name]
-        crossing = tuple(
-            op.op_id
-            for op in loop.body
-            if stage_of[op.op_id] == 0
-            and any(
-                op.op_id in (user.deps + user.carried_deps)
-                and stage_of[user.op_id] == 1
-                for user in loop.body
-            )
-        )
-        partition = Partition(loop=loop, stage_of=dict(stage_of), crossing_values=crossing)
+        partition = Partition(loop=loop, stage_of=dict(HAND_PARTITIONS[name]))
         partition.validate()
         return partition
     return partition_loop(loop)
 
 
-def build_pipelined(name: str, trip_count: Optional[int] = None) -> Program:
-    """The two-thread streaming program the paper evaluates."""
+def build_pipelined(
+    name: str, trip_count: Optional[int] = None, stages: int = 2
+) -> Program:
+    """The ``stages``-thread streaming program; at two stages, the one the
+    paper evaluates."""
     info = benchmark_info(name)
     trips = trip_count if trip_count is not None else info.default_trip
-    if info.partition_mode == "nested":
+    if info.partition_mode == "nested" and stages == 2:
         return nested.bzip2_pipelined(trips)
-    return lower_partition(build_partition(name, trips))
+    return lower_pipeline(build_partition(name, trips, stages))
 
 
 def build_single_threaded(name: str, trip_count: Optional[int] = None) -> Program:

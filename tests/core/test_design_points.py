@@ -48,15 +48,19 @@ class TestConfiguration:
         assert cfg.queues.qlu == 16
 
     def test_sc_config(self):
-        cfg = get_design_point("SYNCOPTI_SC").build_config()
-        assert cfg.stream_cache.enabled
-        assert cfg.queues.depth == 32  # base queues
+        """The stream cache is the syncopti_sc mechanism's; the machine
+        keeps the baseline configuration."""
+        point = get_design_point("SYNCOPTI_SC")
+        assert point.mechanism == "syncopti_sc"
+        assert point.build_config() == baseline_config()
 
     def test_sc_q64_combines(self):
-        cfg = get_design_point("SYNCOPTI_SC_Q64").build_config()
-        assert cfg.stream_cache.enabled
+        point = get_design_point("SYNCOPTI_SC_Q64")
+        assert point.mechanism == "syncopti_sc"
+        cfg = point.build_config()
         assert cfg.queues.depth == 64
         assert cfg.queues.qlu == 16
+        assert cfg == get_design_point("SYNCOPTI_Q64").build_config()
 
     def test_base_points_keep_baseline(self):
         cfg = get_design_point("EXISTING").build_config()

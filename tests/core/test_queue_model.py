@@ -60,6 +60,14 @@ class TestLayout:
         assert b.base - a.base == QUEUE_REGION_STRIDE
         assert a.base >= QUEUE_REGION_BASE
 
+    def test_a_queue_fits_its_backing_region(self):
+        """Depth 8192 at QLU 8 spans 128 KiB: its last slot would sit on
+        the next queue's lines.  Depth 4096 fills the 64 KiB exactly."""
+        with pytest.raises(ValueError, match="backing region"):
+            QueueLayout(queue_id=0, depth=8192, qlu=8)
+        lay = QueueLayout(queue_id=0, depth=4096, qlu=8, flag_bytes=8)
+        assert lay.flag_addr(4095) < QueueLayout(queue_id=1).base
+
     def test_is_last_in_line(self):
         lay = QueueLayout(queue_id=0, qlu=8)
         assert lay.is_last_in_line(7)

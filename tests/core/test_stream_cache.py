@@ -10,7 +10,7 @@ from tests.conftest import run_mechanism, simple_stream_program
 
 
 def make_sc(size=1024, item=8):
-    return StreamCache(StreamCacheConfig(enabled=True, size_bytes=size, item_bytes=item))
+    return StreamCache(StreamCacheConfig(size_bytes=size, item_bytes=item))
 
 
 class TestStreamCacheStructure:

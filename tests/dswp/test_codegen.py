@@ -1,7 +1,7 @@
 """Unit tests for the code generator (lowering, hoisting, comm insertion)."""
 
 
-from repro.dswp.codegen import hoistable_ops, lower_partition, lower_single_threaded
+from repro.dswp.codegen import hoistable_ops, lower_pipeline, lower_single_threaded
 from repro.dswp.ir import Loop, Op, OpKind, Sequential
 from repro.dswp.partition import partition_loop
 from repro.sim.isa import InstrKind
@@ -88,7 +88,7 @@ class TestHoisting:
 class TestPartitionLowering:
     def test_two_threads_with_queue(self):
         p = partition_loop(stream_loop(trip=6))
-        prog = lower_partition(p)
+        prog = lower_pipeline(p)
         assert prog.n_threads == 2
         assert prog.queue_endpoints  # at least one queue
         for qid, (prod, cons) in prog.queue_endpoints.items():
@@ -96,7 +96,7 @@ class TestPartitionLowering:
 
     def test_produce_consume_counts_match(self):
         p = partition_loop(stream_loop(trip=6))
-        prog = lower_partition(p)
+        prog = lower_pipeline(p)
         produces = sum(
             1
             for i in prog.threads[0].instructions()
@@ -111,7 +111,7 @@ class TestPartitionLowering:
 
     def test_loop_control_replicated(self):
         p = partition_loop(stream_loop(trip=6))
-        prog = lower_partition(p)
+        prog = lower_pipeline(p)
         for thread in prog.threads:
             branches = sum(
                 1
@@ -122,14 +122,14 @@ class TestPartitionLowering:
 
     def test_builders_are_replayable(self):
         p = partition_loop(stream_loop(trip=4))
-        prog = lower_partition(p)
+        prog = lower_pipeline(p)
         a = [i.kind for i in prog.threads[0].instructions()]
         b = [i.kind for i in prog.threads[0].instructions()]
         assert a == b
 
     def test_lowered_program_runs_on_machine(self):
         p = partition_loop(stream_loop(trip=16))
-        prog = lower_partition(p)
+        prog = lower_pipeline(p)
         stats = Machine(baseline_config(), mechanism="heavywt").run(prog)
         assert stats.cycles > 0
         assert stats.consumer.consumes == 16 * p.comm_ops_per_iteration()
@@ -149,7 +149,7 @@ class TestPartitionLowering:
             trip_count=3,
         )
         p = partition_loop(loop)
-        prog = lower_partition(p)
+        prog = lower_pipeline(p)
         produces = sum(
             1
             for i in prog.threads[0].instructions()

@@ -18,16 +18,17 @@ _SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 _PROBE = """
 import json
-from repro.pipeline.partition import partition_loop_k
+from repro.dswp.partition import partition_loop_k, plan_queue_hops
 from repro.workloads.suite import BENCHMARKS, build_loop, build_partition
+
+def record(p):
+    return [p.stage_of, [[value, src, qid] for (value, src), qid in plan_queue_hops(p).items()]]
 
 out = {}
 for name, info in BENCHMARKS.items():
     if info.partition_mode != "nested":
-        p = build_partition(name, 64)
-        out[name] = [p.stage_of, list(p.crossing_values)]
-p = partition_loop_k(build_loop("mcf", 64), 3)
-out["mcf/k3"] = [p.stage_of, list(p.crossing_values)]
+        out[name] = record(build_partition(name, 64))
+out["mcf/k3"] = record(partition_loop_k(build_loop("mcf", 64), 3))
 print(json.dumps(out, sort_keys=True))
 """
 

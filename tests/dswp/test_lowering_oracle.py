@@ -1,12 +1,13 @@
 """Template lowering ≡ per-op lowering, instruction for instruction.
 
-The code generators lower each stage's loop body once per rotation residue
-and replay that template every iteration.  The reference here is the
+The code generator lowers each stage's loop body once per rotation residue
+and replays that template every iteration.  The reference here is the
 original emitter, kept verbatim: it lowers every IR op afresh for every
 dynamic instance (``_lower_op`` per instruction).  Both must yield the same
 ``(kind, dest, srcs, addr, queue, tag, is_overhead)`` sequence for every
-suite benchmark — partitioned and single-threaded — at hoist depths 0–3,
-and for K=2 and K=3 pipelines.
+suite benchmark — single-threaded, two-stage (against the original
+two-stage emitter, with its crossing-order queue numbering) and K=3 — at
+hoist depths 0–3.
 """
 
 from typing import Dict, Iterator
@@ -17,13 +18,11 @@ from repro.dswp.codegen import (
     INDUCTION_REG,
     _REG_STRIDE,
     hoistable_ops,
-    lower_partition,
+    lower_pipeline,
     lower_single_threaded,
 )
 from repro.dswp.ir import Loop, Op, OpKind, Sequential
-from repro.dswp.partition import Partition, PartitionError
-from repro.pipeline.codegen import lower_pipeline, plan_queue_hops
-from repro.pipeline.scaling import build_pipeline_partition
+from repro.dswp.partition import Partition, PartitionError, plan_queue_hops
 from repro.sim import isa
 from repro.sim.isa import DynInst
 from repro.workloads.suite import BENCHMARK_ORDER, BENCHMARKS, build_loop, build_partition
@@ -164,6 +163,19 @@ class _PerOpPipelineEmitter(_PerOpEmitter):
                 yield isa.produce(qid, self.reg(op.op_id, iteration))
 
 
+def _crossing_queues(p: Partition) -> Dict[str, int]:
+    """The original two-stage queue numbering: one queue per value defined
+    in stage 0 and used in stage 1, numbered in body order."""
+    used = {
+        dep
+        for op in p.loop.body
+        if p.stage_of[op.op_id] == 1
+        for dep in op.deps + op.carried_deps
+    }
+    crossing = [op.op_id for op in p.loop.body if op.op_id in used and p.stage_of[op.op_id] == 0]
+    return {value: i for i, value in enumerate(crossing)}
+
+
 def _tuples(stream):
     return [
         (i.kind, i.dest, i.srcs, i.addr, i.queue, i.tag, i.is_overhead) for i in stream
@@ -184,11 +196,11 @@ def _assert_same(program, oracles):
 class TestTemplateMatchesPerOpLowering:
     def test_partitioned(self, bench, hoist, trips):
         p = build_partition(bench, trips)
-        queue_of = {value: i for i, value in enumerate(p.crossing_values)}
+        queue_of = _crossing_queues(p)
         oracles = [
             _PerOpEmitter(p.loop, p.stage_of, stage, queue_of, hoist) for stage in (0, 1)
         ]
-        _assert_same(lower_partition(p, hoist_depth=hoist), oracles)
+        _assert_same(lower_pipeline(p, hoist_depth=hoist), oracles)
 
     def test_single_threaded(self, bench, hoist, trips):
         loop = build_loop(bench, trips)
@@ -199,7 +211,7 @@ class TestTemplateMatchesPerOpLowering:
     @pytest.mark.parametrize("n_stages", [2, 3])
     def test_pipeline(self, bench, hoist, trips, n_stages):
         try:
-            p = build_pipeline_partition(bench, n_stages, trips)
+            p = build_partition(bench, trips, n_stages)
         except PartitionError:
             pytest.skip(f"{bench} has no {n_stages}-stage partition")
         hops = plan_queue_hops(p)
@@ -225,18 +237,19 @@ def test_repeated_ops_and_every_op_kind():
         trip_count=11,
     )
     stage_of = {"ld": 0, "a": 0, "g": 1, "f": 1, "br": 1, "st": 1}
-    queue_of = {"a": 0}
-    p = Partition(loop=loop, stage_of=stage_of, crossing_values=("a",))
+    p = Partition(loop=loop, stage_of=stage_of)
     p.validate()
+    queue_of = _crossing_queues(p)
+    assert queue_of == {"a": 0}
     for hoist in HOIST_DEPTHS:
         oracles = [_PerOpEmitter(loop, stage_of, s, queue_of, hoist) for s in (0, 1)]
-        _assert_same(lower_partition(p, hoist_depth=hoist), oracles)
+        _assert_same(lower_pipeline(p, hoist_depth=hoist), oracles)
 
 
 def test_non_memory_instructions_carry_their_latency():
     """Templates fix the execution latency at build time: the core reads it
     off the instruction instead of looking the kind up per instance."""
-    program = lower_partition(build_partition("wc", 6))
+    program = lower_pipeline(build_partition("wc", 6))
     for thread in program.threads:
         for inst in thread.instructions():
             if inst.kind in isa.EXEC_LATENCY:

@@ -1,14 +1,25 @@
 """Unit + property tests for the DSWP partitioner."""
 
+import dataclasses
+from typing import Dict, Set
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.dswp.graph import condense
 from repro.dswp.ir import Loop, Op, OpKind
 from repro.dswp.partition import (
+    Partition,
     PartitionError,
     build_dependence_graph,
     partition_loop,
+    plan_queue_hops,
 )
+
+
+def crossing(p):
+    """Values crossing a two-stage partition's boundary, in body order."""
+    return [value for value, _ in plan_queue_hops(p)]
 
 
 def chain_loop(n=6):
@@ -55,7 +66,7 @@ class TestPartitioning:
         p = partition_loop(chain_loop(6))
         w0, w1 = p.stage_weight(0), p.stage_weight(1)
         assert abs(w0 - w1) <= 2.0
-        assert len(p.crossing_values) == 1  # a chain crosses once
+        assert len(crossing(p)) == 1  # a chain crosses once
 
     def test_producer_consumer_shape(self):
         p = partition_loop(producer_consumer_loop())
@@ -76,14 +87,8 @@ class TestPartitioning:
             partition_loop(loop)
 
     def test_validate_catches_backward_dep(self):
-        from repro.dswp.partition import Partition
-
         loop = chain_loop(3)
-        bad = Partition(
-            loop=loop,
-            stage_of={"a0": 1, "a1": 0, "a2": 1},
-            crossing_values=(),
-        )
+        bad = Partition(loop=loop, stage_of={"a0": 1, "a1": 0, "a2": 1})
         with pytest.raises(PartitionError):
             bad.validate()
 
@@ -99,7 +104,7 @@ class TestPartitioning:
             ],
         )
         p = partition_loop(loop)
-        assert p.crossing_values.count("src") == 1
+        assert crossing(p).count("src") == 1
 
     def test_comm_cost_discourages_wide_cuts(self):
         """A high comm weight pushes the cut to a narrow point."""
@@ -115,7 +120,7 @@ class TestPartitioning:
             ],
         )
         narrow = partition_loop(loop, comm_cost_weight=10.0)
-        assert len(narrow.crossing_values) == 1
+        assert len(crossing(narrow)) == 1
 
     def test_single_op_loop_rejected(self):
         """One op is one SCC: nothing to pipeline."""
@@ -153,7 +158,7 @@ class TestPartitioning:
         p = partition_loop(loop, comm_cost_weight=0.0)
         assert abs(p.stage_weight(0) - p.stage_weight(1)) <= 1.0
         # The balanced cut is wide — several middles cross to the sink.
-        assert len(p.crossing_values) > 1
+        assert len(crossing(p)) > 1
 
     def test_comm_weight_dominant_picks_narrowest_cut(self):
         """A huge comm weight accepts imbalance to cross a single value."""
@@ -170,7 +175,7 @@ class TestPartitioning:
             ],
         )
         p = partition_loop(loop, comm_cost_weight=1000.0)
-        assert p.crossing_values == ("src",)
+        assert crossing(p) == ["src"]
 
     def test_comm_ops_per_iteration_counts_repeat(self):
         loop = Loop(
@@ -228,8 +233,9 @@ class TestPartitionProperties:
         p.validate()
         # Both stages non-empty.
         assert p.ops_in_stage(0) and p.ops_in_stage(1)
-        # Crossing values all defined in stage 0.
-        for v in p.crossing_values:
+        # Every queue carries a value from stage 0 to stage 1.
+        assert all(src == 0 for _, src in plan_queue_hops(p))
+        for v in crossing(p):
             assert p.stage_of[v] == 0
 
     @given(loop=random_loops())
@@ -242,3 +248,73 @@ class TestPartitionProperties:
         assert p.stage_weight(0) + p.stage_weight(1) == pytest.approx(
             loop.total_weight()
         )
+
+
+# ----------------------------------------------------------------------
+# The shared cost term against the two cost walks it replaced
+# ----------------------------------------------------------------------
+
+
+def _crossing_values(
+    loop: Loop, op_to_scc: Dict[str, int], stage0_sccs: Set[int]
+) -> Set[str]:
+    """Values defined in stage 0 and used in stage 1 (deduplicated)."""
+    crossing: Set[str] = set()
+    for op in loop.body:
+        if op_to_scc[op.op_id] in stage0_sccs:
+            continue
+        for dep in op.deps + op.carried_deps:
+            if op_to_scc[dep] in stage0_sccs:
+                crossing.add(dep)
+    return crossing
+
+
+def _hop_count(loop: Loop, stage_of: Dict[str, int]) -> int:
+    """Queue items moved per iteration, counting one per boundary crossed."""
+    last_use: Dict[str, int] = {}
+    for op in loop.body:
+        for dep in op.deps + op.carried_deps:
+            if stage_of[dep] < stage_of[op.op_id]:
+                last_use[dep] = max(
+                    last_use.get(dep, 0), stage_of[op.op_id]
+                )
+    return sum(
+        loop.op(v).repeat * (last - stage_of[v]) for v, last in last_use.items()
+    )
+
+
+@st.composite
+def repeated_loops(draw):
+    """A ``random_loops`` loop with each op's ``repeat`` drawn from 1-3."""
+    loop = draw(random_loops())
+    body = [dataclasses.replace(op, repeat=draw(st.integers(1, 3))) for op in loop.body]
+    return Loop(loop.name, body)
+
+
+class TestSharedCommCost:
+    """Both partitioners score with ``comm_ops_per_iteration``.  Equal to the
+    two-stage search's crossing count and the K-stage search's hop count on
+    every stage map (valid or not), it leaves both searches' scores — and so
+    their partitions — as they were."""
+
+    @given(loop=repeated_loops(), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_two_stages_equal_the_crossing_count(self, loop, data):
+        _, op_to_scc, sccs = condense(build_dependence_graph(loop))
+        stage0 = data.draw(st.sets(st.sampled_from(range(len(sccs)))))
+        stage_of = {op.op_id: 0 if op_to_scc[op.op_id] in stage0 else 1 for op in loop.body}
+        old = sum(loop.op(v).repeat for v in _crossing_values(loop, op_to_scc, stage0))
+        assert Partition(loop, stage_of).comm_ops_per_iteration() == old
+
+    @given(loop=repeated_loops(), k=st.integers(2, 6), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_k_stages_equal_the_hop_count(self, loop, k, data):
+        stage_of = {
+            op.op_id: data.draw(st.integers(0, k - 1), label=op.op_id) for op in loop.body
+        }
+        p = Partition(loop, stage_of)
+        assert p.comm_ops_per_iteration() == _hop_count(loop, stage_of)
+        # The queue plan moves exactly the items the cost counts.
+        hops = plan_queue_hops(p)
+        assert sum(loop.op(value).repeat for value, _ in hops) == _hop_count(loop, stage_of)
+        assert sorted(hops.values()) == list(range(len(hops)))

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from repro.core.design_points import OVERRIDE_KNOBS, apply_overrides, get_design_point, with_n_cores
 from repro.faults.plan import FaultKind, FaultPlan, FaultRule
 from repro.harness.campaign import CampaignCell, cell_config, execute_cell
-from repro.pipeline.scaling import build_pipeline
 from repro.sim.config import StreamCacheConfig
 from repro.sim.machine import Machine
 from repro.workloads.suite import build_pipelined, build_single_threaded
@@ -67,7 +66,7 @@ def _reference_fingerprint(cell: CampaignCell) -> str:
     cfg = apply_overrides(point.build_config(), cell.overrides)
     if cell.kind == "pipeline":
         cfg = with_n_cores(cfg, cell.stages)
-        program = build_pipeline(cell.benchmark, cell.stages, cell.trip_count)
+        program = build_pipelined(cell.benchmark, cell.trip_count, cell.stages)
     elif cell.kind == "single":
         program = build_single_threaded(cell.benchmark, cell.trip_count)
     else:
@@ -137,3 +136,13 @@ def test_a_stream_cache_of_part_items_is_a_config_error():
                         overrides={"stream_cache_bytes": 100})
     with pytest.raises(ValueError, match="whole number"):
         cell_config(cell)
+
+
+def test_a_queue_deeper_than_its_backing_region_is_a_config_error():
+    """Each queue has 64 KiB of backing store: 4,096 16-byte slots at the
+    default QLU.  At 8,192 wc's queue 0 would share lines with queue 1."""
+    deep = dict(benchmark="wc", design_point="EXISTING", trip_count=48)
+    cfg, _ = cell_config(CampaignCell(**deep, overrides={"queue_depth": 4096}))
+    assert cfg.queues.depth == 4096
+    with pytest.raises(ValueError, match="backing region"):
+        cell_config(CampaignCell(**deep, overrides={"queue_depth": 8192}))

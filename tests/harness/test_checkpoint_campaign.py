@@ -147,15 +147,16 @@ class TestWorkerCheckpointFlow:
         assert isinstance(outcome, RunResult) and outcome.ok
         assert "resumed_from_cycle" not in outcome.extras
 
-    @pytest.mark.parametrize("stamped", [1, 2, 3, 4], ids=["v1", "v2", "v3", "v4"])
+    @pytest.mark.parametrize("stamped", [1, 2, 3, 4, 5], ids=["v1", "v2", "v3", "v4", "v5"])
     def test_v1_snapshot_quarantined_then_cold_start(self, tmp_path, stamped):
         """A snapshot stamped with a retired format is never unpickled: it
         is quarantined and the cell reruns from cycle 0.  v1 machines
         carried the list calendar; v2 machines lack the slotted records and
         build-time bindings of v3; v3 machines lack the memory system's
         bound pools and set tables and the mechanisms' bindings of v4; v4
-        machines' configs still carry the retired kernel name."""
-        assert CHECKPOINT_VERSION == 5
+        machines' configs still carry the retired kernel name; v5 machines'
+        stream-cache and trace configs still carry an ``enabled`` flag."""
+        assert CHECKPOINT_VERSION == 6
         path, _ = _preempt_to_snapshot(tmp_path)
         generations = [path, path + ".prev"]
         for generation in generations:  # both generations in the old format

@@ -76,7 +76,7 @@ def _observed(outcome):
 def _generator_run(cell):
     """The cell on a program fresh from the partitioner and codegen."""
     cfg, point = cell_config(cell)
-    program, _ = programs._lower(cell.kind, cell.benchmark, cell.trip_count, cell.stages)
+    program = programs._lower(cell.kind, cell.benchmark, cell.trip_count, cell.stages)
     return Machine(cfg, mechanism=point.mechanism).run(program)
 
 

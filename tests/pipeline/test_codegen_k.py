@@ -1,23 +1,14 @@
-"""K-stage code generation: queue topology, relays, and K=2 identity."""
+"""K-stage code generation: queue topology and relays."""
 
 import pytest
 
 from repro.core.design_points import get_design_point, with_n_cores
-from repro.dswp.codegen import lower_partition
 from repro.dswp.ir import Loop, Op, OpKind
 from repro.dswp.partition import Partition
-from repro.pipeline.codegen import lower_pipeline, plan_queue_hops
-from repro.pipeline.partition import partition_loop_k
+from repro.pipeline import lower_pipeline, partition_loop_k, plan_queue_hops
 from repro.sim.isa import InstrKind
 from repro.sim.machine import Machine
 from repro.workloads.suite import BENCHMARKS, build_loop, build_partition
-
-
-def instruction_tuples(thread):
-    return [
-        (i.kind, i.dest, i.srcs, i.addr, i.queue, i.tag)
-        for i in thread.instructions()
-    ]
 
 
 def span_partition():
@@ -31,11 +22,7 @@ def span_partition():
         ],
         trip_count=24,
     )
-    p = Partition(
-        loop=loop,
-        stage_of={"a": 0, "b": 1, "c": 2},
-        crossing_values=("a", "b"),
-    )
+    p = Partition(loop=loop, stage_of={"a": 0, "b": 1, "c": 2})
     p.validate()
     return p
 
@@ -55,15 +42,22 @@ class TestQueuePlan:
         }
 
     def test_two_stage_plan_matches_crossing_value_order(self):
+        """At two stages: one queue per value stage 1 uses from stage 0,
+        numbered in body order."""
         for name, info in BENCHMARKS.items():
             if info.partition_mode == "nested":
                 continue
             p = build_partition(name, 40)
-            hops = plan_queue_hops(p)
-            expected = {
-                (value, 0): i for i, value in enumerate(p.crossing_values)
+            used = {
+                dep
+                for op in p.loop.body
+                if p.stage_of[op.op_id] == 1
+                for dep in op.deps + op.carried_deps
             }
-            assert hops == expected, name
+            crossing = [
+                op.op_id for op in p.loop.body if op.op_id in used and p.stage_of[op.op_id] == 0
+            ]
+            assert plan_queue_hops(p) == {(value, 0): i for i, value in enumerate(crossing)}, name
 
 
 class TestRelayForwarding:
@@ -101,39 +95,6 @@ class TestRelayForwarding:
         # The middle stage both consumes and relays.
         assert stats.threads[1].produces > 0
         assert stats.threads[1].consumes > 0
-
-
-class TestTwoStageIdentity:
-    @pytest.mark.parametrize(
-        "name",
-        [n for n, info in BENCHMARKS.items() if info.partition_mode != "nested"],
-    )
-    def test_instruction_streams_identical(self, name):
-        """lower_pipeline == lower_partition for every two-stage partition."""
-        p = build_partition(name, 48)
-        old = lower_partition(p)
-        new = lower_pipeline(p)
-        assert old.queue_endpoints == new.queue_endpoints
-        assert len(new.threads) == 2
-        for t_old, t_new in zip(old.threads, new.threads):
-            assert instruction_tuples(t_old) == instruction_tuples(t_new)
-
-    @pytest.mark.parametrize("point", ["EXISTING", "SYNCOPTI_SC_Q64", "HEAVYWT"])
-    def test_cycle_identical_on_machine(self, point):
-        """The acceptance bar: K=2 runs are cycle-identical to the old path."""
-        p = build_partition("wc", 80)
-        dp = get_design_point(point)
-        old_stats = Machine(dp.build_config(), mechanism=dp.mechanism).run(
-            lower_partition(p)
-        )
-        new_stats = Machine(dp.build_config(), mechanism=dp.mechanism).run(
-            lower_pipeline(p)
-        )
-        assert new_stats.cycles == old_stats.cycles
-        for t_old, t_new in zip(old_stats.threads, new_stats.threads):
-            assert t_new.components == t_old.components
-            assert t_new.app_instructions == t_old.app_instructions
-            assert t_new.comm_instructions == t_old.comm_instructions
 
 
 class TestDeepPipelines:

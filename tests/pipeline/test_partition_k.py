@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dswp.ir import Loop, Op, OpKind
-from repro.dswp.partition import PartitionError
-from repro.pipeline.partition import crossing_values_k, partition_loop_k
+from repro.dswp.partition import PartitionError, partition_loop_k, plan_queue_hops
 
 
 def chain_loop(n=8):
@@ -92,7 +91,7 @@ class TestPartitionLoopK:
             ],
         )
         p = partition_loop_k(loop, 2, comm_cost_weight=1000.0)
-        assert p.crossing_values == ("src",)
+        assert plan_queue_hops(p) == {("src", 0): 0}
         assert p.stage_of["src"] == 0
         assert all(p.stage_of[m] == 1 for m in ("m1", "m2", "m3", "m4"))
 
@@ -100,21 +99,7 @@ class TestPartitionLoopK:
         a = partition_loop_k(chain_loop(10), 5)
         b = partition_loop_k(chain_loop(10), 5)
         assert a.stage_of == b.stage_of
-        assert a.crossing_values == b.crossing_values
-
-
-class TestCrossingValuesK:
-    def test_multi_hop_value_listed_once_in_body_order(self):
-        loop = Loop(
-            "span",
-            [
-                Op("a", OpKind.IALU),
-                Op("b", OpKind.IALU, deps=("a",)),
-                Op("c", OpKind.IALU, deps=("a", "b")),
-            ],
-        )
-        stage_of = {"a": 0, "b": 1, "c": 2}
-        assert crossing_values_k(loop, stage_of) == ("a", "b")
+        assert plan_queue_hops(a) == plan_queue_hops(b)
 
 
 @st.composite

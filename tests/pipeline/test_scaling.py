@@ -93,16 +93,16 @@ class TestUnbuildablePairs:
         from repro.harness import programs
         from repro.harness.campaign import CampaignCell, execute_cell
         from repro.harness.experiments import experiment_trips
-        from repro.pipeline import scaling
+        from repro.workloads import suite
 
         calls = []
-        real = scaling.partition_loop_k
+        real = suite.partition_loop_k
 
         def counting(loop, n_stages):
             calls.append(n_stages)
             return real(loop, n_stages)
 
-        monkeypatch.setattr(scaling, "partition_loop_k", counting)
+        monkeypatch.setattr(suite, "partition_loop_k", counting)
         programs.clear()
         points = ("EXISTING", "HEAVYWT")
         result = pipeline_scaling(

@@ -28,7 +28,7 @@ from repro.trace.buffer import TraceConfig
 from repro.workloads.suite import build_pipelined
 
 #: Snapshot format version -> digest of the pickled machine layout.
-LAYOUT_DIGESTS = {4: "8a1cb8d678e7e8e9", 5: "0b764b4bc74b927c"}
+LAYOUT_DIGESTS = {4: "8a1cb8d678e7e8e9", 5: "0b764b4bc74b927c", 6: "c92d9076fb682921"}
 
 
 class _LayoutRecorder(pickle.Pickler):

@@ -190,6 +190,7 @@ def test_bad_queries_become_per_query_errors(tmp_path):
         {**QUERY, "benchmark": "no-such"},  # unknown, with a trip count
         {**QUERY, "overrides": {"nope": 1}},  # unknown knob
         {**QUERY, "overrides": {"queue_depth": 7}},  # not a multiple of the QLU
+        {**QUERY, "overrides": {"queue_depth": 8192}},  # overruns its queue's region
         {**QUERY, "stages": 3},  # a pipeline depth on a two-stage cell
         {**QUERY, "kind": "pipeline", "stages": 3, "overrides": {"n_cores": 4}},
         {**QUERY, "kind": "single", "overrides": {"queue_depth": 7}},  # the baseline too

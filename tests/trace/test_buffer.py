@@ -11,7 +11,6 @@ from repro.trace.events import CATEGORIES, TraceEvent, category_of
 class TestTraceConfig:
     def test_defaults_validate(self):
         cfg = TraceConfig().validate()
-        assert cfg.enabled
         assert cfg.capacity > 0
 
     def test_rejects_nonpositive_capacity(self):

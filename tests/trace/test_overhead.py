@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import time
 
+import pytest
+
 from repro.harness.runner import run_benchmark
 from repro.sim.machine import Machine
 from repro.trace.buffer import TraceConfig
@@ -35,10 +37,12 @@ class TestStructuralZeroOverhead:
         assert machine.mem.trace is None
         assert machine.mem.bus.trace is None
 
-    def test_enabled_false_behaves_like_none(self, config):
-        cfg = config.copy(trace=TraceConfig(enabled=False))
-        machine = Machine(cfg, mechanism="existing")
-        assert machine.trace is None
+    def test_trace_none_is_the_only_off_switch(self, config):
+        """Any ``TraceConfig`` builds a buffer; ``trace=None`` builds none."""
+        with pytest.raises(TypeError):
+            TraceConfig(enabled=False)
+        cfg = config.copy(trace=TraceConfig(capacity=16, categories=("bus",)))
+        assert Machine(cfg, mechanism="existing").trace is not None
 
     def test_run_result_trace_is_none_when_disabled(self):
         result = run_benchmark("wc", "EXISTING", trip_count=20)
