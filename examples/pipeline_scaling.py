@@ -17,7 +17,7 @@ Usage::
 
 import argparse
 
-from repro.pipeline.scaling import (
+from repro.harness.experiments import (
     PIPELINE_BENCHMARKS,
     SCALING_POINTS,
     STAGE_COUNTS,

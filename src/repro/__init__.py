@@ -11,14 +11,14 @@ The package provides:
   design space (EXISTING software queues, MEMOPTI write-forwarding,
   SYNCOPTI occupancy counters + stream cache, HEAVYWT dedicated hardware);
 * :mod:`repro.dswp` — a Decoupled Software Pipelining substrate (loop IR,
-  dependence graphs, SCC partitioning, code generation);
-* :mod:`repro.pipeline` — DSWP generalized to K stages on K cores: an
-  exact chain-decomposing partitioner, relay codegen over adjacent-pair
-  queues, and the pipeline-scaling study across the design space;
+  dependence graphs, SCC partitioning, code generation) for any stage
+  count K on K cores: an exact chain-decomposing partitioner and relay
+  codegen over adjacent-pair queues;
 * :mod:`repro.workloads` — the Table 1 benchmark suite rebuilt as
   calibrated IR kernels;
-* :mod:`repro.harness` — one runnable experiment per table/figure, with
-  per-cell failure isolation for sweeps;
+* :mod:`repro.harness` — one runnable experiment per table/figure, plus
+  the pipeline-scaling study across the design space, with per-cell
+  failure isolation for sweeps;
 * :mod:`repro.faults` — seeded, deterministic fault injection (forward
   delay/drop, bus jitter, queue-slot stalls, ACK delays) for exercising
   the mechanisms' tolerance paths and the scheduler's post-mortems;
@@ -57,17 +57,20 @@ _EXPORTS = {
         "with_transit_delay",
     ),
     "repro.core.mechanism": ("available_mechanisms", "create_mechanism"),
+    "repro.dswp.codegen": ("lower_pipeline",),
+    "repro.dswp.partition": ("partition_loop_k",),
     "repro.faults": ("FailureClass", "FaultKind", "FaultPlan", "FaultRule", "classify_outcome"),
     "repro.harness.campaign": (
         "CampaignCell", "CampaignLedger", "CampaignPolicy", "CampaignReport", "campaign_status",
         "execute_cell", "run_campaign", "run_cells",
     ),
-    "repro.harness.experiments": ("ALL_EXPERIMENTS", "ExperimentResult", "run_all", "sweep"),
+    "repro.harness.experiments": (
+        "ALL_EXPERIMENTS", "ExperimentResult", "pipeline_scaling", "run_all", "sweep",
+    ),
     "repro.harness.runner": (
         "FailedRun", "PreemptedRun", "RunOutcome", "RunResult", "TimedOutRun", "run_benchmark",
         "run_single_threaded",
     ),
-    "repro.pipeline": ("lower_pipeline", "partition_loop_k", "pipeline_scaling"),
     "repro.sim.checkpoint": (
         "Checkpointer", "MachineSnapshot", "PreemptionRequested", "SnapshotCorruptError",
         "SnapshotError", "inspect_snapshot", "quarantine_snapshot", "read_snapshot",
@@ -100,98 +103,7 @@ _EXPORTS = {
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 
-__all__ = [
-    "ALL_EXPERIMENTS",
-    "BENCHMARKS",
-    "BENCHMARK_ORDER",
-    "COMM_OP_POINTS",
-    "DESIGN_POINTS",
-    "OVERRIDE_KNOBS",
-    "CampaignCell",
-    "CampaignLedger",
-    "CampaignPolicy",
-    "CampaignReport",
-    "Checkpointer",
-    "CommOpProfiler",
-    "CommOpReport",
-    "DeadlockError",
-    "DesignPoint",
-    "ExperimentResult",
-    "FailedRun",
-    "FailureClass",
-    "FaultKind",
-    "FaultPlan",
-    "FaultRule",
-    "Machine",
-    "MachineConfig",
-    "MachineSnapshot",
-    "PostMortem",
-    "PreemptedRun",
-    "PreemptionRequested",
-    "Program",
-    "ResultStore",
-    "RunOutcome",
-    "RunResult",
-    "RunStats",
-    "SimKernel",
-    "SimulationError",
-    "SimulationLimitError",
-    "SnapshotCorruptError",
-    "SnapshotError",
-    "StoreCorruptError",
-    "StoreError",
-    "ThreadProgram",
-    "ThreadStats",
-    "TimedOutRun",
-    "TraceBuffer",
-    "TraceConfig",
-    "TraceEvent",
-    "WallClockExceededError",
-    "WorkQueue",
-    "apply_overrides",
-    "available_mechanisms",
-    "baseline_config",
-    "campaign_status",
-    "classify_outcome",
-    "build_partition",
-    "build_pipelined",
-    "build_single_threaded",
-    "bus_utilization",
-    "cell_digest",
-    "check_bus_utilization",
-    "check_occupancy",
-    "create_mechanism",
-    "execute_cell",
-    "geomean",
-    "get_design_point",
-    "inspect_snapshot",
-    "lower_pipeline",
-    "measure_comm_ops",
-    "partition_loop_k",
-    "pipeline_scaling",
-    "occupancy_plateaus",
-    "quarantine_snapshot",
-    "queue_occupancy",
-    "read_snapshot",
-    "recover_snapshot",
-    "resume_run",
-    "run_all",
-    "run_benchmark",
-    "run_campaign",
-    "run_cells",
-    "run_single_threaded",
-    "run_worker",
-    "sweep",
-    "to_chrome_trace",
-    "with_bus_latency",
-    "with_bus_width",
-    "with_n_cores",
-    "with_queue_depth",
-    "with_transit_delay",
-    "write_chrome_trace",
-    "write_snapshot",
-    "write_csv",
-]
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name):

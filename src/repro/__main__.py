@@ -13,7 +13,7 @@ Examples::
 
     # Checkpoint every 20k simulated cycles: killed/preempted cells resume
     # mid-run (bit-identically) instead of restarting from cycle 0.
-    python -m repro campaign run --grid pipeline --ledger pipe.jsonl \\
+    python -m repro campaign run --grid pipeline_scaling --ledger pipe.jsonl \\
         --jobs 4 --checkpoint-every 20000
 
     # Content-addressed result store: the second run is 100% store hits.
@@ -35,13 +35,14 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.harness.experiments import ALL_EXPERIMENTS
+from repro.harness.experiments import ALL_EXPERIMENTS, EXHIBITS, run_exhibits
 from repro.sim.kernel import canonical_kernel
 
-#: Named campaign grids ``campaign run`` can build.  ``resume`` rebuilds the
-#: same grid (cells never started leave no spec in the ledger, so the grid
-#: definition — not the ledger — is the source of truth for what to run).
-CAMPAIGN_GRIDS = ("figure7", "figure12", "pipeline", "smoke")
+#: Named campaign grids ``campaign run`` can build: every exhibit that
+#: simulates, plus ``smoke``.  ``resume`` rebuilds the same grid (cells never
+#: started leave no spec in the ledger, so the grid definition — not the
+#: ledger — is the source of truth for what to run).
+CAMPAIGN_GRIDS = (*(name for name, exhibit in EXHIBITS.items() if exhibit.cells(1.0)), "smoke")
 
 
 def _first_doc_line(fn) -> str:
@@ -55,53 +56,16 @@ def _first_doc_line(fn) -> str:
 
 def _campaign_grid(name: str, scale: float):
     """Build the named grid's campaign cells."""
-    from repro.core.design_points import FIGURE7_ORDER, FIGURE12_ORDER
+    if name != "smoke":
+        return EXHIBITS[name].cells(scale)
+    from repro.core.design_points import FIGURE7_ORDER
     from repro.harness.campaign import CampaignCell
-    from repro.harness.experiments import experiment_trips
-    from repro.pipeline.scaling import PIPELINE_BENCHMARKS, SCALING_POINTS
-    from repro.workloads.suite import BENCHMARK_ORDER
 
-    if name == "figure7":
-        return [
-            CampaignCell(benchmark=b, design_point=p, trip_count=experiment_trips(b, scale))
-            for b in BENCHMARK_ORDER
-            for p in FIGURE7_ORDER
-        ]
-    if name == "figure12":
-        return [
-            CampaignCell(benchmark=b, design_point=p, trip_count=experiment_trips(b, scale))
-            for b in BENCHMARK_ORDER
-            for p in FIGURE12_ORDER
-        ]
-    if name == "pipeline":
-        cells = [
-            CampaignCell(benchmark=b, kind="single", trip_count=experiment_trips(b, scale))
-            for b in PIPELINE_BENCHMARKS
-        ]
-        cells += [
-            CampaignCell(
-                benchmark=b,
-                design_point=p,
-                kind="pipeline",
-                stages=k,
-                trip_count=experiment_trips(b, scale),
-            )
-            for b in PIPELINE_BENCHMARKS
-            for k in (2, 4)
-            for p in SCALING_POINTS
-        ]
-        return cells
-    if name == "smoke":
-        return [
-            CampaignCell(
-                benchmark=b,
-                design_point=p,
-                trip_count=max(32, int(64 * scale)),
-            )
-            for b in ("wc", "fir")
-            for p in FIGURE7_ORDER
-        ]
-    raise KeyError(f"unknown campaign grid {name!r}; known: {CAMPAIGN_GRIDS}")
+    return [
+        CampaignCell(benchmark=b, design_point=p, trip_count=max(32, int(64 * scale)))
+        for b in ("wc", "fir")
+        for p in FIGURE7_ORDER
+    ]
 
 
 def _add_kernel_argument(parser: argparse.ArgumentParser) -> None:
@@ -148,8 +112,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help=(
-            "worker processes for each experiment's grid (1 = serial "
-            "in-process, the default)"
+            "worker processes for the experiments' cells, one pool for all "
+            "of them (1 = serial in-process, the default)"
         ),
     )
     _add_kernel_argument(run)
@@ -717,13 +681,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
     failed = 0
-    for name in names:
-        fn = ALL_EXPERIMENTS[name]
-        result = (
-            fn()
-            if name.startswith("table")
-            else fn(args.scale, jobs=args.jobs)
-        )
+    for result in run_exhibits(names, args.scale, args.jobs):
         print(result.text)
         print()
         failed += len(result.failures)

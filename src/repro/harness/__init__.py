@@ -5,7 +5,8 @@ Three layers, each building on the one below:
 * :mod:`repro.harness.runner` — run outcomes, and one simulation per
   call: :func:`run_benchmark` runs a campaign cell and raises on failure.
 * :mod:`repro.harness.experiments` — one function per table/figure of the
-  paper, each a resilient grid over (benchmark x design point) cells.
+  paper, each a resilient grid over (benchmark x design point) cells plus
+  a reducer, and the pipeline-scaling study.
 * :mod:`repro.harness.campaign` — the resilient campaign runner: a worker
   pool with per-cell wall-clock watchdogs, seeded retry backoff for
   transient failures, a crash-safe JSONL journal of attempts, and the

@@ -1329,13 +1329,7 @@ def run_campaign(
     return report
 
 
-def run_cells(
-    cells: Iterable[CampaignCell],
-    jobs: int = 1,
-    policy: Optional[CampaignPolicy] = None,
-    ledger_path: Optional[str] = None,
-    progress: Optional[Callable[[str], None]] = None,
-) -> Dict[str, RunOutcome]:
+def run_cells(cells: Iterable[CampaignCell], jobs: int = 1) -> Dict[str, RunOutcome]:
     """Run cells and return ``{cell key: outcome}`` — the figure-facing API.
 
     ``jobs == 1`` (the default) executes serially in-process via
@@ -1346,14 +1340,9 @@ def run_cells(
     reject an invalid cell before any cell runs.
     """
     cells = [cell.validate() for cell in cells]
-    if jobs <= 1 and ledger_path is None:
+    if jobs <= 1:
         return {cell.key(): execute_cell(cell) for cell in cells}
-    pool_policy = policy or CampaignPolicy()
-    pool_policy.jobs = max(1, jobs)
-    report = run_campaign(
-        cells, pool_policy, ledger_path=ledger_path, progress=progress
-    )
-    return report.outcomes
+    return run_campaign(cells, CampaignPolicy(jobs=jobs)).outcomes
 
 
 # ----------------------------------------------------------------------

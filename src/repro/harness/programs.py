@@ -13,11 +13,12 @@ queue workers, serve misses, and
 :func:`~repro.harness.runner.run_benchmark` /
 :func:`~repro.harness.runner.run_single_threaded`.
 
-* **Key**: ``(kind, benchmark, trip count, stages)``.  Both pipelined
-  kinds lower through :func:`~repro.workloads.suite.build_pipelined` (a
-  ``"benchmark"`` cell is its two-stage program); a pipeline cell reads
-  each hop's source stage off its queue's producer in
-  ``Program.queue_endpoints``.
+* **Key**: ``(single-threaded, benchmark, trip count, stages)``.  Both
+  pipelined kinds lower through
+  :func:`~repro.workloads.suite.build_pipelined`, and a ``"benchmark"``
+  cell is the two-stage program, so it shares one entry with a pipeline
+  cell of ``stages=2``; a pipeline cell reads each hop's source stage off
+  its queue's producer in ``Program.queue_endpoints``.
 * **Exact**: nothing assigns to an emitted
   :class:`~repro.sim.isa.DynInst` — the core, the mechanisms and the memory
   system only read instructions — so a replayed stream is the stream the
@@ -55,8 +56,8 @@ __all__ = ["CACHE_BUDGET", "LoweredProgram", "clear", "lowered_program"]
 #: and single-threaded programs at the experiment trip counts fit together.
 CACHE_BUDGET = 32_768
 
-#: ``(kind, benchmark, trip count, stages)``.
-Key = Tuple[str, str, Optional[int], Optional[int]]
+#: ``(single-threaded, benchmark, trip count, stages)``.
+Key = Tuple[bool, str, Optional[int], int]
 
 
 @dataclass(frozen=True)
@@ -84,13 +85,13 @@ def lowered_program(
     cache nothing.
     """
     global _held
-    key = (kind, benchmark, trip_count, stages)
+    key = (kind == "single", benchmark, trip_count, stages or 2)
     with _lock:
         entry = _entries.get(key)
         if entry is not None:
             _entries.move_to_end(key)
             return entry
-    entry = _materialized(_lower(*key), CACHE_BUDGET)
+    entry = _materialized(_lower(kind, benchmark, trip_count, stages), CACHE_BUDGET)
     if entry.size == 0:
         return entry
     with _lock:

@@ -64,8 +64,6 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
-import time as _time
-
 from repro.sim.kernel.base import CoreRunner, SimKernel, _State
 from repro.sim.stats import RunStats
 
@@ -650,24 +648,13 @@ def resume_run(
         generators.append(machine.cores[i].run(stream))
     if checkpoint is not None:
         checkpoint.attach(machine, program, from_cycle=snapshot.cycle)
-    started = _time.perf_counter()
-    engine = SimKernel(
-        generators,
-        max_steps=max_steps,
-        context_probe=machine._forensics_probe,
-        trace=machine.trace,
-        wall_clock_budget=wall_clock_budget,
-        checkpoint=checkpoint,
-        abort=abort,
-    )
-    engine.total_steps = snapshot.total_steps
-    for runner, rs in zip(engine.runners, snapshot.runners):
-        _restore_runner(runner, rs)
-    engine.run()
-    return RunStats(
-        threads=[machine.cores[i].stats for i in range(program.n_threads)],
-        host_seconds=_time.perf_counter() - started,
-    )
+
+    def restore(engine: SimKernel) -> None:
+        engine.total_steps = snapshot.total_steps
+        for runner, rs in zip(engine.runners, snapshot.runners):
+            _restore_runner(runner, rs)
+
+    return machine._drive(generators, max_steps, wall_clock_budget, checkpoint, abort, restore)
 
 
 def _restore_runner(runner: CoreRunner, rs: RunnerSnapshot) -> None:

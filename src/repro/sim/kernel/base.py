@@ -457,7 +457,8 @@ def kernel_class(name: str) -> Type[SimKernel]:
 def observe_run(stats) -> None:
     """Fold one completed run's throughput into ``repro.obs``.
 
-    Called by :meth:`Machine.run` after stamping ``host_seconds`` — i.e.
+    Called by :meth:`Machine.run` and :func:`~repro.sim.checkpoint.resume_run`
+    after stamping ``host_seconds`` — i.e.
     once per simulation, entirely outside the stepping loop, in whatever
     process ran the kernel (a serve pool worker, a fleet worker, the
     campaign parent).  Observes ``simulated_cycles_per_sec`` into the

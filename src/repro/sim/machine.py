@@ -142,6 +142,15 @@ class Machine:
         ]
         if checkpoint is not None:
             checkpoint.attach(self, program)
+        return self._drive(generators, max_steps, wall_clock_budget, checkpoint, abort)
+
+    def _drive(
+        self, generators, max_steps, wall_clock_budget, checkpoint, abort, restore=None
+    ) -> RunStats:
+        """Step one generator per program thread to completion and return
+        the run's stats: the one kernel drive of a fresh run and of
+        :func:`~repro.sim.checkpoint.resume_run`, whose ``restore`` sets the
+        kernel's step count and runner states before it steps."""
         started = time.perf_counter()
         engine = SimKernel(
             generators,
@@ -152,9 +161,11 @@ class Machine:
             checkpoint=checkpoint,
             abort=abort,
         )
+        if restore is not None:
+            restore(engine)
         engine.run()
         stats = RunStats(
-            threads=[self.cores[i].stats for i in range(program.n_threads)],
+            threads=[self.cores[i].stats for i in range(len(generators))],
             host_seconds=time.perf_counter() - started,
         )
         # Host-side throughput observation (repro.obs): once per run,

@@ -307,7 +307,8 @@ class RunStats:
         """Highest-numbered thread by convention (the pipeline's last stage).
 
         Thread 1 for the paper's two-stage partitions; the terminal stage
-        for the K-stage pipelines of :mod:`repro.pipeline`.
+        for the K-stage pipelines of the scaling study
+        (:func:`repro.harness.experiments.pipeline_scaling`).
         """
         return self.thread(max(t.thread_id for t in self.threads))
 

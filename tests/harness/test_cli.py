@@ -1,9 +1,12 @@
 """The ``python -m repro`` entry point."""
 
+import hashlib
+
 import pytest
 
-from repro.__main__ import main
-from repro.harness.experiments import ALL_EXPERIMENTS
+from repro.__main__ import CAMPAIGN_GRIDS, _campaign_grid, main
+from repro.harness.campaign import CampaignLedger
+from repro.harness.experiments import ALL_EXPERIMENTS, EXHIBITS
 
 
 class TestList:
@@ -48,3 +51,39 @@ class TestRun:
             main(["run", "table1", "--kernel", "warp"])
         assert exc_info.value.code == 2  # argparse usage error
         assert "--kernel" in capsys.readouterr().err
+
+
+class TestCampaignGrids:
+    def test_grids_are_the_simulating_exhibits_and_smoke(self):
+        assert CAMPAIGN_GRIDS == (
+            "figure6",
+            "figure7",
+            "figure8",
+            "figure9",
+            "figure10",
+            "figure11",
+            "figure12",
+            "pipeline_scaling",
+            "smoke",
+        )
+
+    @pytest.mark.parametrize(
+        "grid, digest",
+        [
+            ("figure7", "7898a80527990b09"),
+            ("figure12", "8c58eb95244e8983"),
+            ("smoke", "cdad49cd410df801"),
+        ],
+    )
+    def test_grids_keep_their_cells_in_order(self, grid, digest):
+        # Ledgers and stores written by earlier campaigns name these keys.
+        keys = "\n".join(cell.key() for cell in _campaign_grid(grid, 1.0))
+        assert hashlib.sha256(keys.encode()).hexdigest()[:16] == digest
+
+    def test_a_figure_grid_journals_exactly_its_cells(self, tmp_path, capsys):
+        ledger = str(tmp_path / "figure9.jsonl")
+        argv = ["campaign", "run", "--grid", "figure9", "--scale", "0.05", "--ledger", ledger]
+        assert main(argv) == 0
+        journalled = {r["cell"] for r in CampaignLedger.read(ledger) if "cell" in r}
+        assert journalled == {cell.key() for cell in EXHIBITS["figure9"].cells(0.05)}
+        assert len(journalled) == 18

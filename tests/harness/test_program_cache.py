@@ -1,10 +1,10 @@
 """The per-process cache of lowered programs is exact and bounded.
 
 Every run path takes its program from :mod:`repro.harness.programs`, which
-lowers a (kind, benchmark, trip count, stages) program once, materializes
-its streams into tuples and shares them with every later cell.  Sharing is
-exact only because nothing assigns to an emitted ``DynInst``; these tests
-pin that from the outside:
+lowers a (single-threaded or not, benchmark, trip count, stages) program
+once, materializes its streams into tuples and shares them with every later
+cell.  Sharing is exact only because nothing assigns to an emitted
+``DynInst``; these tests pin that from the outside:
 
 * **Exactness**: a cell run from a program that cells of other design
   points already ran equals the same cell run after :func:`programs.clear`
@@ -156,6 +156,15 @@ def test_pipeline_cell_from_a_cached_program(lowerings):
         assert _observed(outcome) == _observed(cold)
         assert outcome.extras["hop_delays"] == cold.extras["hop_delays"]
         assert _trace_stream(outcome) == _trace_stream(cold)
+
+
+def test_two_stage_program_is_one_entry_for_either_kind(lowerings):
+    # A "benchmark" cell runs the two-stage pipeline: a pipeline cell at
+    # stages=2 runs the same program, so it takes the same entry.
+    first = programs.lowered_program("benchmark", "wc", 300, None)
+    assert programs.lowered_program("pipeline", "wc", 300, 2) is first
+    assert lowerings == [("benchmark", "wc", 300, None)]
+    assert programs._held == first.size == 6_900
 
 
 def test_killed_cell_resumes_from_a_cached_program(tmp_path):

@@ -107,6 +107,31 @@ def test_observe_run_feeds_registry_and_log(tmp_path):
     assert kernel_events[0]["cycles"] == outcome.cycles
 
 
+def test_resumed_run_is_observed_once(tmp_path):
+    """A run finished from a snapshot is observed like any other run."""
+    from repro.harness.campaign import CampaignCell, cell_checkpoint_path, run_cell
+    from repro.obs.events import read_events
+    from repro.sim.checkpoint import Checkpointer, PreemptionRequested, recover_snapshot
+
+    cell = CampaignCell(benchmark="wc", design_point="EXISTING", trip_count=200)
+    path = cell_checkpoint_path(str(tmp_path), cell)
+    checkpointer = Checkpointer(every=10_000, path=path)
+    checkpointer.on_snapshot = lambda snapshot, _path: checkpointer.request_preempt()
+    with pytest.raises(PreemptionRequested):
+        run_cell(cell, checkpoint=checkpointer)
+    snapshot = recover_snapshot(path).snapshot
+    assert snapshot.cycle >= 10_000
+
+    log = str(tmp_path / "obs.jsonl")
+    state = runtime.configure(log_path=log, registry=MetricsRegistry())
+    result = run_cell(cell, resume_from=snapshot)
+    assert result.extras["resumed_from_cycle"] == snapshot.cycle
+    runs = state.registry.counter("repro_sim_runs_total", kernel="reference")
+    assert runs.value == 1
+    kernel_events = [e for e in read_events(log) if e["event"] == "kernel.run"]
+    assert [e["cycles"] for e in kernel_events] == [result.cycles]
+
+
 def test_observe_run_disabled_is_free(tmp_path):
     """With obs off the machine runs identically and writes nothing."""
     from repro.harness.campaign import CampaignCell, execute_cell

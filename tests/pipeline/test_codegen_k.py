@@ -3,9 +3,9 @@
 import pytest
 
 from repro.core.design_points import get_design_point, with_n_cores
+from repro.dswp.codegen import lower_pipeline
 from repro.dswp.ir import Loop, Op, OpKind
-from repro.dswp.partition import Partition
-from repro.pipeline import lower_pipeline, partition_loop_k, plan_queue_hops
+from repro.dswp.partition import Partition, partition_loop_k, plan_queue_hops
 from repro.sim.isa import InstrKind
 from repro.sim.machine import Machine
 from repro.workloads.suite import BENCHMARKS, build_loop, build_partition

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.harness.experiments import ALL_EXPERIMENTS
-from repro.pipeline.scaling import pipeline_scaling
+from repro.harness.experiments import ALL_EXPERIMENTS, pipeline_scaling
 
 
 @pytest.fixture(scope="module")
