@@ -150,6 +150,9 @@ def _points_grid(
     fault_plan_for=None,
 ) -> Grid:
     """``(benchmark, point) -> cell`` over every benchmark and design point."""
+    # Lists: ``points`` is read once per benchmark, so a one-shot iterator
+    # would give every benchmark after the first no cells.
+    benchmarks, points = list(benchmarks), list(points)
     return {
         (bench, point): CampaignCell(
             benchmark=bench,

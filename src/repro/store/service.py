@@ -20,7 +20,8 @@ Three guarantees:
   queries costs one simulation; the store's dedupe semantics extend the
   same property across processes and hosts;
 * **stdlib only** — the HTTP layer is a minimal HTTP/1.1 implementation
-  over ``asyncio`` streams; no web framework enters the dependency set.
+  on an :class:`asyncio.Protocol` (one request per connection); no web
+  framework enters the dependency set.
 
 Endpoints::
 
@@ -49,10 +50,11 @@ import asyncio
 import concurrent.futures
 import json
 import multiprocessing
+import re
 import signal
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.design_points import get_design_point
 from repro.harness.campaign import CampaignCell, CampaignPolicy, CellTask, cell_config
@@ -348,9 +350,13 @@ class QueryService:
         #: process-wide one, so spans, store, dispatch and kernel metrics
         #: share one ``/metrics`` surface.
         self.registry = registry if registry is not None else MetricsRegistry()
-        for key, help_text in SERVE_COUNTERS.items():
-            self.registry.counter(f"repro_serve_{key}_total", help_text)
-        self.registry.histogram(
+        # Bound once: a registry lookup takes its lock, and a hit counts
+        # four or five times.
+        self._counters = {
+            key: self.registry.counter(f"repro_serve_{key}_total", help_text)
+            for key, help_text in SERVE_COUNTERS.items()
+        }
+        self._latency = self.registry.histogram(
             QUERY_LATENCY, "Wall-clock latency of answered queries", buckets=LATENCY_BUCKETS_S
         )
         self.query_timeout = query_timeout
@@ -370,16 +376,13 @@ class QueryService:
 
     def count(self, key: str) -> None:
         """Add one to the serve counter ``key`` (a :data:`SERVE_COUNTERS` key)."""
-        self.registry.counter(f"repro_serve_{key}_total").inc()
+        self._counters[key].inc()
 
     def snapshot(self) -> Dict[str, object]:
         """The ``serve`` section of ``GET /metrics.json``: every counter by
         key, plus the latency histogram and its mean and maximum."""
-        out: Dict[str, object] = {
-            key: self.registry.counter(f"repro_serve_{key}_total").value
-            for key in SERVE_COUNTERS
-        }
-        latency = self.registry.histogram(QUERY_LATENCY).snapshot()
+        out: Dict[str, object] = {key: c.value for key, c in self._counters.items()}
+        latency = self._latency.snapshot()
         queries = out["queries"]
         avg = latency["sum"] / queries if queries else 0.0
         out["latency_avg_ms"] = round(avg * 1e3, 3)
@@ -562,7 +565,7 @@ class QueryService:
                 }
             finally:
                 self.active -= 1
-                self.registry.histogram(QUERY_LATENCY).observe(time.monotonic() - started)
+                self._latency.observe(time.monotonic() - started)
             if cid is not None:
                 answer["cid"] = cid
                 sp.note(
@@ -573,8 +576,15 @@ class QueryService:
         return answer
 
     async def answer_batch(self, queries: List[Dict[str, object]]) -> List[Dict[str, object]]:
-        """Answer a batch concurrently — duplicates coalesce inside the batch."""
+        """Answer a batch concurrently — duplicates coalesce inside the batch.
+
+        A one-query batch is answered in the caller's task: ``gather`` would
+        wrap it in a task of its own and cost a loop turn, for no
+        concurrency.
+        """
         self.count("batches")
+        if len(queries) == 1:
+            return [await self.answer_query(queries[0])]
         return list(await asyncio.gather(*(self.answer_query(q) for q in queries)))
 
 
@@ -638,11 +648,18 @@ def render_prometheus(service: QueryService) -> str:
 
 
 # ----------------------------------------------------------------------
-# Minimal HTTP/1.1 over asyncio streams
+# Minimal HTTP/1.1 on asyncio.Protocol
 # ----------------------------------------------------------------------
 
 #: Refuse larger request bodies (a query batch has no business being 16 MiB).
 MAX_BODY_BYTES = 16 * 1024 * 1024
+
+#: Refuse a larger header block, request line included (64 KiB): it bounds
+#: what a connection buffers before its request is known.
+MAX_HEADER_BYTES = 64 * 1024
+
+#: The empty line that ends a header block: ``\r\n`` or a bare ``\n``.
+_HEAD_END = re.compile(rb"\n\r?\n")
 
 
 def _http_response(
@@ -678,32 +695,22 @@ def _http_text_response(status: int, text: str, content_type: str) -> bytes:
     return head + body
 
 
-async def _read_request(
-    reader: asyncio.StreamReader,
-) -> Tuple[str, str, bytes]:
-    """Parse method, path, and body from one HTTP/1.1 request."""
-    request_line = await reader.readline()
-    if not request_line:
-        raise ConnectionError("empty request")
-    parts = request_line.decode("latin-1").split()
+def _parse_head(head: bytes) -> Tuple[str, str, int]:
+    """Method, path and ``Content-Length`` of a header block (without its
+    ending empty line); :class:`ValueError` when it is malformed or the
+    body would be too large."""
+    lines = head.split(b"\n")
+    parts = lines[0].decode("latin-1").split()
     if len(parts) < 2:
         raise ValueError("malformed request line")
-    method, path = parts[0].upper(), parts[1]
     content_length = 0
-    while True:
-        line = await reader.readline()
-        if line in (b"\r\n", b"\n", b""):
-            break
+    for line in lines[1:]:
         name, _, value = line.decode("latin-1").partition(":")
         if name.strip().lower() == "content-length":
-            try:
-                content_length = int(value.strip())
-            except ValueError as exc:
-                raise ValueError("bad Content-Length") from exc
-    if content_length > MAX_BODY_BYTES:
-        raise ValueError("request body too large")
-    body = await reader.readexactly(content_length) if content_length else b""
-    return method, path, body
+            content_length = int(value.strip())
+    if not 0 <= content_length <= MAX_BODY_BYTES:
+        raise ValueError("bad or too large Content-Length")
+    return parts[0].upper(), parts[1], content_length
 
 
 @dataclass
@@ -740,126 +747,173 @@ class ServeHandle:
             close()
 
 
-async def _handle_client(
-    service: QueryService,
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-) -> None:
-    try:
-        try:
-            method, path, body = await _read_request(reader)
-        except (ValueError, ConnectionError, asyncio.IncompleteReadError):
-            writer.write(_http_response(400, {"ok": False, "error": "bad request"}))
-            return
-        if method == "GET" and path == "/healthz":
-            state, cause = service.state()
-            health: Dict[str, object] = {
-                "ok": state == "ok",
-                "state": state,
-                "store": service.store.root,
+async def _route(service: QueryService, method: str, path: str, body: bytes) -> bytes:
+    """The response to one parsed request."""
+    if method == "GET" and path == "/healthz":
+        state, cause = service.state()
+        health: Dict[str, object] = {
+            "ok": state == "ok",
+            "state": state,
+            "store": service.store.root,
+            "inflight": len(service.inflight),
+            "active": service.active,
+        }
+        if cause is not None:
+            health["cause"] = cause
+        # Health stays a 200 even degraded/draining: the prober wants
+        # the diagnosis, not a connection slammed in its face.
+        return _http_response(200, health)
+    if method == "GET" and path == "/metrics":
+        # Prometheus text exposition: the whole registry — serve
+        # counters + latency histograms, span self-time, executor
+        # pool depth, in-flight gauges, store/queue stats.
+        return _http_text_response(
+            200,
+            render_prometheus(service),
+            "text/plain; version=0.0.4; charset=utf-8",
+        )
+    if method == "GET" and path == "/metrics.json":
+        sync_gauges(service)
+        return _http_response(
+            200,
+            {
+                "ok": True,
+                "serve": service.snapshot(),
+                "store": service.store.stats(),
+                "executor": executor_stats(service.executor),
                 "inflight": len(service.inflight),
                 "active": service.active,
-            }
-            if cause is not None:
-                health["cause"] = cause
-            # Health stays a 200 even degraded/draining: the prober wants
-            # the diagnosis, not a connection slammed in its face.
-            writer.write(_http_response(200, health))
-        elif method == "GET" and path == "/metrics":
-            # Prometheus text exposition: the whole registry — serve
-            # counters + latency histograms, span self-time, executor
-            # pool depth, in-flight gauges, store/queue stats.
-            writer.write(
-                _http_text_response(
-                    200,
-                    render_prometheus(service),
-                    "text/plain; version=0.0.4; charset=utf-8",
-                )
-            )
-        elif method == "GET" and path == "/metrics.json":
-            sync_gauges(service)
-            writer.write(
-                _http_response(
-                    200,
-                    {
-                        "ok": True,
-                        "serve": service.snapshot(),
-                        "store": service.store.stats(),
-                        "executor": executor_stats(service.executor),
-                        "inflight": len(service.inflight),
-                        "active": service.active,
-                        "registry": service.registry.snapshot(),
-                    },
-                )
-            )
-        elif method == "POST" and path == "/query":
-            try:
-                doc = json.loads(body or b"{}")
-            except json.JSONDecodeError:
-                writer.write(
-                    _http_response(400, {"ok": False, "error": "body is not JSON"})
-                )
-                return
-            if isinstance(doc, dict) and "queries" in doc:
-                queries = doc["queries"]
-            elif isinstance(doc, list):
-                queries = doc
-            else:
-                queries = [doc]
-            if not isinstance(queries, list):
-                writer.write(
-                    _http_response(
-                        400, {"ok": False, "error": "'queries' must be a list"}
-                    )
-                )
-                return
-            if service.draining:
-                writer.write(
-                    _http_response(
-                        503,
-                        {"ok": False, "error": "server is draining"},
-                        headers={"Retry-After": str(RETRY_AFTER_S)},
-                    )
-                )
-                return
-            if (
-                service.max_inflight is not None
-                and service.active + len(queries) > service.max_inflight
-            ):
-                # Load shedding: refuse the whole batch now, cheaply, with
-                # a back-off hint — never queue unboundedly and never hang.
-                service.count("shed")
-                writer.write(
-                    _http_response(
-                        503,
-                        {
-                            "ok": False,
-                            "error": (
-                                f"overloaded: {service.active} quer(ies) in "
-                                f"flight (bound {service.max_inflight})"
-                            ),
-                            "retry_after_s": RETRY_AFTER_S,
-                        },
-                        headers={"Retry-After": str(RETRY_AFTER_S)},
-                    )
-                )
-                return
-            answers = await service.answer_batch(queries)
-            ok = all(a.get("ok") for a in answers)
-            writer.write(_http_response(200, {"ok": ok, "answers": answers}))
-        else:
-            writer.write(
-                _http_response(
-                    404, {"ok": False, "error": f"no route {method} {path}"}
-                )
-            )
-    finally:
+                "registry": service.registry.snapshot(),
+            },
+        )
+    if method == "POST" and path == "/query":
         try:
-            await writer.drain()
-            writer.close()
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+            doc = json.loads(body or b"{}")
+        except json.JSONDecodeError:
+            return _http_response(400, {"ok": False, "error": "body is not JSON"})
+        if isinstance(doc, dict) and "queries" in doc:
+            queries = doc["queries"]
+        elif isinstance(doc, list):
+            queries = doc
+        else:
+            queries = [doc]
+        if not isinstance(queries, list):
+            return _http_response(
+                400, {"ok": False, "error": "'queries' must be a list"}
+            )
+        if service.draining:
+            return _http_response(
+                503,
+                {"ok": False, "error": "server is draining"},
+                headers={"Retry-After": str(RETRY_AFTER_S)},
+            )
+        if (
+            service.max_inflight is not None
+            and service.active + len(queries) > service.max_inflight
+        ):
+            # Load shedding: refuse the whole batch now, cheaply, with
+            # a back-off hint — never queue unboundedly and never hang.
+            service.count("shed")
+            return _http_response(
+                503,
+                {
+                    "ok": False,
+                    "error": (
+                        f"overloaded: {service.active} quer(ies) in "
+                        f"flight (bound {service.max_inflight})"
+                    ),
+                    "retry_after_s": RETRY_AFTER_S,
+                },
+                headers={"Retry-After": str(RETRY_AFTER_S)},
+            )
+        answers = await service.answer_batch(queries)
+        ok = all(a.get("ok") for a in answers)
+        return _http_response(200, {"ok": ok, "answers": answers})
+    return _http_response(404, {"ok": False, "error": f"no route {method} {path}"})
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: buffer one request, answer it, close.
+
+    Bytes are buffered until the header block and its ``Content-Length``
+    body are in; then one task routes the request, writes the response and
+    closes the transport.  A malformed or oversized header block, a body
+    over :data:`MAX_BODY_BYTES`, and an end of stream before the request is
+    complete each answer 400 at once.  Every response says ``Connection:
+    close``, so bytes after the request are dropped.
+    """
+
+    def __init__(self, service: QueryService, tasks: Set["asyncio.Task[None]"]) -> None:
+        self.service = service
+        #: The server's answering tasks, held until each is done.
+        self.tasks = tasks
+        self.transport: Optional[asyncio.Transport] = None
+        self.buffer = bytearray()
+        #: Bytes of ``buffer`` already searched for the end of the headers.
+        self.scanned = 0
+        #: ``(method, path, body offset, Content-Length)`` once the header
+        #: block is in.
+        self.head: Optional[Tuple[str, str, int, int]] = None
+        #: Set once a response is under way; later bytes are dropped.
+        self.responding = False
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        if self.responding:
+            return
+        self.buffer += data
+        if self.head is None:
+            # Resume two bytes back: the ending "\n\r\n" may straddle the
+            # previous chunk.
+            end = _HEAD_END.search(self.buffer, max(0, self.scanned - 2))
+            self.scanned = len(self.buffer)
+            if end is None or end.start() > MAX_HEADER_BYTES:
+                if len(self.buffer) > MAX_HEADER_BYTES:
+                    self._reject()
+                return
+            try:
+                method, path, length = _parse_head(bytes(self.buffer[: end.start()]))
+            except ValueError:
+                self._reject()
+                return
+            self.head = (method, path, end.end(), length)
+        method, path, start, length = self.head
+        if len(self.buffer) - start < length:
+            return
+        body = bytes(self.buffer[start : start + length])
+        self.responding = True
+        self.buffer = bytearray()
+        task = asyncio.get_running_loop().create_task(self._answer(method, path, body))
+        self.tasks.add(task)
+        task.add_done_callback(self._answered)
+
+    def eof_received(self) -> bool:
+        if not self.responding:
+            self._reject()  # the stream ended before a complete request
+        # Keep the transport: a half-closed client still reads its answer,
+        # and the answering task closes it.
+        return True
+
+    def _reject(self) -> None:
+        self.responding = True
+        self.transport.write(_http_response(400, {"ok": False, "error": "bad request"}))
+        self.transport.close()
+
+    async def _answer(self, method: str, path: str, body: bytes) -> None:
+        try:
+            self.transport.write(await _route(self.service, method, path, body))
+        finally:
+            self.transport.close()
+
+    def _answered(self, task: "asyncio.Task[None]") -> None:
+        self.tasks.discard(task)
+        exc = None if task.cancelled() else task.exception()
+        if exc is not None:
+            task.get_loop().call_exception_handler(
+                {"message": "answering a request failed", "exception": exc, "task": task}
+            )
 
 
 async def start_service(
@@ -888,10 +942,10 @@ async def start_service(
         max_inflight=max_inflight,
     )
 
-    async def handler(reader, writer):
-        await _handle_client(service, reader, writer)
-
-    server = await asyncio.start_server(handler, host=host, port=port)
+    tasks: Set["asyncio.Task[None]"] = set()
+    server = await asyncio.get_running_loop().create_server(
+        lambda: _Connection(service, tasks), host=host, port=port
+    )
     bound_port = server.sockets[0].getsockname()[1]
     return ServeHandle(server=server, service=service, host=host, port=bound_port)
 

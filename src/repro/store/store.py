@@ -29,7 +29,10 @@ both perform valid atomic renames of identical content — the loser's
 rename simply reinstalls the same bytes, so the race needs no lock.
 Reads validate the CRC *before* parsing; a torn or bit-flipped entry is
 quarantined aside for forensics (never deleted, never returned) and the
-digest reports as a miss.
+digest reports as a miss.  Every lookup reads the file; a read whose bytes
+equal the ones last decoded for that digest returns the entry they decoded
+to (an LRU of :data:`DECODED_ENTRIES` digests) instead of checking and
+parsing them again.
 
 **Maintenance.**  :meth:`ResultStore.verify` scans every entry and
 quarantines the corrupt ones; :meth:`ResultStore.gc` clears orphaned
@@ -46,8 +49,9 @@ import os
 import socket
 import time
 import zlib
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.harness.campaign import LEDGER_SCHEMA_VERSION, CampaignCell
 from repro.harness.runner import RunResult
@@ -57,6 +61,7 @@ from repro.sim.stats import COMPONENTS, RunStats, ThreadStats
 from repro.store.io import TMP_MARKER, resolve_fs, write_atomic
 
 __all__ = [
+    "DECODED_ENTRIES",
     "SPEC_SCHEMA_VERSION",
     "STORE_FORMAT_VERSION",
     "STORE_MAGIC",
@@ -84,6 +89,10 @@ STORE_FORMAT_VERSION = 1
 
 #: Suffix quarantined (corrupt) entries are renamed to.
 QUARANTINE_SUFFIX = ".quarantined"
+
+#: Digests whose last decoded bytes and entry a :class:`ResultStore` keeps,
+#: least recently read evicted first.  About 6 KB each, so at most ~1.6 MB.
+DECODED_ENTRIES = 256
 
 
 class StoreError(RuntimeError):
@@ -178,9 +187,13 @@ def _jsonable_extras(extras: Dict[str, object]) -> Dict[str, object]:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class StoreEntry:
-    """One stored cell result: address, payloads, and provenance."""
+    """One stored cell result: address, payloads, and provenance.
+
+    Frozen because a store hands the same object to every lookup whose read
+    returns the same bytes (:meth:`ResultStore.get`).
+    """
 
     digest: str
     spec: Dict[str, object]
@@ -354,7 +367,9 @@ class ResultStore:
     Concurrency: every write is tmp + fsync + atomic rename, so any number
     of local or remote writers may race on the same digest — all outcomes
     leave one valid entry.  Hit/miss/corruption counters are per-instance
-    (process-local observability, not shared state).
+    (process-local observability, not shared state).  One instance is used
+    from one thread at a time: its counters and its table of decoded
+    entries take no lock.
     """
 
     def __init__(self, root: str, fs=None) -> None:
@@ -367,6 +382,8 @@ class ResultStore:
         self.corrupt = 0
         self.writes = 0
         self.dedupes = 0
+        #: digest -> (bytes last decoded, the entry they decoded to), LRU.
+        self._decoded: "OrderedDict[str, Tuple[bytes, StoreEntry]]" = OrderedDict()
         self.fs.makedirs(os.path.join(self.root, "objects"), exist_ok=True)
         marker = os.path.join(self.root, "STORE_FORMAT")
         if not self.fs.exists(marker):
@@ -454,6 +471,10 @@ class ResultStore:
     def _read_valid(self, digest: str) -> Optional[StoreEntry]:
         """The digest's entry if present and valid; quarantines corruption.
 
+        The file is read on every call.  Bytes equal to the ones last
+        decoded for this digest give back the entry they decoded to; any
+        other bytes are checked and parsed afresh.
+
         A decode failure is re-read once before quarantining: a transient
         short read (flaky NFS, a signal-interrupted read) must not cost a
         perfectly good entry its place in the store.  Only corruption that
@@ -468,6 +489,10 @@ class ResultStore:
                 return None
             except OSError as exc:
                 raise StoreError(f"cannot read store entry {path}: {exc}") from exc
+            kept = self._decoded.get(digest)
+            if kept is not None and kept[0] == data:
+                self._decoded.move_to_end(digest)
+                return kept[1]
             try:
                 entry = _decode_entry(data, source=path)
                 break
@@ -482,6 +507,10 @@ class ResultStore:
             self.corrupt += 1
             self.quarantine(path)
             return None
+        self._decoded[digest] = (data, entry)
+        self._decoded.move_to_end(digest)
+        if len(self._decoded) > DECODED_ENTRIES:
+            self._decoded.popitem(last=False)
         return entry
 
     def get(self, digest: str) -> Optional[StoreEntry]:

@@ -159,6 +159,15 @@ class TestPoolParity:
                 == pooled["wc"][point].fingerprint()
             )
 
+    def test_sweep_takes_one_shot_iterables(self):
+        grid = sweep(
+            iter(["wc", "fir"]), (p for p in ["HEAVYWT"]), trip_count=32
+        )
+        assert sorted(grid) == ["fir", "wc"]
+        for bench in ("wc", "fir"):
+            assert list(grid[bench]) == ["HEAVYWT"]
+            assert grid[bench]["HEAVYWT"].ok
+
     def test_pooled_results_strip_machine_but_keep_stats(self):
         (cell,) = _grid_cells(benchmarks=("fir",), points=("HEAVYWT",))
         outcome = run_cells([cell], jobs=2)[cell.key()]

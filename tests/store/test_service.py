@@ -20,6 +20,8 @@ import json
 import os
 import signal
 
+import pytest
+
 from repro.harness.campaign import CampaignCell, execute_cell
 from repro.store.service import (
     QUERY_LATENCY,
@@ -297,6 +299,130 @@ def test_http_bad_body_and_unknown_route(tmp_path):
         return True
 
     assert asyncio.run(run(scenario))
+
+
+# ----------------------------------------------------------------------
+# Front-end edge behaviour: each wait is bounded, so a server that never
+# answers fails the test instead of hanging it.
+# ----------------------------------------------------------------------
+
+WAIT_S = 30
+
+
+async def _connect(handle):
+    return await asyncio.wait_for(
+        asyncio.open_connection(handle.host, handle.port), timeout=WAIT_S
+    )
+
+
+async def _send(writer, data):
+    writer.write(data)
+    await asyncio.wait_for(writer.drain(), timeout=WAIT_S)
+
+
+async def _read_to_eof(reader, writer):
+    raw = await asyncio.wait_for(reader.read(), timeout=WAIT_S)
+    writer.close()
+    return raw
+
+
+@pytest.mark.parametrize("eol", ["\r\n", "\n"])
+def test_http_request_written_in_pieces_is_answered(tmp_path, eol):
+    run, _executor = _serve(tmp_path, seed_cells=[CELL])
+    body = json.dumps({"queries": [dict(QUERY)]}).encode()
+    head = f"ery HTTP/1.1{eol}Host: t{eol}Content-Length: {len(body)}{eol}{eol}".encode()
+
+    async def scenario(handle):
+        reader, writer = await _connect(handle)
+        await _send(writer, b"POST /qu")  # the request line, cut mid-line
+        await asyncio.sleep(0.05)
+        await _send(writer, head[:-1])  # the head, short of its last byte
+        await asyncio.sleep(0.05)
+        await _send(writer, head[-1:] + body)
+        return await _read_to_eof(reader, writer)
+
+    raw = asyncio.run(run(scenario))
+    assert raw.startswith(b"HTTP/1.1 200 ")
+    doc = json.loads(raw.partition(b"\r\n\r\n")[2])
+    assert doc["ok"] and doc["answers"][0]["hit"]
+
+
+def test_http_oversized_header_line_is_a_400(tmp_path):
+    run, _executor = _serve(tmp_path)
+
+    async def scenario(handle):
+        reader, writer = await _connect(handle)
+        await _send(
+            writer,
+            b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * (70 * 1024) + b"\r\n\r\n",
+        )
+        return await _read_to_eof(reader, writer)
+
+    assert asyncio.run(run(scenario)).startswith(b"HTTP/1.1 400 ")
+
+
+def test_http_oversized_body_is_refused_before_it_is_sent(tmp_path):
+    run, _executor = _serve(tmp_path)
+
+    async def scenario(handle):
+        reader, writer = await _connect(handle)
+        await _send(
+            writer, b"POST /query HTTP/1.1\r\nHost: t\r\nContent-Length: 17000000\r\n\r\n"
+        )
+        return await _read_to_eof(reader, writer)
+
+    assert asyncio.run(run(scenario)).startswith(b"HTTP/1.1 400 ")
+
+
+@pytest.mark.parametrize("cut", ["head", "body"])
+def test_http_half_a_request_then_close_leaves_the_server_answering(tmp_path, cut):
+    run, _executor = _serve(tmp_path, seed_cells=[CELL])
+    body = json.dumps({"queries": [dict(QUERY)]}).encode()
+    request = (
+        f"POST /query HTTP/1.1\r\nHost: t\r\nContent-Length: {len(body)}\r\n\r\n".encode()
+        + body
+    )
+    at = request.index(b"Host") if cut == "head" else len(request) - len(body) // 2
+
+    async def scenario(handle):
+        reader, writer = await _connect(handle)
+        await _send(writer, request[:at])
+        writer.close()
+        await asyncio.wait_for(writer.wait_closed(), timeout=WAIT_S)
+        await asyncio.sleep(0.05)
+        active = handle.service.active
+        status, doc = await asyncio.wait_for(
+            _request(handle, "POST", "/query", {"queries": [dict(QUERY)]}),
+            timeout=WAIT_S,
+        )
+        return active, status, doc
+
+    active, status, doc = asyncio.run(run(scenario))
+    assert active == 0
+    assert status == 200 and doc["answers"][0]["hit"]
+
+
+def test_http_router_exception_closes_the_connection(tmp_path, monkeypatch):
+    from repro.store import service as service_module
+
+    def broken(_service):
+        raise RuntimeError("scrape failed")
+
+    monkeypatch.setattr(service_module, "render_prometheus", broken)
+    run, _executor = _serve(tmp_path)
+
+    async def scenario(handle):
+        reader, writer = await _connect(handle)
+        await _send(writer, b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n")
+        raw = await _read_to_eof(reader, writer)
+        status, health = await asyncio.wait_for(
+            _request(handle, "GET", "/healthz"), timeout=WAIT_S
+        )
+        return raw, status, health
+
+    raw, status, health = asyncio.run(run(scenario))
+    assert raw == b""  # closed without an answer, not left waiting
+    assert status == 200 and health["ok"]
 
 
 def test_local_executor_resolves_misses_in_worker_processes(tmp_path):

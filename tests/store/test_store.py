@@ -20,13 +20,18 @@ import os
 
 import pytest
 
+from repro.chaos import ChaosFS, ChaosPlan
+from repro.chaos import FaultRule as ChaosRule
 from repro.faults import FaultKind, FaultPlan, FaultRule
 from repro.harness.campaign import CampaignCell, execute_cell
 from repro.harness.runner import RunResult
+from repro.store import store as store_module
 from repro.store.store import (
     SPEC_SCHEMA_VERSION,
     ResultStore,
+    StoreEntry,
     StoreError,
+    _encode_entry,
     cell_digest,
     result_from_entry,
     stats_from_payload,
@@ -352,3 +357,97 @@ def test_stats_summary(tmp_path, run_result):
     assert s["hits"] == 1
     assert s["misses"] == 1
     assert s["writes"] == 1
+
+
+# ----------------------------------------------------------------------
+# Decoded-entry reuse: every lookup reads the file; unchanged bytes skip
+# the CRC check and the parse
+# ----------------------------------------------------------------------
+
+
+def _count_decodes(monkeypatch):
+    """Record each ``_decode_entry`` call the store makes from now on."""
+    calls = []
+    real = store_module._decode_entry
+
+    def counting(data, source="<bytes>"):
+        calls.append(source)
+        return real(data, source)
+
+    monkeypatch.setattr(store_module, "_decode_entry", counting)
+    return calls
+
+
+def test_unchanged_entry_is_read_every_time_and_decoded_once(
+    tmp_path, run_result, monkeypatch
+):
+    fs = ChaosFS(ChaosPlan())  # no faults: it only records each read
+    store = ResultStore(str(tmp_path / "store"), fs=fs)
+    entry, _ = store.put(CELL, run_result)
+    path = store.entry_path(entry.digest)
+    reads_before = sum(1 for op in fs.ops if op.op == "read" and op.path == path)
+    decodes = _count_decodes(monkeypatch)
+
+    got = [store.get(entry.digest) for _ in range(10)]
+    assert len(decodes) == 1
+    reads = sum(1 for op in fs.ops if op.op == "read" and op.path == path)
+    assert reads - reads_before == 10
+    assert all(g.canonical() == entry.canonical() for g in got)
+    assert store.hits == 10
+
+    os.unlink(path)
+    assert store.get(entry.digest) is None  # a removed entry is a miss
+    assert store.misses == 1
+
+
+def test_entry_rewritten_in_place_is_checked_afresh(tmp_path, run_result):
+    store = ResultStore(str(tmp_path / "store"))
+    entry, _ = store.put(CELL, run_result)
+    assert store.get(entry.digest) is not None
+    assert store.get(entry.digest) is not None  # answered from the kept entry
+    path = store.entry_path(entry.digest)
+    middle = os.path.getsize(path) // 2
+    with open(path, "r+b") as fh:  # same file, same size: one body byte flipped
+        fh.seek(middle)
+        flipped = fh.read(1)[0] ^ 0xFF
+        fh.seek(middle)
+        fh.write(bytes([flipped]))
+
+    assert store.get(entry.digest) is None
+    assert store.corrupt == 1
+    assert not os.path.exists(path)
+    shard = os.path.dirname(path)
+    assert [n for n in os.listdir(shard) if "quarantined" in n] == [
+        os.path.basename(path) + ".quarantined"
+    ]
+
+
+def test_read_error_surfaces_for_a_kept_entry(tmp_path, run_result):
+    fs = ChaosFS(ChaosPlan())
+    store = ResultStore(str(tmp_path / "store"), fs=fs)
+    entry, _ = store.put(CELL, run_result)
+    assert store.get(entry.digest) is not None  # decoded and kept
+
+    fs.plan.rules.append(ChaosRule(op="read", path_substr=entry.digest))
+    with pytest.raises(StoreError, match="cannot read store entry"):
+        store.get(entry.digest)
+    assert fs.injected == {"rule:read": 1}
+    assert store.get(entry.digest).canonical() == entry.canonical()  # disk healed
+    assert (store.hits, store.misses, store.corrupt) == (2, 0, 0)
+
+
+def test_kept_entries_are_bounded(tmp_path, monkeypatch):
+    monkeypatch.setattr(store_module, "DECODED_ENTRIES", 2)
+    store = ResultStore(str(tmp_path / "store"))
+    digests = [f"{i:064x}" for i in (1, 2, 3)]
+    for digest in digests:
+        stub = StoreEntry(digest=digest, spec={}, fingerprint="0" * 16, cycles=1, stats={})
+        store._write_atomic(store.entry_path(digest), _encode_entry(stub))
+    assert all(store.get(d) is not None for d in digests)
+
+    decodes = _count_decodes(monkeypatch)
+    store.get(digests[1])
+    store.get(digests[2])
+    assert decodes == []  # the two most recently read are kept
+    store.get(digests[0])
+    assert decodes == [store.entry_path(digests[0])]  # the oldest was evicted
