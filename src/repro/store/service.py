@@ -49,15 +49,17 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import json
-import multiprocessing
+import math
 import re
 import signal
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+from repro import forkserver
 from repro.core.design_points import get_design_point
 from repro.harness.campaign import CampaignCell, CampaignPolicy, CellTask, cell_config
+from repro.harness.experiments import EXPERIMENT_TRIPS, experiment_trips
 from repro.harness.pool import WorkerPool
 from repro.harness.runner import RunResult
 from repro.obs import runtime as _obs
@@ -157,10 +159,11 @@ class LocalExecutor:
         # inherit those fds and keep them alive long after the response,
         # so clients reading to EOF (Connection: close) would never see
         # it.  Forkserver children fork from a clean early-started helper
-        # and inherit none of the server's descriptors.
+        # and inherit none of the server's descriptors; the helper has the
+        # worker's modules loaded (:mod:`repro.forkserver`).
         self.pool = WorkerPool(
             CampaignPolicy(jobs=jobs, wall_clock_budget=wall_clock_budget),
-            multiprocessing.get_context("forkserver"),
+            forkserver.context(),
         )
         self._waiters = concurrent.futures.ThreadPoolExecutor(
             max_workers=jobs, thread_name_prefix="serve-pool"
@@ -288,18 +291,18 @@ def _query_cell(query: Dict[str, object]) -> CampaignCell:
         raise QueryError("each query must be a JSON object")
     if "benchmark" not in query:
         raise QueryError("query is missing 'benchmark'")
-    from repro.harness.experiments import EXPERIMENT_TRIPS, experiment_trips
-
     benchmark = str(query["benchmark"])
     if benchmark not in EXPERIMENT_TRIPS:
         raise QueryError(f"unknown benchmark {benchmark!r}")
-    trip_count = query.get("trip_count")
-    if trip_count is None:
-        scale = float(query.get("scale", 1.0))
-        if scale <= 0:
-            raise QueryError("'scale' must be positive")
-        trip_count = experiment_trips(benchmark, scale)
     try:
+        trip_count = query.get("trip_count")
+        if trip_count is None:
+            scale = float(query.get("scale", 1.0))
+            if scale <= 0:
+                raise QueryError("'scale' must be positive")
+            if not math.isfinite(scale):
+                raise QueryError("'scale' must be finite")
+            trip_count = experiment_trips(benchmark, scale)
         cell = CampaignCell(
             benchmark=benchmark,
             design_point=str(query.get("design_point", "HEAVYWT")),
@@ -313,7 +316,7 @@ def _query_cell(query: Dict[str, object]) -> CampaignCell:
             cell_config(cell)
         elif cell.kind != "single":  # the baseline runs no design point
             get_design_point(cell.design_point)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise QueryError(f"bad query spec: {exc}") from exc
     return cell
 
@@ -997,8 +1000,6 @@ async def serve_forever(
         max_inflight=max_inflight,
         registry=registry,
     )
-    if ready is not None:
-        ready(handle)
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
     try:
@@ -1007,6 +1008,10 @@ async def serve_forever(
     except (NotImplementedError, RuntimeError):
         sigterm_wired = False  # non-UNIX loop; cancellation still works
     try:
+        # Announced once SIGTERM drains: a SIGTERM sent as soon as the
+        # server says it is ready must not find the default handler.
+        if ready is not None:
+            ready(handle)
         await stop.wait()  # until SIGTERM (or this task is cancelled)
         await handle.drain(grace=drain_grace)
     finally:

@@ -10,6 +10,7 @@ the two loss models (kill vs power), clock skew, and short reads.
 import errno
 import os
 import time
+from pathlib import Path
 
 import pytest
 
@@ -139,7 +140,7 @@ class TestPowerLossModel:
         chaos = ChaosFS(ChaosPlan())
         write_atomic(path, b"hello", fs=chaos, dir_sync=True)
         chaos.apply_crash_loss()
-        assert open(path, "rb").read() == b"hello"
+        assert Path(path).read_bytes() == b"hello"
 
     def test_unsynced_rename_reverts(self, tmp_path):
         path = str(tmp_path / "f")
@@ -155,9 +156,9 @@ class TestPowerLossModel:
         # Every fsync from here on lies.
         chaos = ChaosFS(ChaosPlan(p_lost_fsync=1.0))
         _write_file(chaos, path, b"new")
-        assert open(path, "rb").read() == b"new"  # the process's view
+        assert Path(path).read_bytes() == b"new"  # the process's view
         chaos.apply_crash_loss()
-        assert open(path, "rb").read() == b"old"  # the platter's view
+        assert Path(path).read_bytes() == b"old"  # the platter's view
 
     def test_dropped_rename_is_permanently_volatile(self, tmp_path):
         path = str(tmp_path / "f")
@@ -175,7 +176,7 @@ class TestPowerLossModel:
         path = str(tmp_path / "f")
         chaos = ChaosFS(ChaosPlan(p_lost_fsync=1.0))
         write_atomic(path, b"hello", fs=chaos, dir_sync=False)
-        assert open(path, "rb").read() == b"hello"
+        assert Path(path).read_bytes() == b"hello"
 
 
 class TestReadAndClock:

@@ -9,6 +9,7 @@ protocol recovers, but a corrupted version is NEVER served as valid.
 
 import functools
 import os
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -57,7 +58,7 @@ class TestStoreEntryCorruption:
         store.put(cell, outcome, provenance={"campaign": "prop"})
         digest = cell_digest(cell)
         path = store.entry_path(digest)
-        pristine = open(path, "rb").read()
+        pristine = Path(path).read_bytes()
         mutated = _corrupt(pristine, kind, offset)
         with open(path, "wb") as fh:
             fh.write(mutated)
@@ -97,7 +98,7 @@ class TestLedgerTailCorruption:
             ledger.append(record)
         ledger.close()
 
-        data = open(path, "rb").read()
+        data = Path(path).read_bytes()
         cut = cut % (len(data) + 1)
         with open(path, "wb") as fh:
             fh.write(data[:cut])
@@ -126,7 +127,7 @@ class TestSnapshotCorruption:
         write_snapshot(path, _drill_snapshot(10))  # rotates to .prev next
         write_snapshot(path, _drill_snapshot(20))
 
-        pristine = open(path, "rb").read()
+        pristine = Path(path).read_bytes()
         mutated = _corrupt(pristine, kind, offset)
         with open(path, "wb") as fh:
             fh.write(mutated)
@@ -153,7 +154,7 @@ class TestSnapshotCorruption:
         write_snapshot(path, _drill_snapshot(10))
         write_snapshot(path, _drill_snapshot(20))
         for victim in (path, path + ".prev"):
-            data = open(victim, "rb").read()
+            data = Path(victim).read_bytes()
             with open(victim, "wb") as fh:
                 fh.write(data[: len(data) // 2])
         assert recover_snapshot(path) is None

@@ -1,6 +1,8 @@
 """The ``python -m repro`` entry point."""
 
 import hashlib
+import multiprocessing.util
+import os
 
 import pytest
 
@@ -51,6 +53,36 @@ class TestRun:
             main(["run", "table1", "--kernel", "warp"])
         assert exc_info.value.code == 2  # argparse usage error
         assert "--kernel" in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    """Bad counts exit 2 with a usage error naming the flag, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["campaign", "run", "--jobs", "0"], "--jobs"),
+            (["campaign", "resume", "--jobs", "0"], "--jobs"),
+            (["serve", "--jobs", "0"], "--jobs"),
+            (["serve", "--max-inflight", "0"], "--max-inflight"),
+        ],
+        ids=["campaign-run", "campaign-resume", "serve-jobs", "serve-max-inflight"],
+    )
+    def test_non_positive_count_is_a_usage_error(self, tmp_path, capsys, monkeypatch, argv, flag):
+        started = []
+        monkeypatch.setattr(multiprocessing.util, "spawnv_passfds", lambda *a: started.append(a))
+        monkeypatch.setattr(os, "fork", lambda: started.append("fork"))
+        if argv[0] == "serve":
+            argv = argv + ["--store", str(tmp_path / "store")]
+        else:
+            argv = argv + ["--grid", "smoke", "--ledger", str(tmp_path / "l.jsonl")]
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 2
+        assert f"{flag} must be >= 1" in capsys.readouterr().err
+        # Rejected before anything starts: no process, no store, no ledger.
+        assert started == []
+        assert os.listdir(tmp_path) == []
 
 
 class TestCampaignGrids:

@@ -9,6 +9,7 @@ private tmp naming, facade late binding) get pinned here.
 import errno
 import os
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -28,14 +29,14 @@ class TestWriteAtomic:
     def test_installs_content_and_removes_tmp(self, tmp_path):
         path = str(tmp_path / "f")
         write_atomic(path, b"hello")
-        assert open(path, "rb").read() == b"hello"
+        assert Path(path).read_bytes() == b"hello"
         assert [p for p in os.listdir(tmp_path) if TMP_MARKER in p] == []
 
     def test_overwrites_existing(self, tmp_path):
         path = str(tmp_path / "f")
         write_atomic(path, b"old")
         write_atomic(path, b"new")
-        assert open(path, "rb").read() == b"new"
+        assert Path(path).read_bytes() == b"new"
 
     def test_tmp_name_is_writer_private(self, tmp_path):
         # pid + thread id in the tmp name: two threads racing on one
@@ -64,7 +65,7 @@ class TestWriteAtomic:
         assert len(set(names.values())) == 2
         for tid, tmp in names.items():
             assert f"{TMP_MARKER}{os.getpid()}.{tid}" in tmp
-        assert open(path, "rb").read() == b"x" * 64
+        assert Path(path).read_bytes() == b"x" * 64
 
     def test_failed_replace_leaves_target_untouched(self, tmp_path):
         path = str(tmp_path / "f")
@@ -74,7 +75,7 @@ class TestWriteAtomic:
         )
         with pytest.raises(OSError):
             write_atomic(path, b"new", fs=chaos)
-        assert open(path, "rb").read() == b"old"
+        assert Path(path).read_bytes() == b"old"
 
     def test_dir_sync_flag_controls_parent_fsync(self, tmp_path):
         chaos = ChaosFS(ChaosPlan())

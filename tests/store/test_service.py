@@ -27,6 +27,7 @@ from repro.store.service import (
     QUERY_LATENCY,
     LocalExecutor,
     QueryService,
+    _route,
     start_service,
 )
 from repro.store.store import ResultStore, cell_digest
@@ -210,6 +211,33 @@ def test_bad_queries_become_per_query_errors(tmp_path):
     # A good query rides along unharmed.
     answer = asyncio.run(svc.answer_query(dict(QUERY)))
     assert answer["ok"] and executor.calls == [cell_digest(CELL)]
+
+
+class RefusingExecutor:
+    """Test double for queries that must never reach an executor."""
+
+    def __init__(self):
+        self.calls = []
+
+    async def resolve(self, cell, digest):
+        self.calls.append(digest)
+        raise AssertionError("a bad query reached the executor")
+
+
+# JSON text, not Python values: ``NaN`` and ``Infinity`` are what a client
+# sends, and Python's ``json`` accepts both.  ``1e308`` is finite, but its
+# trip count is not.
+@pytest.mark.parametrize("scale", ['"abc"', "null", "[1]", "NaN", "Infinity", "1e308"])
+def test_malformed_scale_is_a_400_that_never_reaches_the_executor(tmp_path, scale):
+    executor = RefusingExecutor()
+    svc = QueryService(ResultStore(str(tmp_path / "store")), executor)
+    body = '{"queries": [{"benchmark": "wc", "scale": %s}]}' % scale
+    raw = asyncio.run(_route(svc, "POST", "/query", body.encode()))
+    assert raw.startswith(b"HTTP/1.1 200 OK\r\n")
+    (answer,) = json.loads(raw.partition(b"\r\n\r\n")[2])["answers"]
+    assert answer["ok"] is False and answer["status"] == 400, answer
+    assert svc.snapshot()["errors"] == 1
+    assert executor.calls == []
 
 
 # ----------------------------------------------------------------------

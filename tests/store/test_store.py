@@ -17,6 +17,7 @@ Acceptance properties:
 import json
 import multiprocessing
 import os
+from pathlib import Path
 
 import pytest
 
@@ -278,7 +279,7 @@ def test_truncated_entry_is_quarantined_and_missed(tmp_path, run_result):
     store = ResultStore(str(tmp_path / "store"))
     entry, _ = store.put(CELL, run_result)
     path = store.entry_path(entry.digest)
-    data = open(path, "rb").read()
+    data = Path(path).read_bytes()
     with open(path, "wb") as fh:
         fh.write(data[: len(data) // 2])  # torn write
 
@@ -300,7 +301,7 @@ def test_bitflip_fails_crc_and_quarantines(tmp_path, run_result):
     store = ResultStore(str(tmp_path / "store"))
     entry, _ = store.put(CELL, run_result)
     path = store.entry_path(entry.digest)
-    data = bytearray(open(path, "rb").read())
+    data = bytearray(Path(path).read_bytes())
     data[len(data) // 2] ^= 0xFF
     with open(path, "wb") as fh:
         fh.write(bytes(data))
