@@ -33,29 +33,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-# Nothing from repro.harness, repro.sim or repro.store is imported here:
-# `serve` starts its pool's forkserver before it loads them (`_serve_main`).
+from repro.harness.experiments import ALL_EXPERIMENTS, EXHIBITS, run_exhibits
+from repro.sim.kernel import canonical_kernel
 
-
-def _campaign_grids() -> Tuple[str, ...]:
-    """Named campaign grids ``campaign run`` can build: every exhibit that
-    simulates, plus ``smoke``.  ``resume`` rebuilds the same grid (cells
-    never started leave no spec in the ledger, so the grid definition — not
-    the ledger — is the source of truth for what to run)."""
-    from repro.harness.experiments import EXHIBITS
-
-    return (*(name for name, exhibit in EXHIBITS.items() if exhibit.cells(1.0)), "smoke")
-
-
-def __getattr__(name: str):
-    # ``CAMPAIGN_GRIDS`` (:func:`_campaign_grids`) is built on first access:
-    # building it loads every exhibit and the simulator.
-    if name != "CAMPAIGN_GRIDS":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = _campaign_grids()
-    return value
+#: Named campaign grids ``campaign run`` can build: every exhibit that
+#: simulates, plus ``smoke``.  ``resume`` rebuilds the same grid (cells never
+#: started leave no spec in the ledger, so the grid definition — not the
+#: ledger — is the source of truth for what to run).
+CAMPAIGN_GRIDS = (*(name for name, exhibit in EXHIBITS.items() if exhibit.cells(1.0)), "smoke")
 
 
 def _first_doc_line(fn) -> str:
@@ -70,8 +57,6 @@ def _first_doc_line(fn) -> str:
 def _campaign_grid(name: str, scale: float):
     """Build the named grid's campaign cells."""
     if name != "smoke":
-        from repro.harness.experiments import EXHIBITS
-
         return EXHIBITS[name].cells(scale)
     from repro.core.design_points import FIGURE7_ORDER
     from repro.harness.campaign import CampaignCell
@@ -84,8 +69,6 @@ def _campaign_grid(name: str, scale: float):
 
 
 def _add_kernel_argument(parser: argparse.ArgumentParser) -> None:
-    from repro.sim.kernel import canonical_kernel
-
     parser.add_argument(
         "--kernel",
         default="reference",
@@ -97,76 +80,7 @@ def _add_kernel_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _serve_parser() -> argparse.ArgumentParser:
-    """``serve``'s parser, built without the exhibits the full parser loads."""
-    serve = argparse.ArgumentParser(prog="python -m repro serve")
-    serve.add_argument("--store", required=True, metavar="DIR")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8763)
-    serve.add_argument(
-        "--jobs",
-        type=int,
-        default=2,
-        help="local simulation processes for misses (default 2)",
-    )
-    serve.add_argument(
-        "--queue",
-        default=None,
-        metavar="DIR",
-        help=(
-            "dispatch misses onto this work queue for external workers "
-            "instead of simulating locally"
-        ),
-    )
-    serve.add_argument(
-        "--budget",
-        type=float,
-        default=None,
-        help="wall-clock seconds per local miss simulation",
-    )
-    serve.add_argument(
-        "--queue-timeout",
-        type=float,
-        default=None,
-        help="seconds a query waits for the fleet before erroring (queue mode)",
-    )
-    serve.add_argument(
-        "--query-timeout",
-        type=float,
-        default=None,
-        help="wall-clock seconds per query before a 504 (default: unbounded)",
-    )
-    serve.add_argument(
-        "--max-inflight",
-        type=int,
-        default=None,
-        help=(
-            "shed queries with 503 + Retry-After once this many are "
-            "in flight (default: unbounded)"
-        ),
-    )
-    serve.add_argument(
-        "--drain-grace",
-        type=float,
-        default=30.0,
-        help="seconds SIGTERM waits for in-flight queries before closing",
-    )
-    serve.add_argument(
-        "--obs-log",
-        default=None,
-        metavar="FILE",
-        help=(
-            "enable repro.obs: one correlation id per query, structured "
-            "events + cross-layer spans into FILE, Prometheus /metrics "
-            "(default: off, zero overhead)"
-        ),
-    )
-    return serve
-
-
 def _build_parser() -> argparse.ArgumentParser:
-    from repro.harness.experiments import ALL_EXPERIMENTS
-
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description=(
@@ -222,12 +136,11 @@ def _build_parser() -> argparse.ArgumentParser:
             "in-flight ones, and finish the grid"
         ),
     )
-    grids = _campaign_grids()
     for p in (crun, cresume):
         p.add_argument(
             "--grid",
             default="figure7",
-            choices=grids,
+            choices=CAMPAIGN_GRIDS,
             help="named cell grid to run (default: figure7)",
         )
         p.add_argument(
@@ -386,12 +299,72 @@ def _build_parser() -> argparse.ArgumentParser:
                 ),
             )
 
-    # Listed here; main() parses `serve` with _serve_parser().
-    sub.add_parser(
+    serve = sub.add_parser(
         "serve",
         help=(
             "async batch-query service over the store: hits from disk, "
             "misses simulated exactly once"
+        ),
+    )
+    serve.add_argument("--store", required=True, metavar="DIR")
+    serve.add_argument("--host", default="127.0.0.1")
+    serve.add_argument("--port", type=int, default=8763)
+    serve.add_argument(
+        "--jobs",
+        type=int,
+        default=2,
+        help="local simulation processes for misses (default 2)",
+    )
+    serve.add_argument(
+        "--queue",
+        default=None,
+        metavar="DIR",
+        help=(
+            "dispatch misses onto this work queue for external workers "
+            "instead of simulating locally"
+        ),
+    )
+    serve.add_argument(
+        "--budget",
+        type=float,
+        default=None,
+        help="wall-clock seconds per local miss simulation",
+    )
+    serve.add_argument(
+        "--queue-timeout",
+        type=float,
+        default=None,
+        help="seconds a query waits for the fleet before erroring (queue mode)",
+    )
+    serve.add_argument(
+        "--query-timeout",
+        type=float,
+        default=None,
+        help="wall-clock seconds per query before a 504 (default: unbounded)",
+    )
+    serve.add_argument(
+        "--max-inflight",
+        type=int,
+        default=None,
+        help=(
+            "shed queries with 503 + Retry-After once this many are "
+            "in flight (default: unbounded)"
+        ),
+    )
+    serve.add_argument(
+        "--drain-grace",
+        type=float,
+        default=30.0,
+        help="seconds SIGTERM waits for in-flight queries before closing",
+    )
+    serve.add_argument(
+        "--obs-log",
+        default=None,
+        metavar="FILE",
+        help=(
+            "enable repro.obs: one correlation id per query, structured "
+            "events + cross-layer spans into FILE, Prometheus /metrics "
+            "(default: off, zero overhead)"
         ),
     )
 
@@ -558,27 +531,22 @@ def _store_main(args) -> int:
     return 0 if counters["failed"] == 0 else 1
 
 
-def _serve_main(argv: List[str]) -> int:
-    """``serve``, from its own arguments.
-
-    With a local pool, the pool's forkserver starts once the arguments are
-    valid and before the server's modules are imported, so it loads the
-    worker's modules while this process loads the server's.
-    """
-    parser = _serve_parser()
-    args = parser.parse_args(argv)
+def _serve_main(parser: argparse.ArgumentParser, args) -> int:
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
     if args.max_inflight is not None and args.max_inflight < 1:
         parser.error("--max-inflight must be >= 1")
-    if args.queue is None:
-        from repro import forkserver
-
-        forkserver.start()
 
     import asyncio
 
     from repro.store.service import serve_forever
+
+    if args.queue is None:
+        from repro import forkserver
+
+        # Here the server has loaded every module a worker needs and has
+        # opened no socket yet: the moment to fork the pool's forkserver.
+        forkserver.start()
 
     def ready(handle) -> None:
         print(f"repro serve: listening on http://{handle.host}:{handle.port}")
@@ -695,11 +663,6 @@ def _chaos_main(parser: argparse.ArgumentParser, args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    if argv[:1] == ["serve"]:
-        return _serve_main(argv[1:])
-    from repro.harness.experiments import ALL_EXPERIMENTS, run_exhibits
-
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "list":
@@ -711,6 +674,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _campaign_main(parser, args)
     if args.command == "store":
         return _store_main(args)
+    if args.command == "serve":
+        return _serve_main(parser, args)
     if args.command == "obs":
         return _obs_main(args)
     if args.command == "chaos":

@@ -7,9 +7,9 @@ lazily.  An attempt past ``wall_clock_budget + kill_grace`` is SIGKILLed
 (``TimedOutRun(hard_kill=True)``), a worker that dies unreported becomes a
 transient ``WorkerDiedError``, and the next attempt gets a fresh worker.
 Campaigns fork their workers.  Serve forks them from a forkserver that has
-imported this module (:mod:`repro.forkserver`), so a worker loads nothing
-on its first task; ``python -m repro serve`` starts that forkserver with
-the server, and the workers still start on the first miss.
+this module loaded (:mod:`repro.forkserver`), so a worker loads nothing on
+its first task; ``python -m repro serve`` forks that forkserver from
+itself before it listens, and the workers still start on the first miss.
 ``run_campaign`` drives this pool and :class:`~repro.store.dispatch.QueueBackend`
 through one interface: ``busy``, ``has_capacity``, ``start``, ``collect``,
 ``close``.

@@ -158,8 +158,9 @@ class LocalExecutor:
         # server holds open client sockets — plain-forked workers would
         # inherit those fds and keep them alive long after the response,
         # so clients reading to EOF (Connection: close) would never see
-        # it.  Forkserver children fork from a clean early-started helper
-        # and inherit none of the server's descriptors; the helper has the
+        # it.  Forkserver children fork from a helper that holds none of
+        # the server's client descriptors (a fresh interpreter, or a fork
+        # of the server made before it opened a socket) and has the
         # worker's modules loaded (:mod:`repro.forkserver`).
         self.pool = WorkerPool(
             CampaignPolicy(jobs=jobs, wall_clock_budget=wall_clock_budget),

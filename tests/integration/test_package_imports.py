@@ -39,20 +39,6 @@ def test_campaign_import_leaves_the_serve_stack_unloaded():
     assert loaded == []
 
 
-def test_cli_import_loads_no_harness_simulator_or_store_module():
-    # `repro serve` starts its pool's forkserver from the CLI before any of
-    # these is loaded, so the forkserver's start overlaps their compilation.
-    loaded = _fresh(
-        "import json, sys\n"
-        "import repro.__main__\n"
-        "heavy = ('repro.harness', 'repro.sim', 'repro.store')\n"
-        "print(json.dumps(sorted(\n"
-        "    m for m in sys.modules if any(m == h or m.startswith(h + '.') for h in heavy)\n"
-        ")))\n"
-    )
-    assert loaded == []
-
-
 def test_every_public_name_resolves():
     missing = _fresh(
         "import json, repro\n"

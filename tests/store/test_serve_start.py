@@ -1,11 +1,12 @@
 """``python -m repro serve`` start-up, in real processes.
 
-With a local pool, the pool's forkserver starts with the server, before the
-server imports its modules, and has the worker's module loaded before it
-forks a worker, so the first miss waits for neither.  Each test runs in a
-fresh interpreter (a server in its own session); every wait is bounded, so
-a process that never listens, answers or exits fails the test instead of
-hanging it.
+With a local pool, the server forks the pool's forkserver from itself once
+it has loaded its modules and before it listens, so the forkserver, and
+every worker forked from it, starts with everything a worker runs already
+loaded, and the first miss waits for no interpreter start.  Each test runs
+in a fresh interpreter (a server in its own session); every wait is
+bounded, so a process that never listens, answers or exits fails the test
+instead of hanging it.
 """
 
 import http.client
@@ -62,13 +63,19 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
-#: ``python -c`` body: start the forkserver, fork one worker from it that
-#: runs ``argv[1]``, and exit with the worker's exit code.
+#: ``python -c`` body: fork one worker from a forkserver that is either
+#: forked from this process once it has loaded what ``repro serve`` loads
+#: (``argv[2] == "forked"``) or started by the stdlib with its preload list
+#: (``"preloaded"``); the worker runs ``argv[1]``, and this process exits
+#: with the worker's exit code.
 _FORKSERVER_WORKER = """
 import sys
 from repro import forkserver
 
-forkserver.start()
+if sys.argv[2] == "forked":
+    import repro.store.service  # what the server has loaded
+
+    forkserver.start()
 worker = forkserver.context().Process(target=exec, args=(sys.argv[1],))
 worker.start()
 worker.join(60)
@@ -84,6 +91,7 @@ def repro_modules():
     return {m for m in sys.modules if m == "repro" or m.startswith("repro.")}
 
 at_start = repro_modules()
+from multiprocessing import forkserver
 from repro.harness.campaign import CampaignCell, CellTask
 from repro.harness.pool import run_attempt
 
@@ -92,6 +100,10 @@ outcome = run_attempt(CellTask(cell, 1), None, None)
 print(json.dumps({
     "ok": outcome.ok,
     "preloaded": "repro.harness.pool" in at_start,
+    # Loaded by the server, not by the preload: the forked forkserver's mark.
+    "forked": "repro.store.service" in at_start,
+    # A lock held when the forkserver forked would be held here for good.
+    "lock_free": forkserver._forkserver._lock.acquire(blocking=False),
     "imported": sorted(repro_modules() - at_start),
 }), flush=True)
 """
@@ -201,10 +213,11 @@ def _serve(tmp_path, *extra, argv=("-m", "repro")):
     )
 
 
-def test_a_forkserver_worker_runs_its_first_cell_importing_no_repro_module():
+@pytest.mark.parametrize("start", ["forked", "preloaded"])
+def test_a_forkserver_worker_runs_its_first_cell_importing_no_repro_module(start):
     env = dict(os.environ, PYTHONPATH=_SRC)
     done = subprocess.run(
-        [sys.executable, "-c", _FORKSERVER_WORKER, _FIRST_TASK],
+        [sys.executable, "-c", _FORKSERVER_WORKER, _FIRST_TASK, start],
         env=env,
         capture_output=True,
         text=True,
@@ -212,18 +225,13 @@ def test_a_forkserver_worker_runs_its_first_cell_importing_no_repro_module():
     )
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
-    assert report == {"ok": True, "preloaded": True, "imported": []}
-
-
-@pytest.mark.parametrize("queue_mode", [False, True], ids=["local-pool", "queue"])
-def test_forkserver_runs_when_the_server_listens_unless_misses_go_to_a_queue(
-    tmp_path, queue_mode
-):
-    extra = ["--queue", str(tmp_path / "queue")] if queue_mode else []
-    with _serve(tmp_path, *extra) as server:
-        forkservers = [cmd for cmd in _children(server.proc.pid) if "forkserver" in cmd]
-        assert server.stop() == 0
-    assert len(forkservers) == (0 if queue_mode else 1), forkservers
+    assert report == {
+        "ok": True,
+        "preloaded": True,
+        "forked": start == "forked",
+        "lock_free": True,
+        "imported": [],
+    }
 
 
 def test_first_hit_and_first_miss_import_no_repro_module(tmp_path):
@@ -240,12 +248,16 @@ def test_first_hit_and_first_miss_import_no_repro_module(tmp_path):
         assert server.stop() == 0
 
 
-def test_sigterm_before_any_query_exits_0_and_leaves_no_process(tmp_path):
-    with _serve(tmp_path) as server:
+@pytest.mark.parametrize("queue_mode", [False, True], ids=["local-pool", "queue"])
+def test_sigterm_before_any_query_exits_0_and_leaves_no_process(tmp_path, queue_mode):
+    extra = ["--queue", str(tmp_path / "queue")] if queue_mode else []
+    with _serve(tmp_path, *extra) as server:
         sid = server.proc.pid
         started = _session(sid)
-        # The server, its forkserver and the resource tracker.
-        assert len(started) == 3, started
+        # A local pool's forkserver is forked before `listening`; the
+        # resource tracker starts with the first worker.
+        assert len(started) == (1 if queue_mode else 2), started
+        assert len(_children(sid)) == len(started) - 1, started
         assert server.stop() == 0
         deadline = time.monotonic() + WAIT_S
         while _session(sid) and time.monotonic() < deadline:
