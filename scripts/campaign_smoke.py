@@ -15,8 +15,8 @@ Phase 1, the crash/resume drill:
 
 Phase 2, the checkpoint drill: run one long cell with checkpointing on,
 SIGKILL the *worker process* (not the campaign) as soon as the first
-snapshot is journalled, and assert the retried attempt resumed from the
-checkpoint — ``resumed_from_cycle > 0`` in the done record, never cycle
+complete snapshot file lands in ``<ledger>.ckpt/``, and assert the
+retried attempt resumed from the checkpoint — ``resumed_from_cycle > 0`` in the done record, never cycle
 0 — with a fingerprint identical to an uninterrupted serial run.
 
 Exits 0 on success, 1 with a diagnosis on any violated property.
@@ -120,11 +120,18 @@ def checkpoint_drill() -> None:
 
     killed = threading.Event()
 
+    def snapshot_landed() -> bool:
+        # A snapshot is written to ``<name>.ckpt.tmp`` and renamed into
+        # place, so a ``.ckpt`` file is a complete generation.
+        try:
+            return any(f.endswith(".ckpt") for f in os.listdir(ledger + ".ckpt"))
+        except OSError:
+            return False
+
     def assassin() -> None:
         deadline = time.monotonic() + LAUNCH_TIMEOUT_S
         while time.monotonic() < deadline:
-            recs = CampaignLedger.read(ledger) if os.path.exists(ledger) else []
-            if any(r.get("event") == "cell-ckpt" for r in recs):
+            if snapshot_landed():
                 for pid in _child_pids():
                     try:
                         os.kill(pid, signal.SIGKILL)
@@ -142,7 +149,7 @@ def checkpoint_drill() -> None:
     report = run_campaign([cell], policy, ledger_path=ledger)
     thread.join(timeout=5)
     if not killed.is_set():
-        fail("no snapshot was journalled before the cell finished")
+        fail("no snapshot file landed before the cell finished")
 
     outcome = report.outcomes[cell.key()]
     if not outcome.ok:

@@ -179,7 +179,7 @@ async def drill(root: str) -> None:
             store_root,
             port=0,
             queue_root=queue_root,
-            queue_timeout=LAUNCH_TIMEOUT_S,
+            wall_clock_budget=LAUNCH_TIMEOUT_S,
             ready=ready,
             obs_log=obs_log,
         )

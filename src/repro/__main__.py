@@ -32,6 +32,8 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import math
+import os
 import sys
 from typing import List, Optional
 
@@ -43,6 +45,24 @@ from repro.sim.kernel import canonical_kernel
 #: started leave no spec in the ledger, so the grid definition — not the
 #: ledger — is the source of truth for what to run).
 CAMPAIGN_GRIDS = (*(name for name, exhibit in EXHIBITS.items() if exhibit.cells(1.0)), "smoke")
+
+
+def _positive(convert):
+    """An argparse ``type=`` for a flag that means nothing at zero or below:
+    a bad value is a usage error (exit 2) naming the flag."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse: "invalid int value: 'x'"
+    return parse
+
+
+_positive_int = _positive(int)
+_positive_float = _positive(float)
 
 
 def _first_doc_line(fn) -> str:
@@ -100,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--scale",
-        type=float,
+        type=_positive_float,
         default=1.0,
         help=(
             "multiplier on per-benchmark iteration counts (tables ignore "
@@ -109,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=1,
         help=(
             "worker processes for the experiments' cells, one pool for all "
@@ -148,13 +168,13 @@ def _build_parser() -> argparse.ArgumentParser:
             required=True,
             help="JSONL ledger path (one record per cell attempt)",
         )
-        p.add_argument("--scale", type=float, default=1.0)
+        p.add_argument("--scale", type=_positive_float, default=1.0)
         p.add_argument(
-            "--jobs", type=int, default=1, help="worker processes (default 1)"
+            "--jobs", type=_positive_int, default=1, help="worker processes (default 1)"
         )
         p.add_argument(
             "--budget",
-            type=float,
+            type=_positive_float,
             default=None,
             help=(
                 "wall-clock seconds per cell attempt; with --workers-external, "
@@ -163,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--max-attempts",
-            type=int,
+            type=_positive_int,
             default=3,
             help="attempts per cell; only transient failures retry (default 3)",
         )
@@ -177,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--checkpoint-every",
-            type=int,
+            type=_positive_int,
             default=None,
             metavar="CYCLES",
             help=(
@@ -279,15 +299,15 @@ def _build_parser() -> argparse.ArgumentParser:
             )
             sp.add_argument(
                 "--budget",
-                type=float,
+                type=_positive_float,
                 default=None,
                 help="wall-clock seconds per cell (default: no watchdog)",
             )
             sp.add_argument(
                 "--lease-ttl",
-                type=float,
+                type=_positive_float,
                 default=None,
-                help="seconds before an unrenewed lease is reclaimable",
+                help="seconds before an unrenewed lease is reclaimable (default 60)",
             )
             sp.add_argument(
                 "--obs-log",
@@ -311,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8763)
     serve.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=2,
         help="local simulation processes for misses (default 2)",
     )
@@ -326,25 +346,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--budget",
-        type=float,
+        type=_positive_float,
         default=None,
-        help="wall-clock seconds per local miss simulation",
-    )
-    serve.add_argument(
-        "--queue-timeout",
-        type=float,
-        default=None,
-        help="seconds a query waits for the fleet before erroring (queue mode)",
+        help=(
+            "wall-clock seconds per local miss simulation; with --queue, how "
+            "long a miss waits for the fleet before a 504 (default: no limit)"
+        ),
     )
     serve.add_argument(
         "--query-timeout",
-        type=float,
+        type=_positive_float,
         default=None,
         help="wall-clock seconds per query before a 504 (default: unbounded)",
     )
     serve.add_argument(
         "--max-inflight",
-        type=int,
+        type=_positive_int,
         default=None,
         help=(
             "shed queries with 503 + Retry-After once this many are "
@@ -443,10 +460,6 @@ def _campaign_main(parser: argparse.ArgumentParser, args) -> int:
         print(render_status(status))
         return 0 if status["complete"] else 1
 
-    if args.scale <= 0:
-        parser.error("--scale must be positive")
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
     if args.workers_external and args.store is None:
         parser.error("--workers-external requires --store")
     if args.workers_external and args.checkpoint_every is not None:
@@ -461,8 +474,6 @@ def _campaign_main(parser: argparse.ArgumentParser, args) -> int:
 
     queue = None
     if args.workers_external:
-        import os
-
         from repro.store.dispatch import WorkQueue
 
         queue = WorkQueue(args.queue or os.path.join(args.store, "queue"))
@@ -490,7 +501,6 @@ def _campaign_main(parser: argparse.ArgumentParser, args) -> int:
 
 def _store_main(args) -> int:
     import json
-    import os
 
     from repro.store.dispatch import WorkQueue, run_worker
     from repro.store.store import ResultStore
@@ -517,7 +527,7 @@ def _store_main(args) -> int:
         from repro.obs import runtime as _obs_runtime
 
         _obs_runtime.configure(log_path=args.obs_log)
-    ttl = {"lease_ttl": args.lease_ttl} if args.lease_ttl else {}
+    ttl = {} if args.lease_ttl is None else {"lease_ttl": args.lease_ttl}
     queue = WorkQueue(queue_root, **ttl)
     counters = run_worker(
         store,
@@ -531,12 +541,7 @@ def _store_main(args) -> int:
     return 0 if counters["failed"] == 0 else 1
 
 
-def _serve_main(parser: argparse.ArgumentParser, args) -> int:
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
-    if args.max_inflight is not None and args.max_inflight < 1:
-        parser.error("--max-inflight must be >= 1")
-
+def _serve_main(args) -> int:
     import asyncio
 
     from repro.store.service import serve_forever
@@ -561,7 +566,6 @@ def _serve_main(parser: argparse.ArgumentParser, args) -> int:
                 jobs=args.jobs,
                 queue_root=args.queue,
                 wall_clock_budget=args.budget,
-                queue_timeout=args.queue_timeout,
                 query_timeout=args.query_timeout,
                 max_inflight=args.max_inflight,
                 drain_grace=args.drain_grace,
@@ -675,7 +679,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "store":
         return _store_main(args)
     if args.command == "serve":
-        return _serve_main(parser, args)
+        return _serve_main(args)
     if args.command == "obs":
         return _obs_main(args)
     if args.command == "chaos":
@@ -690,10 +694,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"unknown experiment(s) {', '.join(unknown)}; "
             f"choose from: {', '.join(ALL_EXPERIMENTS)} (or 'all')"
         )
-    if args.scale <= 0:
-        parser.error("--scale must be positive")
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
     failed = 0
     for result in run_exhibits(names, args.scale, args.jobs):
         print(result.text)
@@ -706,4 +706,13 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout went away (``| head``).  Point stdout at
+        # devnull so the interpreter's flush at exit cannot fail again, and
+        # exit 1 as Python does on EPIPE (the idiom of Python's docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

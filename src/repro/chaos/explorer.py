@@ -50,6 +50,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.chaos.fs import ChaosFS, ChaosPlan, OpRecord, SimulatedCrash
+from repro.faults.classify import FailureClass, classify_outcome
 from repro.harness.campaign import CampaignCell, CampaignLedger, execute_cell
 from repro.harness.runner import RunResult
 from repro.sim.checkpoint import (
@@ -59,7 +60,7 @@ from repro.sim.checkpoint import (
     recover_snapshot,
     write_snapshot,
 )
-from repro.store.dispatch import WorkQueue, commit
+from repro.store.dispatch import WorkQueue
 from repro.store.store import ResultStore, cell_digest, publish
 
 __all__ = [
@@ -482,10 +483,18 @@ def _commit_setup(harness: FleetHarness) -> None:
 
 
 def _commit_run(harness: FleetHarness) -> None:
+    """A queue worker's commit, step for step as ``run_worker`` takes it:
+    publish, then settle the queue entry by the outcome publish returns."""
     cell, result, _fp = _golden()
-    lease = harness.notes["lease"]
-    commit(harness.store(), harness.queue(), lease, cell, result, {"campaign": "chaos"})
-    harness.notes["acked"] = True
+    lease, queue = harness.notes["lease"], harness.queue()
+    outcome, _entry = publish(harness.store(), cell, result, {"campaign": "chaos"})
+    if outcome.ok:
+        queue.complete(lease)
+        harness.notes["acked"] = True
+    elif classify_outcome(outcome) is FailureClass.TRANSIENT:
+        queue.release(lease)
+    else:
+        queue.fail(lease, outcome)
 
 
 def _commit_check(harness: FleetHarness) -> List[str]:

@@ -37,24 +37,26 @@ retryable, durably-recorded unit of work*:
 * **Journal**: the ledger is an append-only JSONL journal of attempts
   (single ``write`` + ``fsync`` per record, so a crash can tear at most
   the final line, which replay ignores): ``cell-start`` with the spec,
-  ``cell-ckpt`` per snapshot, ``cell-end`` with status, timing and error.
-  Results are not in it.
+  ``cell-end`` with status, timing and error.  Results are not in it, and
+  neither are checkpoints.
 
 * **Store**: a cell is done exactly when the result store
   (:mod:`repro.store`) holds its digest, unless the journal closed it as
   failed.  An attempt commits the way ``repro store worker`` does —
-  publish, then journal — and a ledger-backed campaign without a store
-  uses ``<ledger>.store``.  ``campaign resume`` answers stored cells from
-  the store and re-queues the rest; ``recheck=True`` re-runs stored cells,
-  which must reproduce the stored fingerprint byte for byte — the
-  simulator's determinism guarantee as a checked invariant.
+  :func:`~repro.store.store.publish`, then journal — and a ledger-backed
+  campaign without a store uses ``<ledger>.store``.  ``campaign resume``
+  answers stored cells from the store and re-queues the rest;
+  ``recheck=True`` re-runs stored cells, which must reproduce the stored
+  fingerprint byte for byte — the simulator's determinism guarantee as a
+  checked invariant.
 
 * **Checkpoints** (``CampaignPolicy.checkpoint_every``): workers snapshot
   the whole machine every N simulated cycles
-  (:mod:`repro.sim.checkpoint`), journal each snapshot to the parent as a
-  :class:`CheckpointNote` (a ``cell-ckpt`` ledger event), and resume a
-  killed or preempted cell from its latest valid snapshot instead of cycle
-  0 — with the resumed fingerprint bit-identical to an uninterrupted run.
+  (:mod:`repro.sim.checkpoint`) into the campaign's checkpoint directory,
+  and resume a killed or preempted cell from its latest valid snapshot
+  instead of cycle 0 — with the resumed fingerprint bit-identical to an
+  uninterrupted run.  The snapshot files are the only record of progress:
+  ``campaign status`` validates them to show the cycle resume would load.
   SIGTERM becomes graceful preemption: the worker checkpoints at the next
   safe point and records a :class:`~repro.harness.runner.PreemptedRun`
   (transient, never terminal, never consuming a retry attempt).  Corrupt
@@ -92,9 +94,12 @@ from repro.harness.runner import (
 from repro.obs import runtime as _obs
 from repro.obs.events import new_cid
 from repro.sim.checkpoint import (
+    PREV_SUFFIX,
     Checkpointer,
     MachineSnapshot,
     PreemptionRequested,
+    SnapshotError,
+    inspect_snapshot,
     resume_run,
 )
 from repro.sim.kernel import SimulationError, WallClockExceededError, canonical_kernel
@@ -112,7 +117,6 @@ __all__ = [
     "CampaignReport",
     "CellHistory",
     "CellTask",
-    "CheckpointNote",
     "LEDGER_SCHEMA_VERSION",
     "campaign_status",
     "cell_checkpoint_path",
@@ -511,24 +515,6 @@ class CellTask:
     cid: Optional[str] = None
 
 
-@dataclass
-class CheckpointNote:
-    """Mid-run journal message a worker sends after persisting a snapshot.
-
-    Flows over the same pipe as the final outcome; the pool hands notes to
-    the campaign, which appends them as ``cell-ckpt`` ledger events — how
-    ``campaign status`` knows each in-flight cell's latest checkpointed
-    cycle even after the worker is SIGKILLed.
-    """
-
-    cell: str
-    attempt: int
-    cycle: float
-    path: Optional[str]
-    #: Snapshots persisted so far in this attempt.
-    count: int = 0
-
-
 def cell_checkpoint_path(checkpoint_dir: str, cell: CampaignCell) -> str:
     """The cell's snapshot file under the campaign's checkpoint directory.
 
@@ -559,15 +545,6 @@ class CellHistory:
     #: Store digest the latest done attempt of this schema committed.
     store_digest: Optional[str] = None
     spec: Optional[Dict[str, object]] = None
-    #: Latest checkpointed simulated cycle (``cell-ckpt`` events and
-    #: preemption records), or None when the cell never snapshotted.
-    checkpoint_cycle: Optional[float] = None
-    #: Snapshot file of the latest checkpoint, when one was persisted.
-    checkpoint_path: Optional[str] = None
-    #: Wall-clock time of the latest checkpoint record.
-    checkpoint_time: Optional[float] = None
-    #: Total snapshots journalled for this cell across attempts.
-    checkpoints: int = 0
 
     @property
     def failed(self) -> bool:
@@ -707,34 +684,35 @@ class CampaignLedger:
 
     @staticmethod
     def replay(path: str) -> Dict[str, CellHistory]:
-        """Fold a ledger into per-cell state keyed by cell key.
+        """Fold a ledger into per-cell state keyed by cell key (:meth:`fold`)."""
+        return CampaignLedger.fold(CampaignLedger.read(path))
+
+    @staticmethod
+    def fold(records: Iterable[Dict[str, object]]) -> Dict[str, CellHistory]:
+        """Fold a ledger's records into per-cell state keyed by cell key.
 
         Records of a campaign whose ``campaign-start`` names an older
         :data:`LEDGER_SCHEMA_VERSION` name no store digest: their entries
         were addressed under the older spec dialect, so their cells re-run.
         Their histories are filed under today's keys (a v2 key hashed a
-        single-threaded cell's design point).
+        single-threaded cell's design point).  The per-snapshot records
+        older ledgers carry are ignored: snapshot files are the record of
+        checkpoints.
         """
         histories: Dict[str, CellHistory] = {}
         schema = LEDGER_SCHEMA_VERSION
         rekey: Dict[str, str] = {}
-        for rec in CampaignLedger.read(path):
+        for rec in records:
             event = rec.get("event")
             if event == "campaign-start":
                 schema = rec.get("schema", 1)
-            if event not in ("cell-start", "cell-end", "cell-ckpt"):
+            if event not in ("cell-start", "cell-end"):
                 continue
             key = rec["cell"]
             if schema != LEDGER_SCHEMA_VERSION and event == "cell-start" and rec.get("spec"):
                 rekey[key] = CampaignCell.from_spec(rec["spec"]).key()
             key = rekey.get(key, key)
             hist = histories.setdefault(key, CellHistory(key=key))
-            if event == "cell-ckpt":
-                hist.checkpoints += 1
-                hist.checkpoint_cycle = rec.get("cycle")
-                hist.checkpoint_path = rec.get("path")
-                hist.checkpoint_time = rec.get("time")
-                continue
             hist.attempts = max(hist.attempts, int(rec.get("attempt", 0)))
             if event == "cell-start":
                 hist.in_flight = True
@@ -747,11 +725,6 @@ class CampaignLedger:
                     # the attempt back so routine evictions on preemptible
                     # fleets can never exhaust a cell's retry budget.
                     hist.attempts = max(0, int(rec.get("attempt", 1)) - 1)
-                    if rec.get("cycle") is not None:
-                        hist.checkpoint_cycle = rec.get("cycle")
-                        hist.checkpoint_time = rec.get("time")
-                    if rec.get("snapshot_path"):
-                        hist.checkpoint_path = rec.get("snapshot_path")
                 if rec.get("terminal"):
                     hist.terminal = True
                     hist.status = rec.get("status")
@@ -979,38 +952,37 @@ def _commit(
     """Commit one finished attempt the way ``run_worker`` does: publish, then
     journal the ``cell-end``; then the obs event and the report.
 
-    A result contradicting its golden fingerprint or a stored entry fails
-    as ``FingerprintMismatchError``.  A result the store cannot take (an
-    ``OSError``: a full or failing disk) is not done: a transient failure.
-    Returns the backoff before the retry the caller must schedule, or
-    ``None`` when the outcome is final (always so unless ``retry``).
+    A result contradicting its golden fingerprint fails as
+    ``FingerprintMismatchError``.  The rest go through
+    :func:`~repro.store.store.publish` (a queue worker has published its
+    own), which fails a result stored with another fingerprint the same
+    way and one the store cannot take (a full or failing disk) as a
+    transient ``OSError``.  Returns the backoff before the retry the caller
+    must schedule, or ``None`` when the outcome is final (always so unless
+    ``retry``).
     """
     key = cell.key()
     report.attempts[key] = attempt
     # A queue worker publishes before the campaign sees its result.
     digest = outcome.extras.get("store_digest") if outcome.ok else None
-    error: Optional[Tuple[str, str]] = None
     if outcome.ok and golden is not None and outcome.fingerprint() != golden:
-        error = (
-            "FingerprintMismatchError",
-            f"recorded fingerprint {golden} but re-run produced "
-            f"{outcome.fingerprint()} — determinism violated",
+        outcome = FailedRun(
+            benchmark=outcome.benchmark,
+            design_point=outcome.design_point,
+            error_type="FingerprintMismatchError",
+            error=(
+                f"recorded fingerprint {golden} but re-run produced "
+                f"{outcome.fingerprint()} — determinism violated"
+            ),
         )
-    elif outcome.ok and digest is None and store is not None:
-        from repro.store.store import StoreError, publish
+    elif digest is None and store is not None:
+        from repro.store.store import publish
 
-        try:
-            provenance = {"campaign": campaign_id, "attempt": attempt}
-            digest = publish(store, cell, outcome, provenance, cid=cid)[0].digest
-        except StoreError as exc:  # a conflicting entry: determinism violated
-            error = ("FingerprintMismatchError", str(exc))
-        except OSError as exc:
-            error = ("OSError", f"result not published: {exc}")
-    if error is not None:
-        if error[0] == "FingerprintMismatchError":
-            report.mismatches.append(key)
-        outcome = FailedRun(benchmark=outcome.benchmark, design_point=outcome.design_point,
-                            error_type=error[0], error=error[1])
+        provenance = {"campaign": campaign_id, "attempt": attempt}
+        outcome, entry = publish(store, cell, outcome, provenance, cid=cid)
+        digest = entry.digest if entry is not None else None
+    if not outcome.ok and outcome.error_type == "FingerprintMismatchError":
+        report.mismatches.append(key)
     delay = policy.retry_delay(key, attempt, outcome)
     if ledger is not None:
         rec = _outcome_record(cell, attempt, outcome, delay is None, elapsed)
@@ -1175,6 +1147,7 @@ def run_campaign(
                 "n_store_hits": len(report.store_hits),
                 "store": getattr(store, "root", None),
                 "queue": getattr(queue, "root", None),
+                "checkpoint_dir": checkpoint_dir,
                 "policy": {
                     "jobs": policy.jobs,
                     "wall_clock_budget": policy.wall_clock_budget,
@@ -1224,21 +1197,6 @@ def run_campaign(
     draining = False
     start_times: Dict[str, float] = {}
 
-    def handle_note(msg: CheckpointNote) -> None:
-        """Journal one worker checkpoint into the ledger (``cell-ckpt``)."""
-        if ledger is not None:
-            ledger.append(
-                {
-                    "event": "cell-ckpt",
-                    "cell": msg.cell,
-                    "attempt": msg.attempt,
-                    "cycle": msg.cycle,
-                    "path": msg.path,
-                    "count": msg.count,
-                    "time": time.time(),
-                }
-            )
-
     commit = functools.partial(
         _commit, store=store, ledger=ledger, report=report, policy=policy,
         campaign_id=campaign_id, note=note,
@@ -1283,7 +1241,7 @@ def run_campaign(
                 task = CellTask(
                     cell, attempt, checkpoint_dir, allow_resume=key not in golden, cid=cell_cid(key)
                 )
-                backend.start(task, on_note=handle_note)
+                backend.start(task)
 
             if not backend.busy:
                 # Farm idle but a backoff delay is pending: sleep it off.
@@ -1350,45 +1308,28 @@ def run_cells(cells: Iterable[CampaignCell], jobs: int = 1) -> Dict[str, RunOutc
 # ----------------------------------------------------------------------
 
 
-def _checkpoint_entry(hist: CellHistory, now: float) -> Optional[Dict[str, object]]:
-    """Per-cell checkpoint progress: cycle, snapshot path validity, and age.
+def _checkpoint_entry(
+    hist: CellHistory, checkpoint_dir: str, now: float
+) -> Optional[Dict[str, object]]:
+    """The snapshot generation resume would load for an unfinished cell.
 
-    Age prefers the snapshot file's mtime (survives ledger truncation and
-    reflects the atomic rename, not the journal note); the ledger record
-    time is the fallback when the file is gone.
+    Tries the cell's snapshot file, then its ``.prev``, the order
+    :func:`~repro.sim.checkpoint.recover_snapshot` uses, and describes the
+    first one :func:`~repro.sim.checkpoint.inspect_snapshot` validates:
+    ``{"cycle", "path", "age"}``, the age from the file's mtime.  None when
+    no generation is valid.  Never unpickles, quarantines or moves a file.
     """
-    if hist.checkpoint_cycle is None and hist.checkpoints == 0:
+    if hist.spec is None:
         return None
-    entry: Dict[str, object] = {
-        "cycle": hist.checkpoint_cycle,
-        "count": hist.checkpoints,
-        "path": hist.checkpoint_path,
-        "on_disk": False,
-        "age": None,
-    }
-    if hist.checkpoint_path is not None and os.path.exists(hist.checkpoint_path):
-        entry["on_disk"] = True
+    path = cell_checkpoint_path(checkpoint_dir, CampaignCell.from_spec(hist.spec))
+    for candidate in (path, path + PREV_SUFFIX):
         try:
-            entry["age"] = max(0.0, now - os.path.getmtime(hist.checkpoint_path))
-        except OSError:
-            entry["age"] = None
-    elif hist.checkpoint_time is not None:
-        entry["age"] = max(0.0, now - hist.checkpoint_time)
-    return entry
-
-
-def _journal_store(ledger_path: str):
-    """The store a ledger's latest campaign named (``<ledger>.store`` if it
-    named none), or None when that directory does not exist."""
-    root = str(ledger_path) + ".store"
-    for rec in CampaignLedger.read(ledger_path):
-        if rec.get("event") == "campaign-start" and rec.get("store"):
-            root = rec["store"]
-    if not os.path.isdir(root):
-        return None
-    from repro.store.store import ResultStore
-
-    return ResultStore(root)
+            cycle = inspect_snapshot(candidate)["cycle"]
+            age = max(0.0, now - os.path.getmtime(candidate))
+        except (OSError, SnapshotError):
+            continue
+        return {"cycle": cycle, "path": candidate, "age": age}
+    return None
 
 
 def campaign_status(ledger_path: str) -> Dict[str, object]:
@@ -1401,14 +1342,25 @@ def campaign_status(ledger_path: str) -> Dict[str, object]:
 
     Returns a plain dict (CLI-renderable and test-assertable):
     ``{"cells": N, "by_status": {...}, "in_flight": [...], "complete": bool,
-    "attempts": total,
-    "checkpoints": {key: {"cycle", "count", "path", "on_disk", "age"}}}``.
-    The ``checkpoints`` map holds every cell that journalled a snapshot —
-    the recovery story of each in-flight or preempted cell at a glance:
-    which cycle it would resume from and how stale that snapshot is.
+    "attempts": total, "checkpoints": {key: {"cycle", "path", "age"}}}``.
+    The ``checkpoints`` map holds each cell that is neither done nor failed
+    and has a valid snapshot in the checkpoint directory the latest
+    campaign named: the cycle resume would load and how stale it is.
     """
-    histories = CampaignLedger.replay(ledger_path)
-    store = _journal_store(ledger_path)
+    records = CampaignLedger.read(ledger_path)
+    histories = CampaignLedger.fold(records)
+    # The store and snapshot directory the latest campaign named, else the
+    # ones a campaign derives from its ledger path.
+    store_root, checkpoint_dir = str(ledger_path) + ".store", str(ledger_path) + ".ckpt"
+    for rec in records:
+        if rec.get("event") == "campaign-start":
+            store_root = rec.get("store") or store_root
+            checkpoint_dir = rec.get("checkpoint_dir") or checkpoint_dir
+    store = None
+    if os.path.isdir(store_root):
+        from repro.store.store import ResultStore
+
+        store = ResultStore(store_root)
     by_status: Dict[str, int] = {}
     in_flight: List[str] = []
     checkpoints: Dict[str, Dict[str, object]] = {}
@@ -1428,10 +1380,8 @@ def campaign_status(ledger_path: str) -> Dict[str, object]:
             status = "unstored" if hist.terminal else "interrupted"
         if status is not None:
             by_status[status] = by_status.get(status, 0) + 1
-        # Checkpoint progress matters for cells that may still resume; a
-        # successfully-done attempt's snapshots were already discarded.
-        if not (hist.terminal and hist.status == "done"):
-            ckpt = _checkpoint_entry(hist, now)
+        if status != "done" and not hist.failed:
+            ckpt = _checkpoint_entry(hist, checkpoint_dir, now)
             if ckpt is not None:
                 checkpoints[hist.key] = ckpt
     settled = by_status.get("done", 0) + sum(h.failed for h in histories.values())
@@ -1445,9 +1395,7 @@ def campaign_status(ledger_path: str) -> Dict[str, object]:
     }
 
 
-def _render_age(age: Optional[float]) -> str:
-    if age is None:
-        return "age unknown"
+def _render_age(age: float) -> str:
     if age < 120:
         return f"{age:.0f}s old"
     if age < 7200:
@@ -1463,13 +1411,7 @@ def render_status(status: Dict[str, object]) -> str:
         entry = checkpoints.get(key)
         if entry is None:
             return ""
-        cycle = entry.get("cycle")
-        where = "on disk" if entry.get("on_disk") else "journalled"
-        return (
-            f" [ckpt cycle {cycle:.0f}, {where}, {_render_age(entry.get('age'))}]"
-            if cycle is not None
-            else ""
-        )
+        return f" [ckpt cycle {entry['cycle']:.0f}, {_render_age(entry['age'])}]"
 
     lines = [f"cells recorded : {status['cells']}"]
     for name, count in sorted(status["by_status"].items()):

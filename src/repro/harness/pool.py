@@ -6,10 +6,13 @@ persist between attempts — a run depends only on its cell spec — and start
 lazily.  An attempt past ``wall_clock_budget + kill_grace`` is SIGKILLed
 (``TimedOutRun(hard_kill=True)``), a worker that dies unreported becomes a
 transient ``WorkerDiedError``, and the next attempt gets a fresh worker.
-Campaigns fork their workers.  Serve forks them from a forkserver that has
-this module loaded (:mod:`repro.forkserver`), so a worker loads nothing on
-its first task; ``python -m repro serve`` forks that forkserver from
-itself before it listens, and the workers still start on the first miss.
+A worker sends one message per attempt, its outcome; a checkpointing
+attempt's progress is in its snapshot files, which ``campaign status``
+reads.  Campaigns fork their workers.  Serve forks them from a forkserver
+that has this module loaded (:mod:`repro.forkserver`), so a worker loads
+nothing on its first task; ``python -m repro serve`` forks that forkserver
+from itself before it listens, and the workers still start on the first
+miss.
 ``run_campaign`` drives this pool and :class:`~repro.store.dispatch.QueueBackend`
 through one interface: ``busy``, ``has_capacity``, ``start``, ``collect``,
 ``close``.
@@ -26,13 +29,7 @@ from dataclasses import dataclass
 from multiprocessing.connection import wait as _connection_wait
 from typing import Callable, List, Optional, Tuple
 
-from repro.harness.campaign import (
-    CampaignPolicy,
-    CellTask,
-    CheckpointNote,
-    cell_checkpoint_path,
-    execute_cell,
-)
+from repro.harness.campaign import CampaignPolicy, CellTask, cell_checkpoint_path, execute_cell
 from repro.harness.runner import FailedRun, RunOutcome, RunResult, TimedOutRun
 from repro.obs import runtime as _obs
 from repro.obs.spans import span as _span
@@ -64,7 +61,6 @@ def run_attempt(
     task: CellTask,
     wall_clock_budget: Optional[float],
     checkpoint_every: Optional[int],
-    on_note: Optional[Callable[[CheckpointNote], None]] = None,
     abort: Optional[Callable[[], Optional[str]]] = None,
 ) -> RunOutcome:
     """Run one cell attempt in this process (a pool worker, or a queue
@@ -73,8 +69,7 @@ def run_attempt(
     Usage errors become a :class:`FailedRun` with the traceback: an
     exception that killed the worker would look transient and be retried.
     With checkpointing on, the attempt resumes the cell's latest valid
-    snapshot (unless ``task.allow_resume`` is off), hands ``on_note`` a
-    :class:`CheckpointNote` per snapshot, turns SIGTERM into a
+    snapshot (unless ``task.allow_resume`` is off), turns SIGTERM into a
     checkpoint-and-stop (``PreemptedRun``) until it ends — then restores
     the default handler — and deletes the snapshots once the run completes.
     """
@@ -97,15 +92,6 @@ def run_attempt(
             checkpointer = Checkpointer(
                 every=checkpoint_every,
                 path=path,
-                on_snapshot=lambda snap, snap_path: on_note(
-                    CheckpointNote(
-                        cell=cell.key(),
-                        attempt=task.attempt,
-                        cycle=snap.cycle,
-                        path=snap_path,
-                        count=checkpointer.snapshots_taken,
-                    )
-                ),
                 on_write_error=lambda exc: None,  # ENOSPC etc.: skip, not die
             )
             signal.signal(signal.SIGTERM, lambda *_: checkpointer.request_preempt())
@@ -174,7 +160,7 @@ def _worker_main(conn) -> None:
                 _obs.shutdown()
         except OSError:
             _obs.shutdown()
-        outcome = run_attempt(task, wall_clock_budget, checkpoint_every, conn.send)
+        outcome = run_attempt(task, wall_clock_budget, checkpoint_every)
         if isinstance(outcome, RunResult):
             outcome.machine = outcome.trace = None  # stats and extras cross
         try:
@@ -202,7 +188,6 @@ class Attempt:
     worker: _Worker
     started_at: float
     hard_deadline: Optional[float]
-    on_note: Optional[Callable[[CheckpointNote], None]] = None
 
 
 class WorkerPool:
@@ -238,9 +223,7 @@ class WorkerPool:
         child_conn.close()
         return _Worker(process, parent_conn)
 
-    def start(
-        self, task: CellTask, on_note: Optional[Callable[[CheckpointNote], None]] = None
-    ) -> Attempt:
+    def start(self, task: CellTask) -> Attempt:
         """Hand ``task`` to an idle worker, starting one if none is idle."""
         policy = self.policy
         state = _obs.get_state()
@@ -254,7 +237,7 @@ class WorkerPool:
             now = time.monotonic()
             budget = policy.wall_clock_budget
             deadline = now + budget + policy.kill_grace if budget is not None else None
-            attempt = Attempt(task, worker, now, deadline, on_note)
+            attempt = Attempt(task, worker, now, deadline)
             self.busy.append(attempt)
         try:
             worker.conn.send((task, budget, policy.checkpoint_every, obs_log))
@@ -263,14 +246,10 @@ class WorkerPool:
         return attempt
 
     def _receive(self, attempt: Attempt) -> Optional[RunOutcome]:
-        """Drain buffered messages: notes to ``on_note``, the outcome back."""
+        """The attempt's outcome, if its worker has sent it."""
         try:
-            while attempt.worker.conn.poll():
-                msg = attempt.worker.conn.recv()
-                if not isinstance(msg, CheckpointNote):
-                    return msg
-                if attempt.on_note is not None:
-                    attempt.on_note(msg)
+            if attempt.worker.conn.poll():
+                return attempt.worker.conn.recv()
         except (EOFError, OSError):
             pass
         return None

@@ -217,14 +217,9 @@ def snapshot_to_bytes(snapshot: MachineSnapshot) -> bytes:
     return _encode(snapshot)
 
 
-def snapshot_from_bytes(data: bytes, source: str = "<bytes>") -> MachineSnapshot:
-    """Validate and decode :func:`snapshot_to_bytes` output.
-
-    Raises :class:`SnapshotCorruptError` on any structural defect: short
-    header, wrong magic, unknown version, truncation, CRC mismatch, or an
-    undecodable payload.  Validation happens *before* unpickling, so a
-    corrupt file never reaches the deserializer.
-    """
+def _validated(data: bytes, source: str) -> "tuple[bytes, bytes]":
+    """The meta block and payload of a snapshot's bytes, once its magic,
+    version, lengths and both CRCs check out."""
 
     def corrupt(reason: str) -> SnapshotCorruptError:
         return SnapshotCorruptError(f"snapshot {source}: {reason}")
@@ -258,12 +253,25 @@ def snapshot_from_bytes(data: bytes, source: str = "<bytes>") -> MachineSnapshot
         )
     if zlib.crc32(payload) != payload_crc:
         raise corrupt("payload CRC mismatch (bit flip or torn write)")
+    return meta_raw, payload
+
+
+def snapshot_from_bytes(data: bytes, source: str = "<bytes>") -> MachineSnapshot:
+    """Validate and decode :func:`snapshot_to_bytes` output.
+
+    Raises :class:`SnapshotCorruptError` on any structural defect: short
+    header, wrong magic, unknown version, truncation, CRC mismatch, or an
+    undecodable payload.  Validation happens *before* unpickling, so a
+    corrupt file never reaches the deserializer.
+    """
+    payload = _validated(data, source)[1]
     try:
         snapshot = pickle.loads(payload)
     except Exception as exc:  # noqa: BLE001 - any decode failure is corruption
-        raise corrupt(f"payload failed to decode: {exc}") from exc
+        raise SnapshotCorruptError(f"snapshot {source}: payload failed to decode: {exc}") from exc
     if not isinstance(snapshot, MachineSnapshot):
-        raise corrupt(f"payload decoded to {type(snapshot).__name__}, not a snapshot")
+        kind = type(snapshot).__name__
+        raise SnapshotCorruptError(f"snapshot {source}: payload decoded to {kind}, not a snapshot")
     return snapshot
 
 
@@ -318,28 +326,14 @@ def read_snapshot(path: str, fs=None) -> MachineSnapshot:
 def inspect_snapshot(path: str) -> dict:
     """Validated metadata of a snapshot file, without unpickling the payload.
 
-    Cheap enough for status displays: reads the header and meta block only
-    (plus their CRC).  Raises :class:`SnapshotCorruptError` on a damaged
-    header/meta region.
+    Checks everything :func:`read_snapshot` checks before it unpickles —
+    magic, version, lengths and both CRCs — so a file it accepts is one
+    recovery would load; ``campaign status`` reports its cycle.  Raises
+    :class:`SnapshotCorruptError` on a damaged file and :class:`OSError`
+    when it cannot be read.
     """
     with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) < _HEADER.size:
-            raise SnapshotCorruptError(f"snapshot {path}: truncated header")
-        magic, version, meta_len = _HEADER.unpack(head)
-        if magic != CHECKPOINT_MAGIC:
-            raise SnapshotCorruptError(f"snapshot {path}: bad magic {magic!r}")
-        if version != CHECKPOINT_VERSION:
-            raise SnapshotCorruptError(
-                f"snapshot {path}: format version {version} unsupported"
-            )
-        meta_raw = fh.read(meta_len)
-        tail = fh.read(_META_TAIL.size)
-    if len(meta_raw) != meta_len or len(tail) != _META_TAIL.size:
-        raise SnapshotCorruptError(f"snapshot {path}: truncated metadata block")
-    if zlib.crc32(meta_raw) != _META_TAIL.unpack(tail)[0]:
-        raise SnapshotCorruptError(f"snapshot {path}: metadata CRC mismatch")
-    return json.loads(meta_raw)
+        return json.loads(_validated(fh.read(), path)[0])
 
 
 def quarantine_snapshot(path: str, fs=None) -> str:
@@ -457,8 +451,7 @@ class Checkpointer:
             generation rotated to ``.prev``).  ``None`` keeps snapshots
             in memory only (``on_snapshot`` receives them).
         on_snapshot: Optional callback ``(snapshot, path_or_None)`` invoked
-            after each snapshot is persisted — the campaign worker's journal
-            hook.
+            after each snapshot is persisted.
         keep_previous: Rotate the outgoing file to ``.prev`` (default on).
         on_write_error: Optional handler for :class:`OSError` raised while
             persisting (``ENOSPC``, ``EIO``, ...).  When set, a failed write

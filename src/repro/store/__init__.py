@@ -20,7 +20,6 @@ from repro.store.dispatch import (
     LeaseLostError,
     QueueBackend,
     WorkQueue,
-    commit,
     default_worker_id,
     run_worker,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "StoreError",
     "WorkQueue",
     "cell_digest",
-    "commit",
     "default_worker_id",
     "publish",
     "result_from_entry",

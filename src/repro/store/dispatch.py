@@ -53,9 +53,10 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.faults.classify import FailureClass, classify_outcome
 from repro.harness.campaign import LEDGER_SCHEMA_VERSION, CampaignCell, CellTask
 from repro.harness.pool import run_attempt
-from repro.harness.runner import FailedRun, RunResult, TimedOutRun
+from repro.harness.runner import FailedRun, TimedOutRun
 from repro.obs import runtime as _obs
 from repro.store.io import resolve_fs, write_atomic
 from repro.store.store import ResultStore, cell_digest, publish, result_from_entry
@@ -65,7 +66,6 @@ __all__ = [
     "LeaseLostError",
     "QueueBackend",
     "WorkQueue",
-    "commit",
     "run_worker",
 ]
 
@@ -488,29 +488,6 @@ class _HeartbeatThread(threading.Thread):
         self._halt.set()
 
 
-def commit(
-    store: ResultStore,
-    queue: WorkQueue,
-    lease: Lease,
-    cell: CampaignCell,
-    result: RunResult,
-    provenance: Dict[str, object],
-    cid: Optional[str] = None,
-) -> None:
-    """A worker's commit step: publish the result, then retire the cell.
-
-    Publication is the commit point.  A publish failing with
-    :class:`OSError` is not acknowledged: the cell is released for any
-    worker to retry, and the error re-raised.
-    """
-    try:
-        publish(store, cell, result, provenance, cid=cid)
-    except OSError:
-        queue.release(lease)
-        raise
-    queue.complete(lease)
-
-
 def run_worker(
     store: ResultStore,
     queue: WorkQueue,
@@ -527,16 +504,22 @@ def run_worker(
 
     For each claimed cell: a store hit (published by a faster worker or a
     previous campaign) completes immediately; otherwise the cell runs in
-    this process as a pool worker's attempt would (:func:`run_attempt`),
-    publishes to the store — the commit point — and then retires its
-    queue entry (:func:`commit`).  Deterministic failures are filed
-    under ``failed/``; transient ones (watchdog timeouts) release the
-    lease for any worker to retry.  Heartbeats renew the lease from a
-    background thread every ``heartbeat_every`` seconds (default: a third
-    of the queue's TTL) so long cells are never reclaimed mid-run.
+    this process as a pool worker's attempt would (:func:`run_attempt`)
+    and commits through :func:`~repro.store.store.publish`, the commit
+    point.  The outcome publish returns settles the queue entry by the
+    rule campaigns and ``repro serve`` use
+    (:func:`~repro.faults.classify.classify_outcome`): a result completes
+    it, a transient failure (a watchdog timeout, a result the store could
+    not take) releases the lease for any worker to retry, and a
+    deterministic one is filed under ``failed/``.  A store I/O error, in
+    the publish or in the store-hit probe, releases the cell, counts as
+    ``io_errors`` and waits one ``poll`` before the next claim; it never
+    ends the loop.  Heartbeats renew the lease
+    from a background thread every ``heartbeat_every`` seconds (default: a
+    third of the queue's TTL) so long cells are never reclaimed mid-run.
 
     Returns counters: ``{"ran", "store_hits", "failed", "released",
-    "lease_lost"}``.
+    "lease_lost", "io_errors"}``.
     """
     worker_id = worker_id or default_worker_id()
     if heartbeat_every is None:
@@ -586,7 +569,16 @@ def run_worker(
             _obs.emit(
                 "worker.claim", cid=cid, digest=lease.digest, worker=worker_id
             )
-        if store.contains(lease.digest):
+        try:
+            stored = store.contains(lease.digest)
+        except OSError as exc:
+            queue.release(lease)
+            bump("io_errors")
+            bump("released")
+            note(f"[{worker_id}] store probe failed for {lease.digest[:16]}: {exc}; released")
+            sleep(poll)  # not a hot claim/release loop on a sick disk
+            continue
+        if stored:
             # Published by someone else (or a prior campaign) after it was
             # enqueued: completing without running IS the dedupe.
             bump("store_hits")
@@ -624,26 +616,25 @@ def run_worker(
             bump("lease_lost")
             note(f"[{worker_id}] lease lost on {lease.digest[:16]}; discarding")
             continue
-        if isinstance(outcome, RunResult):
-            provenance = {"campaign": "queue", "worker": worker_id, "attempt": 1}
-            try:
-                commit(store, queue, lease, cell, outcome, provenance, cid=cid)
-            except OSError as exc:
-                # Not acknowledged: the cell is back in the queue for any
-                # worker — possibly this one, next claim — to retry.
-                bump("io_errors")
-                bump("released")
-                note(f"[{worker_id}] publish failed for {cell.key()}: {exc}; released")
-                continue
+        ran = outcome.ok
+        provenance = {"campaign": "queue", "worker": worker_id, "attempt": 1}
+        outcome, _entry = publish(store, cell, outcome, provenance, cid=cid)
+        if outcome.ok:
+            queue.complete(lease)
             bump("ran")
             note(
                 f"[{worker_id}] ran {cell.key()} "
                 f"({outcome.cycles} cycles, fp {outcome.fingerprint()})"
             )
-        elif isinstance(outcome, TimedOutRun):
+        elif classify_outcome(outcome) is FailureClass.TRANSIENT:
+            # Not acknowledged: the cell is back in the queue for any
+            # worker — possibly this one, next claim — to retry.
             queue.release(lease)
             bump("released")
-            note(f"[{worker_id}] released {cell.key()} after timeout")
+            note(f"[{worker_id}] released {cell.key()}: {outcome.error_type}: {outcome.error}")
+            if ran:  # the result ran but the store could not take it
+                bump("io_errors")
+                sleep(poll)
         else:
             queue.fail(lease, outcome)
             bump("failed")
@@ -685,7 +676,7 @@ class QueueBackend:
     def has_capacity(self) -> bool:
         return True
 
-    def start(self, task: CellTask, on_note=None) -> None:
+    def start(self, task: CellTask) -> None:
         digest, _created = self.queue.enqueue(task.cell, cid=task.cid)
         self.busy.append((task, digest, time.monotonic()))
 

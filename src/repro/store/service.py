@@ -61,19 +61,12 @@ from repro.core.design_points import get_design_point
 from repro.harness.campaign import CampaignCell, CampaignPolicy, CellTask, cell_config
 from repro.harness.experiments import EXPERIMENT_TRIPS, experiment_trips
 from repro.harness.pool import WorkerPool
-from repro.harness.runner import RunResult
 from repro.obs import runtime as _obs
 from repro.obs.events import new_cid
 from repro.obs.registry import LATENCY_BUCKETS_S, MetricsRegistry
 from repro.obs.spans import span as _span
 from repro.store.dispatch import WorkQueue
-from repro.store.store import (
-    ResultStore,
-    StoreEntry,
-    StoreError,
-    cell_digest,
-    publish,
-)
+from repro.store.store import ResultStore, StoreEntry, cell_digest, publish
 
 __all__ = [
     "IO_RETRIES",
@@ -139,11 +132,13 @@ QUERY_LATENCY = "repro_serve_query_latency_seconds"
 class LocalExecutor:
     """Resolve misses on the campaigns' worker pool (:mod:`repro.harness.pool`).
 
-    Transient failures (a killed or dead worker, a timeout) retry under
-    the campaign rule.  The event loop only awaits: one waiting thread per
-    worker blocks on the pool, so misses beyond ``jobs`` queue for a free
-    worker.  Publication happens on the loop thread, keeping the store
-    instance single-writer in this process.
+    Each attempt commits through :func:`~repro.store.store.publish`, and
+    transient failures (a killed or dead worker, a timeout, a result the
+    store could not take) retry under the campaign rule.  The event loop
+    only awaits: one waiting thread per worker blocks on the pool, so
+    misses beyond ``jobs`` queue for a free worker.  Publication happens on
+    the loop thread, keeping the store instance single-writer in this
+    process.
     """
 
     def __init__(
@@ -185,6 +180,10 @@ class LocalExecutor:
                     outcome = await loop.run_in_executor(
                         self._waiters, self.pool.run, CellTask(cell, attempt, cid=cid)
                     )
+                    outcome, entry = publish(
+                        self.store, cell, outcome, {"campaign": "serve", "attempt": attempt},
+                        cid=cid,
+                    )
                     delay = policy.retry_delay(cell.key(), attempt, outcome)
                     if delay is None:
                         break
@@ -192,14 +191,10 @@ class LocalExecutor:
                     attempt += 1
         finally:
             self.depth -= 1
-        if not isinstance(outcome, RunResult):
+        if entry is None:
             raise QueryError(
-                f"simulation failed: {outcome.error_type}: {outcome.error}",
-                status=502,
+                f"simulation failed: {outcome.error_type}: {outcome.error}", status=502
             )
-        entry, _created = publish(
-            self.store, cell, outcome, {"campaign": "serve", "attempt": attempt}, cid=cid
-        )
         return entry
 
     def stats(self) -> Dict[str, object]:
@@ -414,7 +409,7 @@ class QueryService:
             for attempt in range(IO_RETRIES):
                 try:
                     entry = self.store.get(digest)
-                except (OSError, StoreError) as exc:
+                except OSError as exc:
                     last = exc
                     self.count("io_errors")
                     self.degraded_cause = f"store I/O failing: {exc}"
@@ -961,7 +956,6 @@ async def serve_forever(
     jobs: int = 2,
     queue_root: Optional[str] = None,
     wall_clock_budget: Optional[float] = None,
-    queue_timeout: Optional[float] = None,
     query_timeout: Optional[float] = None,
     max_inflight: Optional[int] = None,
     drain_grace: float = 30.0,
@@ -973,6 +967,10 @@ async def serve_forever(
     SIGTERM triggers a graceful drain (:meth:`ServeHandle.drain`): the
     listener closes, in-flight queries get up to ``drain_grace`` seconds
     to finish, new ones are shed with 503 — never a mid-response cut.
+
+    ``wall_clock_budget`` (``--budget``) bounds one local miss simulation,
+    or, with ``queue_root``, how long a miss waits for the fleet before it
+    answers 504.
 
     ``obs_log`` (the ``--obs-log`` flag) arms ``repro.obs``: correlated
     events/spans append to that shared JSONL path, and the service records
@@ -987,9 +985,7 @@ async def serve_forever(
         state.emit("serve.start", host=host, port=port, store=store_root)
     store = ResultStore(store_root)
     if queue_root is not None:
-        executor = QueueExecutor(
-            store, WorkQueue(queue_root), timeout=queue_timeout
-        )
+        executor = QueueExecutor(store, WorkQueue(queue_root), timeout=wall_clock_budget)
     else:
         executor = LocalExecutor(store, jobs=jobs, wall_clock_budget=wall_clock_budget)
     handle = await start_service(

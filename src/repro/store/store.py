@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.harness.campaign import LEDGER_SCHEMA_VERSION, CampaignCell
-from repro.harness.runner import RunResult
+from repro.harness.runner import FailedRun, RunOutcome, RunResult
 from repro.obs import runtime as _obs
 from repro.obs.spans import span as _span
 from repro.sim.stats import COMPONENTS, RunStats, ThreadStats
@@ -96,7 +96,11 @@ DECODED_ENTRIES = 256
 
 
 class StoreError(RuntimeError):
-    """Base class for result-store failures."""
+    """A stored entry conflicts with a new result, or failed validation.
+
+    Store I/O errors are not wrapped: they surface as the :class:`OSError`
+    the filesystem raised.
+    """
 
 
 class StoreCorruptError(StoreError):
@@ -268,25 +272,51 @@ def result_from_entry(entry: StoreEntry) -> RunResult:
 def publish(
     store: "ResultStore",
     cell: CampaignCell,
-    result: RunResult,
+    outcome: RunOutcome,
     provenance: Dict[str, object],
     cid: Optional[str] = None,
-) -> "tuple[StoreEntry, bool]":
-    """:meth:`ResultStore.put` inside the ``store.publish`` span and event:
-    how campaigns, ``repro serve`` and queue workers publish a result."""
-    with _span("store.publish", cid=cid, benchmark=cell.benchmark):
-        entry, created = store.put(cell, result, provenance=provenance)
-    if _obs.active():
-        _obs.emit(
-            "store.publish",
-            cid=cid,
-            digest=entry.digest,
-            created=created,
-            fingerprint=entry.fingerprint,
-            cycles=entry.cycles,
-            **provenance,
-        )
-    return entry, created
+) -> "tuple[RunOutcome, Optional[StoreEntry]]":
+    """Commit one finished attempt: the one step campaigns, ``repro serve``
+    and queue workers turn an outcome into a store entry with.  Each then
+    decides by :func:`~repro.faults.classify.classify_outcome` on the
+    outcome it returns.
+
+    Returns ``(outcome, entry)``.  A failed attempt passes through with no
+    entry.  A result is :meth:`ResultStore.put` inside the ``store.publish``
+    span and event; when that fails the result is not done: a digest
+    already stored with another fingerprint (determinism violated) gives a
+    ``FingerprintMismatchError`` :class:`~repro.harness.runner.FailedRun`,
+    and a store that cannot be read or written (a full or failing disk) an
+    ``OSError`` one, which is transient.
+    """
+    if not outcome.ok:
+        return outcome, None
+    try:
+        with _span("store.publish", cid=cid, benchmark=cell.benchmark):
+            entry, created = store.put(cell, outcome, provenance=provenance)
+    except StoreError as exc:
+        error_type, error = "FingerprintMismatchError", str(exc)
+    except OSError as exc:
+        error_type, error = "OSError", f"result not published: {exc}"
+    else:
+        if _obs.active():
+            _obs.emit(
+                "store.publish",
+                cid=cid,
+                digest=entry.digest,
+                created=created,
+                fingerprint=entry.fingerprint,
+                cycles=entry.cycles,
+                **provenance,
+            )
+        return outcome, entry
+    failed = FailedRun(
+        benchmark=outcome.benchmark,
+        design_point=outcome.design_point,
+        error_type=error_type,
+        error=error,
+    )
+    return failed, None
 
 
 # ----------------------------------------------------------------------
@@ -487,8 +517,6 @@ class ResultStore:
                 data = self.fs.read_bytes(path)
             except FileNotFoundError:
                 return None
-            except OSError as exc:
-                raise StoreError(f"cannot read store entry {path}: {exc}") from exc
             kept = self._decoded.get(digest)
             if kept is not None and kept[0] == data:
                 self._decoded.move_to_end(digest)

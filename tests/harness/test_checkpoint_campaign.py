@@ -1,5 +1,5 @@
 """Campaign-level checkpointing: resume-from-snapshot workers, preemption
-records, checkpoint journalling, status reporting, and ledger I/O resilience.
+records, status read from the snapshot files, and ledger I/O resilience.
 """
 
 import errno
@@ -28,7 +28,12 @@ from repro.harness.campaign import (
 )
 from repro.harness.pool import run_attempt
 from repro.harness.runner import FailedRun, PreemptedRun, RunResult
-from repro.sim.checkpoint import CHECKPOINT_VERSION, Checkpointer, recover_snapshot
+from repro.sim.checkpoint import (
+    CHECKPOINT_VERSION,
+    Checkpointer,
+    inspect_snapshot,
+    recover_snapshot,
+)
 
 CELL = CampaignCell(benchmark="wc", design_point="EXISTING", trip_count=400)
 
@@ -110,7 +115,6 @@ class TestWorkerCheckpointFlow:
     """Drive a pool worker's attempt (``run_attempt``) in-process."""
 
     def _run_worker(self, cell, ckpt_path, attempt=2, allow_resume=True):
-        notes = []
         old_handler = signal.getsignal(signal.SIGTERM)
         try:
             task = CellTask(
@@ -119,23 +123,20 @@ class TestWorkerCheckpointFlow:
                 checkpoint_dir=os.path.dirname(ckpt_path),
                 allow_resume=allow_resume,
             )
-            outcome = run_attempt(task, None, 5000, notes.append)
+            outcome = run_attempt(task, None, 5000)
             # The attempt's SIGTERM preemption handler is gone afterwards.
             assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
         finally:
             signal.signal(signal.SIGTERM, old_handler)
-        return notes, outcome
+        return outcome
 
     def test_worker_resumes_from_snapshot_and_cleans_up(self, tmp_path):
         ref = _reference()
         path, _ = _preempt_to_snapshot(tmp_path)
-        notes, outcome = self._run_worker(CELL, path, attempt=2, allow_resume=True)
+        outcome = self._run_worker(CELL, path, attempt=2, allow_resume=True)
         assert isinstance(outcome, RunResult) and outcome.ok
         assert outcome.fingerprint() == ref.fingerprint()
         assert outcome.extras["resumed_from_cycle"] > 0
-        # Journal notes carry the cell key and attempt for the ledger.
-        assert notes and all(n.cell == CELL.key() and n.attempt == 2 for n in notes)
-        assert [n.cycle for n in notes] == sorted(n.cycle for n in notes)
         # Snapshots are discarded once the cell completes: stale state must
         # never leak into a later campaign.
         assert not os.path.exists(path)
@@ -143,7 +144,7 @@ class TestWorkerCheckpointFlow:
 
     def test_recheck_attempts_start_cold(self, tmp_path):
         path, _ = _preempt_to_snapshot(tmp_path)
-        notes, outcome = self._run_worker(CELL, path, attempt=1, allow_resume=False)
+        outcome = self._run_worker(CELL, path, attempt=1, allow_resume=False)
         assert isinstance(outcome, RunResult) and outcome.ok
         assert "resumed_from_cycle" not in outcome.extras
 
@@ -165,7 +166,7 @@ class TestWorkerCheckpointFlow:
                 struct.pack_into("<I", data, 8, stamped)  # header: magic, version, ...
                 fh.seek(0)
                 fh.write(data)
-        notes, outcome = self._run_worker(CELL, path, attempt=2, allow_resume=True)
+        outcome = self._run_worker(CELL, path, attempt=2, allow_resume=True)
         assert isinstance(outcome, RunResult) and outcome.ok
         assert "resumed_from_cycle" not in outcome.extras
         quarantined = [f for f in os.listdir(tmp_path) if ".quarantined" in f]
@@ -176,7 +177,7 @@ class TestWorkerCheckpointFlow:
         path = cell_checkpoint_path(str(tmp_path), CELL)
         with open(path, "wb") as fh:
             fh.write(b"definitely not a snapshot")
-        notes, outcome = self._run_worker(CELL, path, attempt=2, allow_resume=True)
+        outcome = self._run_worker(CELL, path, attempt=2, allow_resume=True)
         assert isinstance(outcome, RunResult) and outcome.ok
         assert "resumed_from_cycle" not in outcome.extras
         quarantined = [f for f in os.listdir(tmp_path) if ".quarantined" in f]
@@ -207,46 +208,65 @@ class TestLedgerRecordsAndStatus:
         # preemptible fleets can't exhaust a cell's retry budget.
         assert hist.attempts == 2
         assert not hist.terminal
-        assert hist.checkpoint_cycle == 12345.0
-        assert hist.checkpoint_path == str(tmp_path / "wc.ckpt")
 
-    def test_status_reports_checkpoint_progress(self, tmp_path):
-        ledger_path = str(tmp_path / "c.jsonl")
+    @staticmethod
+    def _cut_off(ledger_path):
+        """Journal CELL as started and never ended: a campaign cut off mid-cell."""
         ledger = CampaignLedger(ledger_path).open()
         ledger.append(
             {"event": "cell-start", "cell": CELL.key(), "attempt": 1, "spec": CELL.spec()}
         )
-        ledger.append(
-            {
-                "event": "cell-ckpt",
-                "cell": CELL.key(),
-                "attempt": 1,
-                "cycle": 20000.0,
-                "path": str(tmp_path / "gone.ckpt"),
-                "count": 1,
-                "time": time.time() - 30,
-            }
-        )
-        ledger.append(
-            {
-                "event": "cell-ckpt",
-                "cell": CELL.key(),
-                "attempt": 1,
-                "cycle": 40000.0,
-                "path": str(tmp_path / "gone.ckpt"),
-                "count": 2,
-                "time": time.time() - 5,
-            }
-        )
         ledger.close()
+        return ledger_path
+
+    def test_status_reports_checkpoint_progress(self, tmp_path):
+        ledger_path = self._cut_off(str(tmp_path / "c.jsonl"))
+        os.makedirs(ledger_path + ".ckpt")
+        path, preempted = _preempt_to_snapshot(ledger_path + ".ckpt")
+        os.utime(path, (time.time() - 30, time.time() - 30))
         status = campaign_status(ledger_path)
         entry = status["checkpoints"][CELL.key()]
-        assert entry["cycle"] == 40000.0
-        assert entry["count"] == 2
-        assert entry["on_disk"] is False  # snapshot file is gone
-        assert entry["age"] is not None and entry["age"] >= 4
-        rendered = render_status(status)
-        assert "ckpt cycle 40000" in rendered
+        assert entry["cycle"] == preempted.cycle
+        assert entry["path"] == path
+        assert entry["age"] >= 29  # the file's mtime
+        assert f"ckpt cycle {preempted.cycle:.0f}, " in render_status(status)
+
+    def test_status_falls_back_to_the_generation_resume_would_load(self, tmp_path):
+        ledger_path = self._cut_off(str(tmp_path / "c.jsonl"))
+        os.makedirs(ledger_path + ".ckpt")
+        path, _ = _preempt_to_snapshot(ledger_path + ".ckpt")
+        prev_cycle = inspect_snapshot(path + ".prev")["cycle"]
+        with open(path, "r+b") as fh:  # tear the newest generation
+            fh.truncate(os.path.getsize(path) // 2)
+        entry = campaign_status(ledger_path)["checkpoints"][CELL.key()]
+        assert (entry["cycle"], entry["path"]) == (prev_cycle, path + ".prev")
+        # Status reads; it never quarantines or moves a file.
+        assert sorted(os.listdir(ledger_path + ".ckpt")) == sorted(
+            os.path.basename(p) for p in (path, path + ".prev")
+        )
+        # Resume agrees: it loads the generation status reported.
+        recovered = recover_snapshot(path)
+        assert recovered.used_fallback and recovered.snapshot.cycle == prev_cycle
+
+        with open(path + ".prev", "r+b") as fh:  # and the older one too
+            fh.truncate(os.path.getsize(path + ".prev") // 2)
+        status = campaign_status(ledger_path)
+        assert status["checkpoints"] == {}
+        assert "ckpt" not in render_status(status)
+
+    def test_status_finds_an_explicit_checkpoint_dir(self, tmp_path):
+        ckpt_dir = str(tmp_path / "snapshots")
+        ledger_path = str(tmp_path / "c.jsonl")
+        quick = CampaignCell(benchmark="wc", design_point="HEAVYWT", trip_count=48)
+        policy = CampaignPolicy(checkpoint_every=5000, checkpoint_dir=ckpt_dir)
+        assert run_campaign([quick], policy, ledger_path=ledger_path).n_done == 1
+        (start,) = [r for r in CampaignLedger.read(ledger_path) if r["event"] == "campaign-start"]
+        assert start["checkpoint_dir"] == ckpt_dir
+        # A later campaign on the same ledger is cut off mid-cell.
+        path, preempted = _preempt_to_snapshot(ckpt_dir)
+        self._cut_off(ledger_path)
+        entry = campaign_status(ledger_path)["checkpoints"][CELL.key()]
+        assert (entry["cycle"], entry["path"]) == (preempted.cycle, path)
 
     def test_done_cells_drop_out_of_the_checkpoint_section(self, tmp_path):
         ledger_path = str(tmp_path / "c.jsonl")
@@ -381,13 +401,13 @@ class TestCampaignResumeEndToEnd:
         assert outcome.fingerprint() == ref.fingerprint()
 
         records = CampaignLedger.read(ledger_path)
-        ckpt_events = [r for r in records if r.get("event") == "cell-ckpt"]
-        assert ckpt_events, "no checkpoint notes journalled"
         done = [r for r in records if r.get("status") == "done"]
         assert len(done) == 1
         if report.attempts[cell.key()] > 1:
             # Retried attempts must resume mid-run, not from cycle 0.
             assert done[0].get("resumed_from_cycle", 0) > 0
+        else:
+            assert done[0].get("checkpoints_taken", 0) >= 1
         # Success discards the cell's snapshots.
         ckpt_dir = ledger_path + ".ckpt"
         leftovers = [f for f in os.listdir(ckpt_dir) if f.endswith(".ckpt")]

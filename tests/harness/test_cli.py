@@ -3,9 +3,12 @@
 import hashlib
 import multiprocessing.util
 import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.__main__ import CAMPAIGN_GRIDS, _campaign_grid, main
 from repro.harness.campaign import CampaignLedger
 from repro.harness.experiments import ALL_EXPERIMENTS, EXHIBITS
@@ -56,7 +59,8 @@ class TestRun:
 
 
 class TestUsageErrors:
-    """Bad counts exit 2 with a usage error naming the flag, not a traceback."""
+    """A numeric flag that means nothing at zero or below exits 2 with a
+    usage error naming the flag, not a traceback, before anything starts."""
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -65,24 +69,65 @@ class TestUsageErrors:
             (["campaign", "resume", "--jobs", "0"], "--jobs"),
             (["serve", "--jobs", "0"], "--jobs"),
             (["serve", "--max-inflight", "0"], "--max-inflight"),
+            (["campaign", "run", "--max-attempts", "0"], "--max-attempts"),
+            (["campaign", "run", "--budget", "0"], "--budget"),
+            (["campaign", "run", "--checkpoint-every", "0"], "--checkpoint-every"),
+            (["campaign", "run", "--scale", "0"], "--scale"),
+            (["serve", "--budget", "0"], "--budget"),
+            (["serve", "--query-timeout", "0"], "--query-timeout"),
+            (["store", "worker", "--lease-ttl", "-1"], "--lease-ttl"),
+            (["store", "worker", "--lease-ttl", "0"], "--lease-ttl"),
+            (["store", "worker", "--budget", "0"], "--budget"),
+            (["run", "table1", "--jobs", "0"], "--jobs"),
         ],
-        ids=["campaign-run", "campaign-resume", "serve-jobs", "serve-max-inflight"],
+        ids=[
+            "campaign-run", "campaign-resume", "serve-jobs", "serve-max-inflight",
+            "campaign-max-attempts", "campaign-budget", "campaign-checkpoint-every",
+            "campaign-scale", "serve-budget", "serve-query-timeout",
+            "worker-lease-ttl-negative", "worker-lease-ttl-zero", "worker-budget", "run-jobs",
+        ],
     )
     def test_non_positive_count_is_a_usage_error(self, tmp_path, capsys, monkeypatch, argv, flag):
         started = []
         monkeypatch.setattr(multiprocessing.util, "spawnv_passfds", lambda *a: started.append(a))
         monkeypatch.setattr(os, "fork", lambda: started.append("fork"))
-        if argv[0] == "serve":
+
+        def serve_forever(*args, **kwargs):
+            raise AssertionError("the server started")
+
+        monkeypatch.setattr("repro.store.service.serve_forever", serve_forever)
+        if argv[0] in ("serve", "store"):
             argv = argv + ["--store", str(tmp_path / "store")]
-        else:
+        elif argv[0] == "campaign":
             argv = argv + ["--grid", "smoke", "--ledger", str(tmp_path / "l.jsonl")]
         with pytest.raises(SystemExit) as exc_info:
             main(argv)
         assert exc_info.value.code == 2
-        assert f"{flag} must be >= 1" in capsys.readouterr().err
+        assert f"argument {flag}: must be positive" in capsys.readouterr().err
         # Rejected before anything starts: no process, no store, no ledger.
         assert started == []
         assert os.listdir(tmp_path) == []
+
+
+class TestClosedStdout:
+    def test_a_reader_gone_before_the_first_write_ends_quietly(self, tmp_path):
+        # ``... | head -1`` with head already gone: the first write fails.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "store", "stats", "--store", str(tmp_path / "s")],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=dict(os.environ, PYTHONPATH=src),
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        err = proc.stderr.decode()
+        assert "Traceback" not in err and "BrokenPipeError" not in err, err
+        assert proc.returncode == 1
 
 
 class TestCampaignGrids:

@@ -10,7 +10,8 @@ Acceptance properties:
   stomping the new owner;
 * run_worker drains the queue into the store, completes store hits
   without re-running, files deterministic failures, and releases
-  timed-out cells for retry;
+  timed-out cells and cells the store could not take for retry — a
+  store I/O error never ends the loop;
 * run_campaign's queue backend is store-first (hits never enqueue),
   keeps the ledger rules of the local pool (no second campaign onto a
   non-empty ledger, resume skips done cells), and its ledger replays
@@ -18,10 +19,13 @@ Acceptance properties:
 """
 
 import math
+import os
 import threading
 
 import pytest
 
+from repro.chaos import ChaosFS, ChaosPlan
+from repro.chaos import FaultRule as ChaosRule
 from repro.harness.campaign import (
     CampaignCell,
     CampaignLedger,
@@ -492,3 +496,59 @@ def test_run_worker_releases_cell_when_publish_fails(tmp_path):
     assert counters["ran"] == 1  # the retry landed
     assert store.contains(cell_digest(CELL_A))
     assert q.pending() == [] and q.failed() == {}
+
+
+@pytest.mark.parametrize("after", [1, 0], ids=["put-entry-read", "contains-probe"])
+def test_run_worker_releases_cell_when_the_store_cannot_be_read(tmp_path, after):
+    """One EIO reading the cell's entry — put's check for an existing
+    entry, or the store-hit probe before the run — releases the cell; the
+    worker returns instead of dying with its lease held, and the next
+    worker completes the cell."""
+    digest = cell_digest(CELL_A)
+    fs = ChaosFS(ChaosPlan(rules=[ChaosRule(op="read", path_substr=digest, after=after)]))
+    q = WorkQueue(str(tmp_path / "q"))
+    q.enqueue(CELL_A)
+    claims = []
+
+    def claim_once(worker=None):
+        # This worker gets one claim; a fleet peer would take the next.
+        claims.append(worker)
+        return WorkQueue.claim(q, worker) if len(claims) == 1 else None
+
+    q.claim = claim_once
+    counters = run_worker(
+        ResultStore(str(tmp_path / "store"), fs=fs), q, worker_id="w1", drain=False, poll=0.01
+    )
+    assert fs.injected == {"rule:read": 1}
+    assert (counters["io_errors"], counters["released"], counters["ran"]) == (1, 1, 0)
+    assert os.listdir(q.leases_dir) == []  # released, not held for a TTL
+    assert q.pending() == [digest] and q.failed() == {}
+
+    store = ResultStore(str(tmp_path / "store"))
+    counters = run_worker(store, WorkQueue(str(tmp_path / "q")), worker_id="w2")
+    assert counters["ran"] == 1
+    assert store.contains(digest)
+    assert q.pending() == [] and q.failed() == {}
+
+
+def test_run_worker_backs_off_while_the_store_stays_unreadable(tmp_path):
+    digest = cell_digest(CELL_A)
+    fs = ChaosFS(ChaosPlan(rules=[ChaosRule(op="read", path_substr=digest, count=10**9)]))
+    q = WorkQueue(str(tmp_path / "q"))
+    q.enqueue(CELL_A)
+    naps = []
+
+    class Stop(Exception):
+        pass
+
+    def sleep(seconds):
+        naps.append(seconds)
+        if len(naps) == 3:
+            raise Stop
+
+    with pytest.raises(Stop):
+        run_worker(ResultStore(str(tmp_path / "store"), fs=fs), q, poll=0.25, sleep=sleep)
+    # One store probe per poll, not a hot claim/release loop.
+    assert naps == [0.25] * 3
+    assert fs.injected == {"rule:read": 3}
+    assert os.listdir(q.leases_dir) == [] and q.pending() == [digest]

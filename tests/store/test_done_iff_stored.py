@@ -1,7 +1,7 @@
 """A campaign cell is done exactly when the store holds its digest.
 
-The ledger journals attempts (start, checkpoints, end with status and
-timing); results live only in the result store.  ``run_campaign`` commits
+The ledger journals attempts (start, end with status and timing);
+results live only in the result store.  ``run_campaign`` commits
 an attempt the way ``repro store worker`` does — publish, then journal —
 so ``resume``, ``campaign status`` and ``--recheck`` agree on done-ness
 and golden fingerprints from the store alone.  The one exception: a cell
@@ -77,6 +77,28 @@ def test_unpublished_result_is_a_transient_attempt_failure(tmp_path):
     assert done["status"] == "done" and done["attempt"] == 2
     assert done["store_digest"] == cell_digest(cells[0])
     assert all(store.contains(cell_digest(c)) for c in cells)
+
+
+def test_unreadable_entry_is_a_transient_attempt_failure(tmp_path):
+    # put() reads the digest's entry before it writes: one EIO there is a
+    # sick disk, not a determinism violation.  The first read is the
+    # store-first lookup, the second put's.
+    cell = _cells(1)[0]
+    rule = FaultRule(op="read", path_substr=cell_digest(cell), after=1)
+    fs = ChaosFS(ChaosPlan(rules=[rule]))
+    store = ResultStore(str(tmp_path / "store"), fs=fs)
+    ledger = str(tmp_path / "l.jsonl")
+    policy = CampaignPolicy(backoff_base=0.01)
+    report = run_campaign([cell], policy, ledger_path=ledger, store=store)
+
+    assert fs.injected == {"rule:read": 1}
+    assert report.n_done == 1 and report.n_failed == 0
+    assert report.mismatches == [] and report.retries == 1
+    failed, done = _cell_ends(ledger)
+    assert failed["error_type"] == "OSError" and failed["transient"] is True
+    assert failed["terminal"] is False
+    assert done["status"] == "done" and done["attempt"] == 2
+    assert campaign_status(ledger)["by_status"] == {"done": 1}
 
 
 def test_store_conflict_closes_the_cell_as_failed_even_though_stored(tmp_path):

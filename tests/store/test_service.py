@@ -16,12 +16,15 @@ No pytest-asyncio in the image: each test drives its own event loop via
 """
 
 import asyncio
+import errno
 import json
 import os
 import signal
 
 import pytest
 
+from repro.chaos import ChaosFS, ChaosPlan
+from repro.chaos import FaultRule as ChaosRule
 from repro.harness.campaign import CampaignCell, execute_cell
 from repro.store.service import (
     QUERY_LATENCY,
@@ -520,6 +523,30 @@ def test_local_executor_retries_a_miss_whose_worker_dies(tmp_path):
     # The dead worker's attempt was retried (transient) on a fresh one.
     entry = store.get(cell_digest(SLOW_CELL))
     assert entry.provenance["attempt"] == 2
+
+
+def test_local_executor_retries_a_miss_the_store_cannot_take(tmp_path):
+    """One ENOSPC on the entry write fails the attempt transiently: it is
+    retried under the campaign rule, and the query is answered once."""
+    digest = cell_digest(CELL)
+    rule = ChaosRule(op="open", error=errno.ENOSPC, path_substr=digest)
+    fs = ChaosFS(ChaosPlan(rules=[rule]))
+    store = ResultStore(str(tmp_path / "store"), fs=fs)
+    executor = LocalExecutor(store, jobs=1)
+    try:
+
+        async def main():
+            svc = QueryService(store, executor)
+            return await svc.answer_query(dict(QUERY)), svc.snapshot()
+
+        answer, counters = asyncio.run(main())
+    finally:
+        executor.close()
+    assert fs.injected == {"rule:open": 1}
+    assert answer["ok"] and not answer["hit"]
+    assert answer["fingerprint"] == execute_cell(CELL).fingerprint()
+    assert store.get(digest).provenance["attempt"] == 2
+    assert counters["misses"] == 1
 
 
 def test_local_executor_answers_deterministic_failures_at_once(tmp_path):
