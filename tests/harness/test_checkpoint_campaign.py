@@ -258,7 +258,9 @@ class TestLedgerRecordsAndStatus:
         ckpt_dir = str(tmp_path / "snapshots")
         ledger_path = str(tmp_path / "c.jsonl")
         quick = CampaignCell(benchmark="wc", design_point="HEAVYWT", trip_count=48)
-        policy = CampaignPolicy(checkpoint_every=5000, checkpoint_dir=ckpt_dir)
+        policy = CampaignPolicy(
+            wall_clock_budget=60, checkpoint_every=5000, checkpoint_dir=ckpt_dir
+        )
         assert run_campaign([quick], policy, ledger_path=ledger_path).n_done == 1
         (start,) = [r for r in CampaignLedger.read(ledger_path) if r["event"] == "campaign-start"]
         assert start["checkpoint_dir"] == ckpt_dir

@@ -517,7 +517,8 @@ def test_run_worker_releases_cell_when_the_store_cannot_be_read(tmp_path, after)
 
     q.claim = claim_once
     counters = run_worker(
-        ResultStore(str(tmp_path / "store"), fs=fs), q, worker_id="w1", drain=False, poll=0.01
+        ResultStore(str(tmp_path / "store"), fs=fs), q, worker_id="w1", drain=False, poll=0.01,
+        wall_clock_budget=60,
     )
     assert fs.injected == {"rule:read": 1}
     assert (counters["io_errors"], counters["released"], counters["ran"]) == (1, 1, 0)
@@ -525,7 +526,9 @@ def test_run_worker_releases_cell_when_the_store_cannot_be_read(tmp_path, after)
     assert q.pending() == [digest] and q.failed() == {}
 
     store = ResultStore(str(tmp_path / "store"))
-    counters = run_worker(store, WorkQueue(str(tmp_path / "q")), worker_id="w2")
+    counters = run_worker(
+        store, WorkQueue(str(tmp_path / "q")), worker_id="w2", max_cells=1, wall_clock_budget=60
+    )
     assert counters["ran"] == 1
     assert store.contains(digest)
     assert q.pending() == [] and q.failed() == {}

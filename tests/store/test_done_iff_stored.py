@@ -88,7 +88,7 @@ def test_unreadable_entry_is_a_transient_attempt_failure(tmp_path):
     fs = ChaosFS(ChaosPlan(rules=[rule]))
     store = ResultStore(str(tmp_path / "store"), fs=fs)
     ledger = str(tmp_path / "l.jsonl")
-    policy = CampaignPolicy(backoff_base=0.01)
+    policy = CampaignPolicy(backoff_base=0.01, wall_clock_budget=60)
     report = run_campaign([cell], policy, ledger_path=ledger, store=store)
 
     assert fs.injected == {"rule:read": 1}

@@ -537,7 +537,8 @@ def test_local_executor_retries_a_miss_the_store_cannot_take(tmp_path):
 
         async def main():
             svc = QueryService(store, executor)
-            return await svc.answer_query(dict(QUERY)), svc.snapshot()
+            answer = await asyncio.wait_for(svc.answer_query(dict(QUERY)), timeout=120)
+            return answer, svc.snapshot()
 
         answer, counters = asyncio.run(main())
     finally:
